@@ -71,8 +71,10 @@ def q2_add(x: int, y: int, field: Field) -> int:
     """Composition in the graded quadratic group: Z/4 over R, Z/2 over C.
 
     This is what the product of graded quadratic algebras does to the
-    encoded classes: generator parities add, squares multiply, and a
-    further sign appears when both generators are odd.
+    encoded classes: generator parities add and squares multiply.  The
+    encoding absorbs the Koszul sign for two odd generators: squares
+    ``s`` and ``t`` give an even generator with square ``-st``, which is
+    ``(1 + 1) % 4 = 2`` or ``(1 + 3) % 4 = 0``.
     """
     n = 4 if field.is_real else 2
     return (x + y) % n

@@ -4,17 +4,9 @@ Matrices are plain lists of row lists.  Entries must support field
 arithmetic and truthiness (zero is falsy), which both scalar types in
 :mod:`gradedbrauer.scalars` do.  Everything here is fraction-exact
 Gaussian elimination; nothing is numerically approximate.
-
-The one numeric routine, :func:`rank_mod_prime`, works on an integer
-numpy matrix reduced mod a word-sized prime.  It exists because rank
-over GF(p) is a *lower bound* for rank over the rationals: a full-rank
-certificate mod p is already exact, and callers fall back to fraction
-elimination only when the modular ranks come up short.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 def _clone(rows):
@@ -197,31 +189,3 @@ def signature(sym):
             m[i][pivot] = m[pivot][i] = 0
     return pos, neg, zero
 
-
-def rank_mod_prime(mat: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over GF(p), by in-place elimination.
-
-    ``mat`` is copied to int64.  Row operations stay inside int64 range
-    because every entry is reduced below ``p < 2**31`` first, so the
-    products in the update step are below ``2**62``.
-    """
-    m = np.array(mat, dtype=np.int64) % p
-    nrows, ncols = m.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        below = m[r + 1:, c]
-        hot = np.nonzero(below)[0]
-        if hot.size:
-            m[r + 1:][hot] = (m[r + 1:][hot] - np.outer(below[hot], m[r])) % p
-        r += 1
-    return r

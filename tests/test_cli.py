@@ -1,4 +1,9 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -132,3 +137,38 @@ def test_usage_error_without_arguments(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+def test_negative_graded_matrix_sizes_exit_two(capsys):
+    for command in ("invariants", "azumaya"):
+        code, doc = run(capsys, command, "--algebra", "end:-1,2")
+        assert code == 2
+        assert doc["error"]["type"] == "AlgebraError"
+
+
+def test_non_object_json_on_stdin_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[1, 2]"))
+    code, doc = run(capsys, "invariants", "--algebra", "-")
+    assert code == 2
+    assert doc["error"]["type"] == "AlgebraError"
+
+
+def test_non_object_json_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, doc = run(capsys, "invariants", "--algebra", str(path))
+    assert code == 2
+    assert doc["error"]["type"] == "AlgebraError"
+
+
+def test_import_loads_no_numpy():
+    """Start-up cost: the package itself needs no numpy."""
+    import gradedbrauer
+    src = str(Path(gradedbrauer.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gradedbrauer; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

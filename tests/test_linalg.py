@@ -1,12 +1,11 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedbrauer.linalg import (in_row_span, nullspace, rank, rank_mod_prime,
-                                 row_echelon, signature, solve)
+from gradedbrauer.linalg import (in_row_span, nullspace, rank, row_echelon,
+                                 signature, solve)
 from gradedbrauer.scalars import REAL
 
 F = Fraction
@@ -102,15 +101,3 @@ def test_signature_is_congruence_invariant(pair):
                         for k in range(n) for l in range(n))
                     for j in range(n)] for i in range(n)]
     assert signature(transformed) == signature(sym)
-
-
-def test_rank_mod_prime_matches_exact_rank():
-    rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
-    mat = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]], dtype=np.int64)
-    assert rank_mod_prime(mat, 2147483629) == rank(rows)
-
-
-def test_rank_mod_prime_can_undercount_only_at_bad_primes():
-    mat = np.array([[5]], dtype=np.int64)
-    assert rank_mod_prime(mat, 5) == 0
-    assert rank_mod_prime(mat, 7) == 1
