@@ -65,7 +65,8 @@ class GradedAlgebra:
 
     Construction normalizes scalars into the field and drops zeros, but
     does *not* verify associativity or the grading — call
-    :meth:`validate` for the full (cubic-cost) audit.
+    :meth:`validate` for the full (cubic-cost) audit.  :meth:`from_json`
+    checks the unit and the grading.
     """
 
     __slots__ = ("field", "dim", "parity", "unit", "table")
@@ -167,25 +168,12 @@ class GradedAlgebra:
     def validate(self) -> None:
         """Full structural audit; raises :class:`AlgebraError` on failure.
 
-        Checks that the unit is even and two-sided, that products land
-        in the parity forced by the grading, and that multiplication is
-        associative on every basis triple.  The last check is cubic in
-        the dimension, which is why it is not performed on construction.
+        Runs :meth:`check_unit_and_grading`, then checks that
+        multiplication is associative on every basis triple.  That last
+        check is cubic in the dimension, which is why it is not
+        performed on construction or on JSON ingest.
         """
-        for i, u in enumerate(self.unit):
-            if u and self.parity[i] == 1:
-                raise AlgebraError("unit has a component in odd degree")
-        for j in range(self.dim):
-            ej = self.basis_vector(j)
-            if self.mul(self.unit, ej) != ej or self.mul(ej, self.unit) != ej:
-                raise AlgebraError(f"unit fails on basis element {j}")
-        for (i, j), cell in self.table.items():
-            want = self.parity[i] ^ self.parity[j]
-            for k in cell:
-                if self.parity[k] != want:
-                    raise AlgebraError(
-                        f"product e_{i} e_{j} has a component of wrong parity at {k}"
-                    )
+        self.check_unit_and_grading()
         zero = self.field.zero()
         for i in range(self.dim):
             for j in range(self.dim):
@@ -202,6 +190,25 @@ class GradedAlgebra:
                         raise AlgebraError(
                             f"associativity fails on basis triple ({i}, {j}, {k})"
                         )
+
+    def check_unit_and_grading(self) -> None:
+        """The cheap part of :meth:`validate`, run on every JSON ingest:
+        the unit is even and two-sided, and every product lands in the
+        parity forced by the grading.  Raises :class:`AlgebraError`."""
+        for i, u in enumerate(self.unit):
+            if u and self.parity[i] == 1:
+                raise AlgebraError("unit has a component in odd degree")
+        for j in range(self.dim):
+            ej = self.basis_vector(j)
+            if self.mul(self.unit, ej) != ej or self.mul(ej, self.unit) != ej:
+                raise AlgebraError(f"unit fails on basis element {j}")
+        for (i, j), cell in self.table.items():
+            want = self.parity[i] ^ self.parity[j]
+            for k in cell:
+                if self.parity[k] != want:
+                    raise AlgebraError(
+                        f"product e_{i} e_{j} has a component of wrong parity at {k}"
+                    )
 
     # ------------------------------------------------------------- subparts
 
@@ -258,7 +265,9 @@ class GradedAlgebra:
 
         ``structure`` may be the sparse triple list this class emits or
         a dense ``dim x dim x dim`` nested list.  ``unit`` may be
-        omitted, in which case it is solved for.
+        omitted, in which case it is solved for.  Scalars are strings or
+        integers.  The unit and the grading are checked
+        (:meth:`check_unit_and_grading`); associativity is not.
         """
         if not isinstance(data, Mapping):
             raise AlgebraError("algebra JSON must be an object, not "
@@ -296,8 +305,9 @@ class GradedAlgebra:
                 if prev is not None:
                     raise AlgebraError(f"duplicate structure triple ({i}, {j}, {k})")
                 table[(int(i), int(j))][int(k)] = value
-        unit = data.get("unit")
-        return cls(field, parity, table, unit)
+        algebra = cls(field, parity, table, data.get("unit"))
+        algebra.check_unit_and_grading()
+        return algebra
 
 
 def ground_algebra(field: Field) -> GradedAlgebra:

@@ -15,13 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from dataclasses import MISSING, fields
 
 from .algebra import (AlgebraError, GradedAlgebra, end_graded, graded_tensor,
                       ground_algebra, hat_center, is_azumaya, opposite)
 from .clifford import DiagonalForm, clifford
 from .groups import AbGroup
-from .invariants import bw_class, invariant_triple
+from .invariants import bw_class, class_triple
 from .scalars import Field, field_from_label
 from .selftest import run_selftest
 from .spaces import (ComplexCurve, ComplexProjective, ComplexSurfaceWitt,
@@ -85,9 +85,9 @@ def _cmd_invariants(args):
     a = _algebra_from_args(args)
     if args.opposite:
         a = opposite(a)
-    parity, q2, ungraded = invariant_triple(a)
-    return {"parity": parity, "q2": q2, "ungraded": ungraded,
-            "bw": bw_class(a)}, 0
+    bw = bw_class(a)
+    parity, q2, ungraded = class_triple(bw, a.field)
+    return {"parity": parity, "q2": q2, "ungraded": ungraded, "bw": bw}, 0
 
 
 def _cmd_azumaya(args):
@@ -117,44 +117,55 @@ def _cmd_selftest(args):
     return report, 0 if report["passed"] else 1
 
 
-def _descriptor_command(builder):
+def _descriptor_command(kinds):
     def handler(args):
         if getattr(args, "table", None):
             return _TABLES[args.table](), 0
         if getattr(args, "kind", None) is None:
             raise ValueError("pass a descriptor kind or --table NAME")
-        return compute_report(builder[args.kind](args)).to_json(), 0
+        cls = kinds[args.kind]
+        # An absent optional flag is None and leaves the field's default.
+        values = {f.name: _parse_group(v) if f.type == "AbGroup" else v
+                  for f in fields(cls) if (v := getattr(args, f.name)) is not None}
+        return compute_report(cls(**values)).to_json(), 0
     return handler
 
 
 _SPACE_KINDS = {
-    "trivial-action": lambda a: TrivialAction(
-        b1=a.b1, b2=a.b2, bockstein_rank=a.bockstein, components=a.components),
-    "free-product": lambda a: FreeProduct(
-        h0=a.h0, h1=a.h1, h3_torsion=_parse_group(a.h3tors)),
-    "graph": lambda a: Graph(fixed_components=a.nu, h1_quotient=a.h1quot),
-    "surface": lambda a: SurfaceWithInvolution(genus=a.genus, fixed_circles=a.nu),
-    "real-curve": lambda a: RealCurve(genus=a.genus, real_components=a.nu),
-    "complex-curve": lambda a: ComplexCurve(h1=a.h1),
-    "free-4d": lambda a: FreeFourDim(
-        h1_quotient=a.h1quot, h1_quotient_reduced=a.h1quot_reduced,
-        two_torsion_h3=a.two_tors_h3,
-        h3_exponent_at_most_two=a.exponent_le_2),
+    "trivial-action": TrivialAction, "free-product": FreeProduct,
+    "graph": Graph, "surface": SurfaceWithInvolution, "real-curve": RealCurve,
+    "complex-curve": ComplexCurve, "free-4d": FreeFourDim,
 }
 
 _VARIETY_KINDS = {
-    "complex-projective": lambda a: ComplexProjective(
-        h0=a.h0, h1=a.h1, divisible_rank=a.rho,
-        h3_torsion=_parse_group(a.h3tors)),
-    "real-projective": lambda a: RealProjective(
-        lefschetz_rank=a.rho0, real_brauer=_parse_group(a.rbr),
-        h1_equivariant=a.h1g),
-    "complex-surface-witt": lambda a: ComplexSurfaceWitt(
-        divisible_rank=a.rho, h1=a.h1, two_torsion_h3=a.two_tors_h3),
-    "real-surface-no-points": lambda a: RealSurfaceNoPoints(
-        lefschetz_rank=a.rho0, two_torsion_brauer=a.two_tors_br,
-        h1_quotient_reduced=a.h1quot_reduced),
+    "complex-projective": ComplexProjective, "real-projective": RealProjective,
+    "complex-surface-witt": ComplexSurfaceWitt,
+    "real-surface-no-points": RealSurfaceNoPoints,
 }
+
+# Descriptor field -> CLI flag, wherever the flag is not the field name.
+_FLAG_ALIASES = {
+    "bockstein_rank": "bockstein", "h3_torsion": "h3tors",
+    "fixed_components": "nu", "fixed_circles": "nu", "real_components": "nu",
+    "h1_quotient": "h1quot", "h1_quotient_reduced": "h1quot-reduced",
+    "two_torsion_h3": "two-tors-h3", "h3_exponent_at_most_two": "exponent-le-2",
+    "divisible_rank": "rho", "lefschetz_rank": "rho0", "real_brauer": "rbr",
+    "h1_equivariant": "h1g", "two_torsion_brauer": "two-tors-br",
+}
+
+
+def _add_descriptor_flags(parser: argparse.ArgumentParser, cls: type) -> None:
+    """One flag per field of the descriptor dataclass ``cls``."""
+    for f in fields(cls):
+        flag = "--" + _FLAG_ALIASES.get(f.name, f.name)
+        if f.type == "bool":
+            parser.add_argument(flag, dest=f.name, action="store_true")
+        elif f.type == "AbGroup":  # parsed by the handler, so errors get a JSON document
+            parser.add_argument(flag, dest=f.name,
+                                help="cyclic orders, e.g. 4,2 (empty = trivial)")
+        else:
+            required = f.default is MISSING and f.default_factory is MISSING
+            parser.add_argument(flag, dest=f.name, type=int, required=required)
 
 
 def _add_algebra_flags(parser: argparse.ArgumentParser) -> None:
@@ -204,9 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--table", choices=tuple(_TABLES),
                        help="print a whole golden table instead")
         kind_sub = p.add_subparsers(dest="kind")
-        for kind in kinds:
-            kp = kind_sub.add_parser(kind)
-            _add_descriptor_flags(kp, kind)
+        for kind, cls in kinds.items():
+            _add_descriptor_flags(kind_sub.add_parser(kind), cls)
         p.set_defaults(handler=_descriptor_command(kinds))
 
     p = sub.add_parser("table", help="print a golden table")
@@ -218,50 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_selftest)
 
     return parser
-
-
-def _add_descriptor_flags(parser: argparse.ArgumentParser, kind: str) -> None:
-    def flag(name: str, required: bool = True, default: Optional[int] = None,
-             boolean: bool = False, group: bool = False) -> None:
-        if boolean:
-            parser.add_argument(f"--{name}", action="store_true")
-        elif group:
-            parser.add_argument(f"--{name}", default="",
-                                help="cyclic orders, e.g. 4,2 (empty = trivial)")
-        else:
-            parser.add_argument(f"--{name}", type=int, required=required,
-                                default=default)
-
-    if kind == "trivial-action":
-        flag("b1"), flag("b2")
-        flag("bockstein", required=False, default=0)
-        flag("components", required=False, default=1)
-    elif kind == "free-product":
-        flag("h0", required=False, default=1)
-        flag("h1", required=False, default=0)
-        flag("h3tors", group=True)
-    elif kind == "graph":
-        flag("nu"), flag("h1quot")
-    elif kind in ("surface", "real-curve"):
-        flag("genus"), flag("nu")
-    elif kind == "complex-curve":
-        flag("h1")
-    elif kind == "free-4d":
-        flag("h1quot"), flag("h1quot-reduced")
-        flag("two-tors-h3", required=False, default=0)
-        flag("exponent-le-2", boolean=True)
-    elif kind == "complex-projective":
-        flag("rho"), flag("h1")
-        flag("h0", required=False, default=1)
-        flag("h3tors", group=True)
-    elif kind == "real-projective":
-        flag("rho0"), flag("h1g")
-        flag("rbr", group=True)
-    elif kind == "complex-surface-witt":
-        flag("rho"), flag("h1")
-        flag("two-tors-h3", required=False, default=0)
-    elif kind == "real-surface-no-points":
-        flag("rho0"), flag("two-tors-br"), flag("h1quot-reduced")
 
 
 def main(argv=None) -> int:

@@ -23,7 +23,8 @@ invariants, each computed from the algebra itself:
 The Z/8 (resp. Z/2) value of a class is *not* read off a transcribed
 table: :func:`_calibration` computes, once per field and at runtime,
 the invariant triples of the powers of the rank-one Clifford generator
-``C<1>`` — which represents 1 by normalization — and inverts that map.
+``C<1>`` — which represents 1 by normalization — and of their graded
+opposites (the inverses), and inverts that map.
 The test suite pins the same correspondence against an independently
 hand-derived table.
 """
@@ -33,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import (GradedAlgebra, NotAzumayaError, graded_tensor,
-                      ground_algebra, hat_center, trace_signature)
+                      ground_algebra, hat_center, opposite, trace_signature)
 from .clifford import DiagonalForm, clifford
 from .scalars import Field, field_from_label
 
@@ -115,20 +116,30 @@ def invariant_triple(a: GradedAlgebra) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=None)
 def _calibration(field_label: str) -> dict[tuple[int, int, int], int]:
-    """Map invariant triples to group elements, by computing the powers
-    of the generator ``C<1>`` (the rank-one Clifford algebra, class 1)."""
+    """Map invariant triples to group elements, from the generator ``C<1>``
+    (the rank-one Clifford algebra, class 1).
+
+    Classes up to half the group order are the tensor powers of ``C<1>``;
+    the rest are graded opposites of those powers, since the opposite is
+    the inverse.  Over the real point the largest algebra is ``C<1>^4``
+    (dim 16) instead of ``C<1>^7`` (dim 128)."""
     field = field_from_label(field_label)
-    count = 8 if field.is_real else 2
+    count = group_order(field)
     generator = clifford(DiagonalForm((1,), field))
-    power = ground_algebra(field)
-    table: dict[tuple[int, int, int], int] = {}
-    for k in range(count):
-        if k:
-            power = graded_tensor(power, generator)
-        table[invariant_triple(power)] = k
+    powers = [ground_algebra(field)]
+    for _ in range(count // 2):
+        powers.append(graded_tensor(powers[-1], generator))
+    table = {invariant_triple(power): k for k, power in enumerate(powers)}
+    for k in range(count // 2 + 1, count):
+        table[invariant_triple(opposite(powers[count - k]))] = k
     if len(table) != count:  # pragma: no cover - internal consistency
         raise RuntimeError("calibration triples collided; invariants are broken")
     return table
+
+
+def class_triple(k: int, field: Field) -> tuple[int, int, int]:
+    """The invariant triple of class ``k``: the inverse of the calibration."""
+    return next(t for t, v in _calibration(field.label).items() if v == k)
 
 
 def group_order(field: Field) -> int:

@@ -204,7 +204,14 @@ class Field:
         return Fraction(1) if self.is_real else GaussianRational(1)
 
     def coerce(self, value):
-        """Bring ``value`` into this field, rejecting what does not embed."""
+        """Bring ``value`` into this field, rejecting what does not embed.
+
+        Only strings, integers and exact scalars are taken: a float is
+        not exact, and a JSON ``true`` or ``null`` is not a number."""
+        if isinstance(value, bool) or not isinstance(
+                value, (str, int, Fraction, GaussianRational)):
+            raise ValueError(f"scalars are strings or integers, not "
+                             f"{type(value).__name__} {value!r}")
         if self.is_real:
             if isinstance(value, GaussianRational):
                 if value.im:

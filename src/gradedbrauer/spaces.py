@@ -246,7 +246,7 @@ class FreeFourDim:
 
     h1_quotient: int
     h1_quotient_reduced: int
-    two_torsion_h3: int
+    two_torsion_h3: int = 0
     h3_exponent_at_most_two: bool = False
 
     def __post_init__(self) -> None:
@@ -275,7 +275,7 @@ class ComplexProjective:
     topological, data).
     """
 
-    h0: int
+    h0: int = field(default=1, kw_only=True)
     h1: int
     divisible_rank: int
     h3_torsion: AbGroup = field(default_factory=AbGroup.trivial)
@@ -302,7 +302,7 @@ class RealProjective:
     """
 
     lefschetz_rank: int
-    real_brauer: AbGroup
+    real_brauer: AbGroup = field(default_factory=AbGroup.trivial, kw_only=True)
     h1_equivariant: int
 
     def __post_init__(self) -> None:
@@ -323,7 +323,7 @@ class ComplexSurfaceWitt:
 
     divisible_rank: int
     h1: int
-    two_torsion_h3: int
+    two_torsion_h3: int = 0
 
     def __post_init__(self) -> None:
         _nonneg("divisible_rank", self.divisible_rank)
@@ -420,28 +420,10 @@ def _(d: FreeProduct) -> InvariantReport:
     )
 
 
-@compute_report.register
-def _(d: Graph) -> InvariantReport:
-    nu, h1 = d.fixed_components, d.h1_quotient
-    if nu > 0:
-        gbr = (AbGroup.cyclic(8) + AbGroup.from_cyclics([4] * (nu - 1))
-               + AbGroup.elementary_two(h1))
-    else:
-        gbr = _q2_connected(h1 - 1)
-    return InvariantReport(
-        q2=_q2_connected(nu + h1 - 1),
-        rbr=AbGroup.elementary_two(nu),
-        gbr=gbr,
-        rules=("q2-connected-extension", "rbr-fixed-point-components",
-               "gbr-graph"),
-        notes=("restriction to the fixed points detects the Z/8 and Z/4 "
-               "summands" if nu else
-               "free case: the graded Brauer group is the quadratic group",),
-    )
-
-
 def _surface_style_report(genus: int, nu: int, gbr_rule: str,
                           extra_notes: tuple[str, ...] = ()) -> InvariantReport:
+    """The shared formula of graphs, surfaces and real curves: ``nu``
+    fixed circles (or real components) on a genus-``genus`` surface."""
     if nu > 0:
         gbr = (AbGroup.cyclic(8) + AbGroup.from_cyclics([4] * (nu - 1))
                + AbGroup.elementary_two(genus))
@@ -461,6 +443,18 @@ def _surface_style_report(genus: int, nu: int, gbr_rule: str,
 @compute_report.register
 def _(d: SurfaceWithInvolution) -> InvariantReport:
     return _surface_style_report(d.genus, d.fixed_circles, "gbr-surface-involution")
+
+
+@compute_report.register
+def _(d: Graph) -> InvariantReport:
+    # A free graph is the surface formula one genus down.
+    nu, h1 = d.fixed_components, d.h1_quotient
+    return _surface_style_report(
+        h1 if nu else h1 - 1, nu, "gbr-graph",
+        ("restriction to the fixed points detects the Z/8 and Z/4 "
+         "summands" if nu else
+         "free case: the graded Brauer group is the quadratic group",),
+    )
 
 
 @compute_report.register

@@ -14,9 +14,9 @@ import pytest
 from gradedbrauer.algebra import (GradedAlgebra, NotAzumayaError, end_graded,
                                   graded_tensor, ground_algebra, opposite)
 from gradedbrauer.clifford import DiagonalForm, clifford, hyperbolic, signature_form
-from gradedbrauer.invariants import (bw_class, group_order, invariant_triple,
-                                     parity_class, q2_add, q2_class,
-                                     ungraded_class, witt_to_bw)
+from gradedbrauer.invariants import (bw_class, class_triple, group_order,
+                                     invariant_triple, parity_class, q2_add,
+                                     q2_class, ungraded_class, witt_to_bw)
 from gradedbrauer.scalars import COMPLEX, REAL
 
 F = Fraction
@@ -55,6 +55,12 @@ def test_generator_powers_have_the_frozen_triples():
 
 def test_generator_powers_realize_all_eight_classes():
     assert [bw_class(generator_power(k)) for k in range(8)] == list(range(8))
+
+
+def test_class_triple_inverts_the_calibration():
+    for k, want in GENERATOR_TRIPLES.items():
+        assert class_triple(k, REAL) == want, k
+    assert [class_triple(k, COMPLEX) for k in range(2)] == [(0, 0, 0), (1, 1, 0)]
 
 
 def test_small_clifford_classes():

@@ -84,6 +84,13 @@ def test_real_field_rejects_imaginary_parts():
     assert REAL.coerce(GaussianRational(2, 0)) == Fraction(2)
 
 
+@pytest.mark.parametrize("value", [0.5, 1.0, True, False, None, [1]])
+def test_fields_reject_inexact_and_non_numeric_scalars(value):
+    for field in (REAL, COMPLEX):
+        with pytest.raises(ValueError, match="strings or integers"):
+            field.coerce(value)
+
+
 def test_complex_field_accepts_everything_rational():
     assert COMPLEX.coerce(Fraction(1, 2)) == GaussianRational(Fraction(1, 2), 0)
     assert COMPLEX.parse("1-i") == GaussianRational(1, -1)

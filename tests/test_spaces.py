@@ -257,6 +257,14 @@ def test_descriptor_validation(build):
         build()
 
 
+def test_descriptor_defaults():
+    assert ComplexProjective(h1=0, divisible_rank=0).h0 == 1
+    assert RealProjective(lefschetz_rank=0, h1_equivariant=1).real_brauer \
+        == AbGroup.trivial()
+    assert FreeFourDim(h1_quotient=1, h1_quotient_reduced=0).two_torsion_h3 == 0
+    assert ComplexSurfaceWitt(divisible_rank=0, h1=0).two_torsion_h3 == 0
+
+
 def test_unknown_descriptor_type():
     with pytest.raises(TypeError):
         compute_report(object())
