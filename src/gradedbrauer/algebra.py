@@ -17,6 +17,16 @@ The structure table is sparse — ``table[(i, j)]`` maps result index
 zero — because dense ``dim**3`` tensors stop being practical right
 where the interesting examples start (dim 256 means 16.7 million
 entries).
+
+Elements are sparse too wherever the classification spends its time.
+Inside :func:`graded_centralizer` a vector is a dict ``{index: coeff}``
+of its nonzero coordinates, products (:func:`_mul_into`) visit only
+nonzero terms, and kernels come from the sparse column elimination of
+:func:`gradedbrauer.linalg.column_kernel`.  On Clifford and graded
+matrix algebras, where every cell holds one term, a product of basis
+vectors is one dict entry instead of a ``dim``-long list.  The public
+interface stays dense: :meth:`GradedAlgebra.mul` and
+:func:`graded_centralizer` take and return coordinate lists.
 """
 
 from __future__ import annotations
@@ -30,6 +40,35 @@ from .scalars import (COMPLEX, Field, GaussianRational, REAL,
 
 Scalar = Union[Fraction, GaussianRational]
 Vector = Sequence[Scalar]
+SparseVector = dict[int, Scalar]
+
+
+def _sparse(vec: Vector) -> SparseVector:
+    """The nonzero coordinates of a dense vector, as ``{index: coeff}``."""
+    return {i: v for i, v in enumerate(vec) if v}
+
+
+def _dense(vec: SparseVector, dim: int, zero: Scalar) -> list[Scalar]:
+    out = [zero] * dim
+    for i, v in vec.items():
+        out[i] = v
+    return out
+
+
+def _mul_into(acc: SparseVector, table, x: SparseVector, y: SparseVector,
+              negate: bool = False) -> None:
+    """Add ``x y`` (``-x y`` when ``negate``) into ``acc``, in place.
+
+    ``x`` and ``y`` are sparse vectors without zeros and ``table`` a
+    structure table (whose cells hold no zeros); entries of ``acc`` that
+    cancel are removed, so the work is proportional to the nonzero
+    terms, not to ``dim``.
+    """
+    for i, xi in x.items():
+        for j, yj in y.items():
+            cell = table.get((i, j))
+            if cell:
+                linalg._add_scaled(acc, -(xi * yj) if negate else xi * yj, cell)
 
 
 class AlgebraError(ValueError):
@@ -81,15 +120,16 @@ class GradedAlgebra:
             raise AlgebraError("algebra needs at least one basis element")
         if any(p not in (0, 1) for p in self.parity):
             raise AlgebraError("parity bits must be 0 or 1")
+        dim, coerce = self.dim, field.coerce
         norm: dict[tuple[int, int], dict[int, Scalar]] = {}
         for (i, j), cell in table.items():
-            if not (0 <= i < self.dim and 0 <= j < self.dim):
+            if not (0 <= i < dim and 0 <= j < dim):
                 raise AlgebraError(f"structure index ({i}, {j}) out of range")
             clean: dict[int, Scalar] = {}
             for k, value in cell.items():
-                if not 0 <= k < self.dim:
+                if not 0 <= k < dim:
                     raise AlgebraError(f"structure index {k} out of range")
-                v = field.coerce(value)
+                v = coerce(value)
                 if v:
                     clean[k] = v
             if clean:
@@ -128,23 +168,14 @@ class GradedAlgebra:
         return v
 
     def mul(self, x: Vector, y: Vector) -> list[Scalar]:
-        """Multiply two coordinate vectors through the structure table."""
-        zero = self.field.zero()
-        out = [zero] * self.dim
-        table = self.table
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                cell = table.get((i, j))
-                if not cell:
-                    continue
-                f = xi * yj
-                for k, c in cell.items():
-                    out[k] = out[k] + f * c
-        return out
+        """Multiply two coordinate vectors through the structure table.
+
+        Only the nonzero coordinates of ``x`` and ``y`` are visited: the
+        product is :func:`_mul_into` on their sparse forms.
+        """
+        product: SparseVector = {}
+        _mul_into(product, self.table, _sparse(x), _sparse(y))
+        return _dense(product, self.dim, self.field.zero())
 
     def _solve_unit(self) -> Optional[list[Scalar]]:
         # u is a two-sided unit iff u e_j = e_j and e_j u = e_j for all j.
@@ -278,7 +309,12 @@ class GradedAlgebra:
             structure = data["structure"]
         except KeyError as exc:
             raise AlgebraError(f"algebra JSON is missing key {exc}") from None
-        dim = int(data.get("dim", len(parity)))
+        if not (isinstance(parity, (list, tuple))
+                and isinstance(structure, (list, tuple))):
+            raise AlgebraError("parity and structure must be lists")
+        for p in parity:
+            _json_int(p, "parity bit")
+        dim = _json_int(data.get("dim", len(parity)), "dim")
         if dim != len(parity):
             raise AlgebraError("dim does not match the length of parity")
         table: dict[tuple[int, int], dict[int, object]] = {}
@@ -297,17 +333,27 @@ class GradedAlgebra:
                     table[(i, j)] = {k: v for k, v in enumerate(fiber)}
         else:
             for entry in structure:
-                if len(entry) != 4:
+                if not isinstance(entry, (list, tuple)) or len(entry) != 4:
                     raise AlgebraError(f"bad structure triple {entry!r}")
                 i, j, k, value = entry
-                table.setdefault((int(i), int(j)), {})
-                prev = table[(int(i), int(j))].get(int(k))
-                if prev is not None:
+                for index in (i, j, k):
+                    _json_int(index, "structure index")
+                cell = table.setdefault((i, j), {})
+                if k in cell:
                     raise AlgebraError(f"duplicate structure triple ({i}, {j}, {k})")
-                table[(int(i), int(j))][int(k)] = value
+                cell[k] = value
         algebra = cls(field, parity, table, data.get("unit"))
         algebra.check_unit_and_grading()
         return algebra
+
+
+def _json_int(value: object, what: str) -> int:
+    """``value`` itself if it is a JSON integer; a float or a ``true`` is
+    refused rather than truncated."""
+    if type(value) is not int:
+        raise AlgebraError(f"{what} must be an integer, not "
+                           f"{type(value).__name__} {value!r}")
+    return value
 
 
 def ground_algebra(field: Field) -> GradedAlgebra:
@@ -398,6 +444,15 @@ def graded_centralizer(a: GradedAlgebra,
     matrix has only as many columns as the *current* kernel dimension,
     which collapses quickly for the algebras that matter here — that is
     the difference between seconds and hours at dimension 256.
+
+    Elements stay sparse ``{index: coeff}`` vectors throughout: the
+    column of a kernel vector ``v`` is the sparse product ``v s ∓ s v``,
+    and :func:`gradedbrauer.linalg.column_kernel` eliminates the columns
+    one at a time.  On a table with one term per cell (Clifford and
+    graded matrix algebras) a column is a single term, so the cost
+    follows the nonzeros instead of ``dim`` times the kernel size.  The
+    basis is the one dense elimination gives, so the result does not
+    depend on the representation.
     """
     constraints = []
     for vec, par in elements:
@@ -406,43 +461,33 @@ def graded_centralizer(a: GradedAlgebra,
         for idx, v in enumerate(vec):
             if v and a.parity[idx] != par:
                 raise AlgebraError("constraint element is not homogeneous")
-        constraints.append(([a.field.coerce(v) for v in vec], par))
-    result: list[tuple[list[Scalar], int]] = []
+        constraints.append((_sparse([a.field.coerce(v) for v in vec]), par))
+    one, zero = a.field.one(), a.field.zero()
+    result: list[tuple[SparseVector, int]] = []
     for deg in (0, 1):
-        kernel = [a.basis_vector(i) for i in a.degree_indices(deg)]
+        kernel: list[SparseVector] = [{i: one} for i in a.degree_indices(deg)]
         for s_vec, s_par in constraints:
             if not kernel:
                 break
-            flip = deg and s_par
+            flip = bool(deg and s_par)
             columns = []
             for v in kernel:
-                left = a.mul(v, s_vec)
-                right = a.mul(s_vec, v)
-                if flip:
-                    columns.append([x + y for x, y in zip(left, right)])
-                else:
-                    columns.append([x - y for x, y in zip(left, right)])
-            rows = [[col[r] for col in columns] for r in range(a.dim)]
-            coeffs = linalg.nullspace(rows, a.field)
-            new_kernel = []
-            for combo in coeffs:
-                vec = [a.field.zero()] * a.dim
-                for c, basis_vec in zip(combo, kernel):
-                    if c:
-                        for r, x in enumerate(basis_vec):
-                            if x:
-                                vec[r] = vec[r] + c * x
-                new_kernel.append(vec)
-            kernel = new_kernel
+                column: SparseVector = {}
+                _mul_into(column, a.table, v, s_vec)
+                _mul_into(column, a.table, s_vec, v, negate=not flip)
+                columns.append(column)
+            kernel = [linalg.combine(combo, kernel)
+                      for combo in linalg.column_kernel(columns, one)]
         result.extend((v, deg) for v in kernel)
     if check_closure and len(result) < a.dim:
-        mat = [list(v) for v, _ in result]
-        echelon, pivots = linalg.row_echelon(mat)
-        for u, _ in result:
-            for v, _ in result:
-                if not linalg.in_row_span(echelon, pivots, a.mul(u, v)):
+        span = [v for v, _ in result]
+        for u in span:
+            for v in span:
+                product: SparseVector = {}
+                _mul_into(product, a.table, u, v)
+                if not linalg.in_span(span, product, one):
                     raise AlgebraError("centralizer failed to close under product")
-    return result
+    return [(_dense(v, a.dim, zero), deg) for v, deg in result]
 
 
 def _proportionality(unit: Vector, vec: Vector) -> Optional[Scalar]:

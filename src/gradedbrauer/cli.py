@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import MISSING, fields
 
@@ -230,8 +231,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A value that starts like a negative scalar: -1, -1/2, -.5, -i.
+_NEGATIVE_VALUE = re.compile(r"-[\d./i]")
+
+
+def _attach_negative_forms(argv: list[str]) -> list[str]:
+    """Spell ``--form -1,1`` as ``--form=-1,1``.
+
+    argparse reads a separate token that starts with ``-`` and is not a
+    plain negative number as an option, so a form whose first entry is
+    negative would otherwise be a usage error instead of a form.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--form" and _NEGATIVE_VALUE.match(token):
+            out[-1] = "--form=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_negative_forms(argv))
     try:
         payload, code = args.handler(args)
     except (AlgebraError, DescriptorError, ValueError, OSError, KeyError) as exc:

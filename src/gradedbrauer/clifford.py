@@ -90,23 +90,6 @@ def signature_form(p: int, q: int, field: Field = REAL) -> DiagonalForm:
     return DiagonalForm((1,) * p + (-1,) * q, field)
 
 
-def _subset_sign(left: int, right: int) -> int:
-    """Transpositions mod 2 when sorting the word ``e_left . e_right``.
-
-    Counts pairs ``s in left, t in right`` with ``s > t``: each such
-    pair is one anticommutation when interleaving the two ascending
-    words into a single ascending word.
-    """
-    sign = 0
-    t = right
-    while t:
-        low = t & -t
-        # generators of `left` strictly above this bit of `right`
-        sign ^= ((left >> low.bit_length()).bit_count()) & 1
-        t ^= low
-    return -1 if sign else 1
-
-
 def clifford(form: DiagonalForm) -> GradedAlgebra:
     """The Clifford algebra of ``form`` as a graded algebra.
 
@@ -114,6 +97,14 @@ def clifford(form: DiagonalForm) -> GradedAlgebra:
     the generators in ``S``; parity is ``popcount(S) mod 2``; index 0
     is the unit.  ``e_S e_T = sign * (prod of a_i for i in S & T) *
     e_{S xor T}``.
+
+    The ``2^n`` products of form entries are computed once, one per
+    bitmask, and shared by the ``4^n`` cells.  The sign is ``-1`` when
+    sorting the word ``e_S e_T`` takes an odd number of transpositions,
+    i.e. when an odd number of pairs ``s in S, t in T`` have ``s > t``.
+    Along a row ``S`` it is built up over ``T``: dropping the lowest
+    generator ``b`` of ``T`` removes the pairs with ``t = b``, one for
+    each generator of ``S`` above ``b``.
 
     >>> from gradedbrauer.scalars import REAL
     >>> quat = clifford(DiagonalForm((-1, -1), REAL))
@@ -127,16 +118,20 @@ def clifford(form: DiagonalForm) -> GradedAlgebra:
     field = form.field
     one = field.one()
     parity = [s.bit_count() & 1 for s in range(dim)]
+    lowest = [(t & -t).bit_length() - 1 for t in range(dim)]
+    products = [one] * dim  # products[m]: the a_i for i in m, multiplied
+    for m in range(1, dim):
+        products[m] = products[m & (m - 1)] * form.entries[lowest[m]]
+    negated = [-c for c in products]
     table: dict[tuple[int, int], dict[int, Scalar]] = {}
     for s in range(dim):
-        for t in range(dim):
-            coeff = one if _subset_sign(s, t) > 0 else -one
+        above = [(s >> (b + 1)).bit_count() & 1 for b in range(n)]
+        odd = [0] * dim  # odd[t]: whether the sign of e_s e_t is -1
+        table[(s, 0)] = {s: one}
+        for t in range(1, dim):
+            odd[t] = odd[t & (t - 1)] ^ above[lowest[t]]
             common = s & t
-            while common:
-                low = common & -common
-                coeff = coeff * form.entries[low.bit_length() - 1]
-                common ^= low
-            table[(s, t)] = {s ^ t: coeff}
+            table[(s, t)] = {s ^ t: negated[common] if odd[t] else products[common]}
     unit = [one if s == 0 else field.zero() for s in range(dim)]
     return GradedAlgebra(field, parity, table, unit)
 

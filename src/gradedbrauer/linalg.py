@@ -1,90 +1,124 @@
-"""Exact dense linear algebra over the rationals and Gaussian rationals.
+"""Exact linear algebra over the rationals and Gaussian rationals.
 
-Matrices are plain lists of row lists.  Entries must support field
-arithmetic and truthiness (zero is falsy), which both scalar types in
-:mod:`gradedbrauer.scalars` do.  Everything here is fraction-exact
-Gaussian elimination; nothing is numerically approximate.
+Entries must support field arithmetic and truthiness (zero is falsy),
+which both scalar types in :mod:`gradedbrauer.scalars` do.  Everything
+here is fraction-exact; nothing is numerically approximate.
+
+Vectors are sparse: dicts ``{index: coefficient}`` holding only nonzero
+entries.  A matrix is given by its columns, and one elimination,
+:func:`column_kernel`, takes them one at a time; kernels, ranks, linear
+systems and span tests all come from it.  :func:`nullspace`,
+:func:`rank` and :func:`solve` take a dense matrix (a list of row lists)
+and convert it.  :func:`signature` is a symmetric congruence reduction
+on a dense matrix.
 """
 
 from __future__ import annotations
 
 
-def _clone(rows):
-    return [list(r) for r in rows]
+def _columns(rows):
+    """The columns of a dense matrix, as sparse vectors."""
+    if not rows:
+        return []
+    return [{r: row[c] for r, row in enumerate(rows) if row[c]}
+            for c in range(len(rows[0]))]
 
 
-def row_echelon(rows):
-    """Reduce a copy of ``rows`` to row-echelon form.
+def _add_scaled(target, factor, source):
+    """``target += factor * source`` on sparse vectors, in place.
 
-    Returns ``(echelon, pivot_cols)`` where ``echelon`` has its pivot
-    entries scaled to 1 and zeros below them (not above; this is not
-    reduced echelon form), and ``pivot_cols`` lists the pivot column of
-    each nonzero row in order.
+    ``factor`` and the entries of ``source`` must be nonzero; entries of
+    ``target`` that cancel are removed, so it stays free of zeros.
     """
-    m = _clone(rows)
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    for k, v in source.items():
+        t = target.get(k)
+        if t is None:
+            target[k] = factor * v
+        else:
+            t = t + factor * v
+            if t:
+                target[k] = t
+            else:
+                del target[k]
+
+
+def column_kernel(columns, one):
+    """A basis of the kernel of the matrix with the given sparse columns.
+
+    The columns are eliminated one at a time, left to right.  Each new
+    column is reduced against the pivot columns kept so far, in the order
+    they were kept, while its combination of the original columns is
+    tracked.  A column that stays nonzero is kept as a pivot column,
+    scaled to 1 at one of its nonzero rows; a column ``j`` that reduces to
+    zero yields the kernel vector ``e_j - (combination of earlier pivot
+    columns)``.  That is the basis back-substitution on a row-echelon form
+    gives: pivots chosen greedily from the left (a column is a pivot
+    exactly when it is independent of the columns before it), a 1 at the
+    free column and 0 at every other free column.  A kernel vector with
+    those properties is unique, so the basis does not depend on which row
+    each pivot is scaled at.  It is returned in column order, as sparse
+    vectors over the column indices.  ``one`` is the field's unit, the
+    coefficient of each free column in its own kernel vector.
+    """
+    pivots = []  # (pivot row, reduced column, combination)
+    kernel = []
+    for j, column in enumerate(columns):
+        reduced = {r: v for r, v in column.items() if v}
+        combo = {j: one}
+        for row, pivot, pivot_combo in pivots:
+            f = reduced.get(row)
+            if f is not None:
+                _add_scaled(reduced, -f, pivot)
+                _add_scaled(combo, -f, pivot_combo)
+        if not reduced:
+            kernel.append(combo)
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c]
+        row, inv = next(iter(reduced.items()))
         if inv != 1:
-            m[r] = [x / inv for x in m[r]]
-        for i in range(r + 1, len(m)):
-            f = m[i][c]
-            if f:
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+            reduced = {r: v / inv for r, v in reduced.items()}
+            combo = {c: v / inv for c, v in combo.items()}
+        pivots.append((row, reduced, combo))
+    return kernel
+
+
+def combine(combo, vectors):
+    """The sparse vector ``sum(c * vectors[i] for i, c in combo.items())``."""
+    out = {}
+    for i, c in combo.items():
+        _add_scaled(out, c, vectors[i])
+    return out
+
+
+def in_span(vectors, vector, one) -> bool:
+    """Whether the sparse ``vector`` is a combination of ``vectors``:
+    whether it depends on them when appended as a last column."""
+    kernel = column_kernel(list(vectors) + [vector], one)
+    return bool(kernel) and len(vectors) in kernel[-1]
 
 
 def rank(rows) -> int:
-    """Rank of the matrix, by exact elimination."""
-    return len(row_echelon(rows)[1])
+    """Rank of a dense matrix, by exact elimination."""
+    columns = _columns(rows)
+    return len(columns) - len(column_kernel(columns, 1))
 
 
 def nullspace(rows, field):
-    """A basis of the right kernel, as a list of vectors.
+    """A basis of the right kernel of a dense matrix, as dense vectors.
 
-    The basis comes out of back-substitution on the echelon form: one
-    vector per free column, with a 1 in the free position.  ``field``
-    supplies exact zero/one elements so the empty matrix and free
+    One vector per free column, with a 1 in the free position and 0 at
+    the other free positions: :func:`column_kernel` on the columns of
+    ``rows``.  ``field`` supplies exact zero/one elements so the free
     coordinates are typed correctly.
     """
     if not rows:
         return []
     ncols = len(rows[0])
-    echelon, pivots = row_echelon(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    zero = field.zero()
     basis = []
-    zero, one = field.zero(), field.one()
-    for free in free_cols:
+    for combo in column_kernel(_columns(rows), field.one()):
         v = [zero] * ncols
-        v[free] = one
-        # Walk pivots bottom-up; each pivot row determines one coordinate.
-        for row_idx in range(len(pivots) - 1, -1, -1):
-            pc = pivots[row_idx]
-            if pc > free:
-                continue
-            row = echelon[row_idx]
-            acc = zero
-            for c in range(pc + 1, ncols):
-                if row[c] and v[c]:
-                    acc = acc + row[c] * v[c]
-            v[pc] = -acc
+        for c, x in combo.items():
+            v[c] = x
         basis.append(v)
     return basis
 
@@ -93,41 +127,24 @@ def solve(rows, rhs, field):
     """Solve ``rows @ x == rhs`` exactly, or return ``None``.
 
     Returns one solution vector when the system is consistent (any
-    solution if it is underdetermined).
+    solution if it is underdetermined): the one that is zero at every
+    column that depends on the columns before it.  ``rhs`` is appended
+    as a last column; the system is consistent exactly when that column
+    depends on the others, and its kernel vector ``e_rhs - sum x_c e_c``
+    carries the solution.
     """
     if not rows:
         return []
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    echelon, pivots = row_echelon(aug)
-    if ncols in pivots:
-        return None  # pivot in the constants column: inconsistent
-    zero = field.zero()
-    x = [zero] * ncols
-    for row_idx in range(len(pivots) - 1, -1, -1):
-        pc = pivots[row_idx]
-        row = echelon[row_idx]
-        acc = row[ncols]
-        for c in range(pc + 1, ncols):
-            if row[c] and x[c]:
-                acc = acc - row[c] * x[c]
-        x[pc] = acc
+    columns = _columns(rows) + [{r: b for r, b in enumerate(rhs) if b}]
+    kernel = column_kernel(columns, field.one())
+    if not kernel or ncols not in kernel[-1]:
+        return None  # the constants column is independent: inconsistent
+    x = [field.zero()] * ncols
+    for c, v in kernel[-1].items():
+        if c != ncols:
+            x[c] = -v
     return x
-
-
-def in_row_span(echelon, pivots, vector) -> bool:
-    """Whether ``vector`` lies in the row span of a reduced matrix.
-
-    ``echelon``/``pivots`` must come from :func:`row_echelon`.  The test
-    subtracts the unique candidate combination and checks the residual.
-    """
-    v = list(vector)
-    for row_idx, pc in enumerate(pivots):
-        if v[pc]:
-            f = v[pc]
-            row = echelon[row_idx]
-            v = [a - f * b for a, b in zip(v, row)]
-    return not any(v)
 
 
 def signature(sym):
@@ -140,7 +157,7 @@ def signature(sym):
     ``2*m[i][j]`` nonzero, and congruence leaves the inertia alone, so
     the loop always makes progress.  Entries must be rationals.
     """
-    m = _clone(sym)
+    m = [list(row) for row in sym]
     n = len(m)
     for row in m:
         if len(row) != n:

@@ -28,8 +28,10 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0) -> None:
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # Parts that are already Fractions (every arithmetic result) are
+        # stored as they are; only other rationals are converted.
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GaussianRational is immutable")
@@ -68,9 +70,10 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other: object) -> GaussianRational:
-        if isinstance(other, (GaussianRational, int, Fraction)):
-            return self + (-other if isinstance(other, GaussianRational)
-                           else GaussianRational(-Fraction(other)))
+        if isinstance(other, GaussianRational):
+            return GaussianRational(self.re - other.re, self.im - other.im)
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re - other, self.im)
         return NotImplemented
 
     def __rsub__(self, other: object) -> GaussianRational:
@@ -207,7 +210,10 @@ class Field:
         """Bring ``value`` into this field, rejecting what does not embed.
 
         Only strings, integers and exact scalars are taken: a float is
-        not exact, and a JSON ``true`` or ``null`` is not a number."""
+        not exact, and a JSON ``true`` or ``null`` is not a number.  A
+        value of the field's own exact type is returned unchanged."""
+        if type(value) is (Fraction if self.label == "R" else GaussianRational):
+            return value
         if isinstance(value, bool) or not isinstance(
                 value, (str, int, Fraction, GaussianRational)):
             raise ValueError(f"scalars are strings or integers, not "

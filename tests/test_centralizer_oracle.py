@@ -1,0 +1,194 @@
+"""The sparse ``graded_centralizer`` against the dense reference in
+``centralizer_oracle``.
+
+Both must return exactly the same ``(vector, parity)`` list, entry by
+entry and type by type, or fail with the same error.  The inputs are the
+algebras the rest of the suite builds (through ``test_azumaya_oracle``),
+with the constraints :func:`hat_center` and :func:`is_azumaya` use, seeded
+random constraint subsets, and seeded exact homogeneous changes of basis
+that make every structure cell dense with denominators, up to dimension
+64 over both fields.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+
+from gradedbrauer.algebra import (AlgebraError, GradedAlgebra, end_graded,
+                                  graded_centralizer, graded_tensor, m11,
+                                  opposite)
+from gradedbrauer.clifford import DiagonalForm, clifford
+from gradedbrauer.scalars import COMPLEX, REAL, GaussianRational
+from centralizer_oracle import dense_centralizer
+from test_azumaya_oracle import known_non_azumaya, seeded_algebras, suite_algebras
+
+F = Fraction
+
+
+def outcome(centralizer, a, elements, check_closure):
+    try:
+        result = centralizer(a, elements, check_closure)
+    except AlgebraError as exc:
+        return "error", str(exc)
+    return [([(type(x), x) for x in vec], par) for vec, par in result]
+
+
+def assert_same(a, elements, check_closure=True):
+    elements = list(elements)
+    want = outcome(dense_centralizer, a, elements, check_closure)
+    assert outcome(graded_centralizer, a, elements, check_closure) == want, repr(a)
+
+
+def basis(a, indices):
+    return [(a.basis_vector(i), a.parity[i]) for i in indices]
+
+
+def assert_same_on_library_constraints(a):
+    """The constraints ``hat_center`` and ``is_azumaya`` pass."""
+    ambient = a if a.dim_odd > 0 else m11(a)
+    assert_same(ambient, basis(ambient, ambient.degree_indices(0)))
+    assert_same(a, basis(a, range(a.dim)), check_closure=False)
+
+
+def test_identical_on_the_suite_algebras():
+    for a in suite_algebras() + known_non_azumaya():
+        assert_same_on_library_constraints(a)
+
+
+def test_identical_on_seeded_algebras():
+    for a in seeded_algebras(seed=44, count=30):
+        assert_same_on_library_constraints(a)
+
+
+def random_element(a, rng, parity):
+    """A homogeneous element with a few random rational coordinates."""
+    indices = a.degree_indices(parity)
+    vec = [a.field.zero()] * a.dim
+    for i in rng.sample(indices, rng.randint(1, min(3, len(indices)))):
+        vec[i] = a.field.coerce(F(rng.randint(-3, 3), rng.randint(1, 3)))
+    return vec, parity
+
+
+def test_identical_on_random_constraint_subsets():
+    rng = random.Random(11)
+    algebras = suite_algebras() + seeded_algebras(seed=5, count=20)
+    for a in rng.sample(algebras, 30):
+        for _ in range(3):
+            elements = basis(a, rng.sample(range(a.dim), rng.randint(0, a.dim)))
+            elements += [random_element(a, rng, rng.choice(sorted(set(a.parity))))
+                         for _ in range(rng.randint(0, 3))]
+            rng.shuffle(elements)
+            assert_same(a, elements, check_closure=rng.random() < 0.5)
+
+
+# --------------------------------------------------------- change of basis
+
+SCALES = (6, 12, 18, 3, 2, 4, 9)  # 1, 2, 3, 1/2, 1/3, 2/3, 3/2 in sixths
+
+
+def unimodular_pair(m, rng):
+    """A dense integer ``m x m`` matrix of determinant +-1 and its inverse.
+
+    ``M[i][j] = min(i, j) + 1`` is the lower times the upper all-ones
+    triangle, so its inverse is tridiagonal; a seeded signed permutation
+    conjugates both.
+    """
+    base = np.array([[min(i, j) + 1 for j in range(m)] for i in range(m)], dtype=np.int64)
+    base_inv = 2 * np.identity(m, dtype=np.int64) - np.eye(m, k=1, dtype=np.int64) \
+        - np.eye(m, k=-1, dtype=np.int64)
+    base_inv[m - 1, m - 1] = 1
+    perm = list(range(m))
+    rng.shuffle(perm)
+    signs = np.array([rng.choice((1, -1)) for _ in range(m)], dtype=np.int64)
+    u = np.zeros((m, m), dtype=np.int64)
+    u_inv = np.zeros((m, m), dtype=np.int64)
+    u[np.ix_(perm, perm)] = np.outer(signs, signs) * base
+    u_inv[np.ix_(perm, perm)] = np.outer(signs, signs) * base_inv
+    assert (u @ u_inv == np.identity(m, dtype=np.int64)).all()
+    return u, u_inv
+
+
+def transport(a, rng):
+    """``a`` on the homogeneous basis ``g_i = d_i * sum_r U[r][i] e_r``.
+
+    ``U`` is unimodular on each parity block and ``d`` a seeded rational
+    diagonal, so every cell of the new table is dense and carries
+    denominators, and the arithmetic stays exact in int64.
+    """
+    n = a.dim
+    u = np.zeros((n, n), dtype=np.int64)
+    u_inv = np.zeros((n, n), dtype=np.int64)
+    for p in (0, 1):
+        idx = a.degree_indices(p)
+        if idx:
+            u[np.ix_(idx, idx)], u_inv[np.ix_(idx, idx)] = unimodular_pair(len(idx), rng)
+    d = [SCALES[i % len(SCALES)] for i in range(n)]  # d_i is d[i] / 6
+    rng.shuffle(d)
+    parts = ("re",) if a.field is REAL else ("re", "im")
+
+    def part(v, name):
+        return v if a.field is REAL else getattr(v, name)
+
+    den = 1
+    for cell in a.table.values():
+        for v in cell.values():
+            for name in parts:
+                den = math.lcm(den, part(v, name).denominator)
+    moved = {}
+    for name in parts:
+        c = np.zeros((n, n, n), dtype=np.int64)
+        for (i, j), cell in a.table.items():
+            for k, v in cell.items():
+                c[i, j, k] = int(part(v, name) * den)
+        assert int(np.abs(u).max()) ** 2 * int(np.abs(c).max()) \
+            * int(np.abs(u_inv).max()) * n ** 3 < 2 ** 62
+        t = np.tensordot(np.tensordot(np.tensordot(u, c, axes=(0, 0)), u, axes=(1, 0)),
+                         u_inv, axes=(1, 1))
+        moved[name] = t.tolist()
+    # c'_ij^k = d_i d_j / d_k * t[i][j][k] / den, with d_i = d[i] / 6
+    below = [6 * d[k] * den for k in range(n)]
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            above = d[i] * d[j]
+            cell = {}
+            for k in range(n):
+                value = [F(moved[name][i][j][k] * above, below[k]) for name in parts]
+                if any(value):
+                    cell[k] = value[0] if a.field is REAL else GaussianRational(*value)
+            if cell:
+                table[(i, j)] = cell
+    unit = [sum((int(u_inv[k, r]) * a.unit[r] for r in range(n)), a.field.zero())
+            * F(6, d[k]) for k in range(n)]
+    return GradedAlgebra(a.field, a.parity, table, unit)
+
+
+def form(field, rng, rank):
+    entries = [rng.choice((1, -1)) * (1, 2, 3, F(1, 2))[i % 4] for i in range(rank)]
+    return clifford(DiagonalForm(tuple(entries), field))
+
+
+def test_identical_after_a_dense_change_of_basis():
+    rng = random.Random(1964)
+    sources = [form(REAL, rng, r) for r in (1, 2, 3, 4)]
+    sources += [form(COMPLEX, rng, r) for r in (1, 2, 3)]
+    sources += [end_graded(2, 1), end_graded(1, 1, COMPLEX),
+                graded_tensor(form(REAL, rng, 1), form(REAL, rng, 2)),
+                opposite(form(COMPLEX, rng, 2))]
+    for a in sources:
+        moved = transport(a, rng)
+        assert moved.table != a.table
+        moved.validate()
+        assert_same_on_library_constraints(moved)
+
+
+def test_identical_after_a_dense_change_of_basis_at_dimension_64():
+    rng = random.Random(64)
+    for field in (REAL, COMPLEX):
+        moved = transport(form(field, rng, 6), rng)
+        assert moved.dim == 64
+        assert len(moved.table) == 64 * 64
+        assert sum(map(len, moved.table.values())) > 0.99 * 64 * 64 * 32  # dense cells
+        assert_same_on_library_constraints(moved)

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedbrauer.linalg import (in_row_span, nullspace, rank, row_echelon,
-                                 signature, solve)
-from gradedbrauer.scalars import REAL
+from gradedbrauer.linalg import in_span, nullspace, rank, signature, solve
+from gradedbrauer.scalars import COMPLEX, REAL, GaussianRational
+from centralizer_oracle import (dense_nullspace, dense_rank, dense_solve,
+                                in_row_span, row_echelon)
 
 F = Fraction
 
@@ -25,14 +26,6 @@ def mat_mul_vec(rows, vec):
     return [sum(r[j] * vec[j] for j in range(len(vec))) for r in rows]
 
 
-def test_row_echelon_pivots_are_one():
-    rows = [[F(2), F(4)], [F(1), F(3)]]
-    ech, pivots = row_echelon(rows)
-    assert pivots == [0, 1]
-    for r, c in enumerate(pivots):
-        assert ech[r][c] == 1
-
-
 def test_rank_of_rank_one_matrix():
     rows = [[F(1), F(2)], [F(2), F(4)], [F(-3), F(-6)]]
     assert rank(rows) == 1
@@ -46,6 +39,63 @@ def test_nullspace_vectors_are_killed(rows):
     assert len(basis) == n - rank(rows)
     for vec in basis:
         assert mat_mul_vec(rows, vec) == [0] * len(rows)
+
+
+rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A field and a matrix over it: random, of forced low rank, or zero,
+    with zero rows (the empty matrix) or zero columns allowed."""
+    field = draw(st.sampled_from((REAL, COMPLEX)))
+    if field is REAL:
+        entry = rationals
+    else:
+        entry = st.builds(GaussianRational, rationals, rationals | st.just(F(0)))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("random", "low rank", "zero")))
+    if kind == "zero":
+        return field, [[field.zero()] * n for _ in range(m)]
+    if kind == "random":
+        return field, [[draw(entry) for _ in range(n)] for _ in range(m)]
+    r = draw(st.integers(0, max(0, min(m, n) - 1)))
+    left = [[draw(entry) for _ in range(r)] for _ in range(m)]
+    right = [[draw(entry) for _ in range(n)] for _ in range(r)]
+    return field, [[sum((left[i][k] * right[k][j] for k in range(r)), field.zero())
+                    for j in range(n)] for i in range(m)]
+
+
+@given(kernel_inputs())
+@settings(max_examples=200, deadline=None)
+def test_nullspace_equals_the_dense_back_substitution(case):
+    field, rows = case
+    want = dense_nullspace(rows, field)
+    got = nullspace(rows, field)
+    assert [[(type(x), x) for x in v] for v in got] == \
+        [[(type(x), x) for x in v] for v in want]
+
+
+@given(kernel_inputs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_rank_solve_and_span_equal_the_dense_elimination(case, data):
+    field, rows = case
+    assert rank(rows) == dense_rank(rows)
+    if not rows:
+        return
+    ncols = len(rows[0])
+    # a consistent right-hand side, then an arbitrary one
+    target = [data.draw(rationals) for _ in range(ncols)]
+    for rhs in ([sum((r[j] * target[j] for j in range(ncols)), field.zero())
+                 for r in rows],
+                [data.draw(rationals) for _ in rows]):
+        want = dense_solve(rows, rhs, field)
+        assert solve(rows, rhs, field) == want
+        echelon, pivots = row_echelon([list(r) for r in zip(*rows)] or [[]])
+        spanned = in_row_span(echelon, pivots, rhs) if ncols else not any(rhs)
+        columns = [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(ncols)]
+        vector = {i: b for i, b in enumerate(rhs) if b}
+        assert in_span(columns, vector, field.one()) == spanned == (want is not None)
 
 
 @given(matrices())
@@ -64,10 +114,12 @@ def test_solve_detects_inconsistency():
     assert solve(rows, [F(1), F(3)], REAL) is None
 
 
-def test_in_row_span():
-    ech, pivots = row_echelon([[F(1), F(0), F(2)], [F(0), F(1), F(-1)]])
-    assert in_row_span(ech, pivots, [F(3), F(1), F(5)])
-    assert not in_row_span(ech, pivots, [F(0), F(0), F(1)])
+def test_in_span():
+    span = [{0: F(1), 2: F(2)}, {1: F(1), 2: F(-1)}]
+    assert in_span(span, {0: F(3), 1: F(1), 2: F(5)}, 1)
+    assert in_span(span, {}, 1)
+    assert not in_span(span, {2: F(1)}, 1)
+    assert not in_span([], {2: F(1)}, 1)
 
 
 def test_signature_of_diagonal():
