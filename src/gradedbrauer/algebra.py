@@ -42,6 +42,15 @@ Scalar = Union[Fraction, GaussianRational]
 Vector = Sequence[Scalar]
 SparseVector = dict[int, Scalar]
 
+# The largest dimension :func:`gradedbrauer.clifford.clifford`,
+# :func:`end_graded` and :func:`graded_tensor` build.  Measured with CLI
+# ``invariants`` on one CPU: the rank-10 Clifford algebra (dim 1024, a
+# million structure cells) takes about 5 s and 410 MB peak RSS, and each
+# step in rank quadruples the table.  A purely even input is classified
+# inside its (1|1)-stabilization, four times larger, so for it the limit
+# is a quarter of this.
+MAX_DIM = 1024
+
 
 def _sparse(vec: Vector) -> SparseVector:
     """The nonzero coordinates of a dense vector, as ``{index: coeff}``."""
@@ -85,6 +94,13 @@ class NotAzumayaError(AlgebraError):
     """
 
 
+def _check_budget(dim: int, what: str) -> None:
+    """Refuse, before any table is built, an algebra above :data:`MAX_DIM`."""
+    if dim > MAX_DIM:
+        raise AlgebraError(f"{what} has dimension {dim}, above the size "
+                           f"budget MAX_DIM = {MAX_DIM}")
+
+
 class GradedAlgebra:
     """A unital Z/2-graded algebra over the real or complex point.
 
@@ -105,10 +121,19 @@ class GradedAlgebra:
     Construction normalizes scalars into the field and drops zeros, but
     does *not* verify associativity or the grading — call
     :meth:`validate` for the full (cubic-cost) audit.  :meth:`from_json`
-    checks the unit and the grading.
+    checks the unit and the grading.  The library's own constructors
+    (:func:`gradedbrauer.clifford.clifford`, :func:`end_graded`,
+    :func:`graded_tensor`, :func:`opposite`, ...) build normalized tables
+    and skip this pass through :meth:`_trusted`.
+
+    An algebra must not be mutated after construction: its classification
+    (the graded-center descriptor and the division type read by
+    :mod:`gradedbrauer.invariants`) is computed at most once per instance
+    and kept in the ``_descriptor`` and ``_ungraded`` slots.
     """
 
-    __slots__ = ("field", "dim", "parity", "unit", "table")
+    __slots__ = ("field", "dim", "parity", "unit", "table",
+                 "_descriptor", "_ungraded")
 
     def __init__(self, field: Field, parity: Sequence[int],
                  table: Mapping[tuple[int, int], Mapping[int, object]],
@@ -144,6 +169,24 @@ class GradedAlgebra:
             if len(unit) != self.dim:
                 raise AlgebraError("unit vector has the wrong length")
             self.unit = tuple(field.coerce(v) for v in unit)
+        self._descriptor = self._ungraded = None
+
+    @classmethod
+    def _trusted(cls, field: Field, parity: tuple[int, ...],
+                 table: dict[tuple[int, int], dict[int, Scalar]],
+                 unit: tuple[Scalar, ...]) -> "GradedAlgebra":
+        """An algebra on data the library built already normalized.
+
+        ``parity`` and ``unit`` are tuples, and every cell of ``table`` is
+        a nonempty dict of nonzero values of the field's own type: exactly
+        what ``__init__`` would store.  They are stored as given, without
+        its checks.
+        """
+        a = cls.__new__(cls)
+        a.field, a.parity, a.table, a.unit = field, parity, table, unit
+        a.dim = len(parity)
+        a._descriptor = a._ungraded = None
+        return a
 
     # ---------------------------------------------------------------- basics
 
@@ -246,6 +289,8 @@ class GradedAlgebra:
     def even_part(self) -> "GradedAlgebra":
         """The degree-0 subalgebra, reindexed and purely even."""
         keep = self.degree_indices(0)
+        if not keep:
+            raise AlgebraError("algebra needs at least one basis element")
         pos = {old: new for new, old in enumerate(keep)}
         table: dict[tuple[int, int], dict[int, Scalar]] = {}
         for a, i in enumerate(keep):
@@ -254,8 +299,8 @@ class GradedAlgebra:
                 if not cell:
                     continue
                 table[(a, b)] = {pos[k]: v for k, v in cell.items()}
-        unit = [self.unit[i] for i in keep]
-        return GradedAlgebra(self.field, [0] * len(keep), table, unit)
+        unit = tuple(self.unit[i] for i in keep)
+        return GradedAlgebra._trusted(self.field, (0,) * len(keep), table, unit)
 
     # ----------------------------------------------------------------- dunder
 
@@ -359,7 +404,7 @@ def _json_int(value: object, what: str) -> int:
 def ground_algebra(field: Field) -> GradedAlgebra:
     """The ground field itself, as a one-dimensional even algebra."""
     one = field.one()
-    return GradedAlgebra(field, (0,), {(0, 0): {0: one}}, (one,))
+    return GradedAlgebra._trusted(field, (0,), {(0, 0): {0: one}}, (one,))
 
 
 def end_graded(dim_even: int, dim_odd: int, field: Field = REAL) -> GradedAlgebra:
@@ -374,16 +419,18 @@ def end_graded(dim_even: int, dim_odd: int, field: Field = REAL) -> GradedAlgebr
     n = dim_even + dim_odd
     if n == 0:
         raise AlgebraError("graded endomorphism algebra of the zero space")
+    _check_budget(n * n, f"graded endomorphism algebra of k^{{{dim_even}|{dim_odd}}}")
     deg = [0] * dim_even + [1] * dim_odd
-    parity = [deg[r] ^ deg[c] for r in range(n) for c in range(n)]
+    parity = tuple(deg[r] ^ deg[c] for r in range(n) for c in range(n))
     one = field.one()
     table: dict[tuple[int, int], dict[int, Scalar]] = {}
     for r in range(n):
         for c in range(n):
             for c2 in range(n):
                 table[(r * n + c, c * n + c2)] = {r * n + c2: one}
-    unit = [one if r == c else field.zero() for r in range(n) for c in range(n)]
-    return GradedAlgebra(field, parity, table, unit)
+    zero = field.zero()
+    unit = tuple(one if r == c else zero for r in range(n) for c in range(n))
+    return GradedAlgebra._trusted(field, parity, table, unit)
 
 
 def graded_tensor(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
@@ -396,7 +443,8 @@ def graded_tensor(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
     if a.field.label != b.field.label:
         raise AlgebraError("tensor factors live over different fields")
     nb = b.dim
-    parity = [pa ^ pb for pa in a.parity for pb in b.parity]
+    _check_budget(a.dim * nb, f"graded tensor product of dimensions {a.dim} and {nb}")
+    parity = tuple(pa ^ pb for pa in a.parity for pb in b.parity)
     table: dict[tuple[int, int], dict[int, Scalar]] = {}
     for (i, j), cell_a in a.table.items():
         sign_needed = a.parity[j]
@@ -408,8 +456,8 @@ def graded_tensor(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
                     v = ca * cb
                     cell[k * nb + r] = -v if flip else v
             table[(i * nb + p, j * nb + q)] = cell
-    unit = [ua * ub for ua in a.unit for ub in b.unit]
-    return GradedAlgebra(a.field, parity, table, unit)
+    unit = tuple(ua * ub for ua in a.unit for ub in b.unit)
+    return GradedAlgebra._trusted(a.field, parity, table, unit)
 
 
 def opposite(a: GradedAlgebra) -> GradedAlgebra:
@@ -418,7 +466,7 @@ def opposite(a: GradedAlgebra) -> GradedAlgebra:
     for (i, j), cell in a.table.items():
         flip = a.parity[i] and a.parity[j]
         table[(j, i)] = {k: (-v if flip else v) for k, v in cell.items()}
-    return GradedAlgebra(a.field, a.parity, table, a.unit)
+    return GradedAlgebra._trusted(a.field, a.parity, table, a.unit)
 
 
 def m11(a: GradedAlgebra) -> GradedAlgebra:
@@ -427,6 +475,7 @@ def m11(a: GradedAlgebra) -> GradedAlgebra:
     This is the stabilization ``End(k^{1|1}) (x) a`` used to define the
     graded center of an algebra whose odd part vanishes.
     """
+    _check_budget(4 * a.dim, f"(1|1)-stabilization of an algebra of dimension {a.dim}")
     return graded_tensor(end_graded(1, 1, a.field), a)
 
 
@@ -569,7 +618,7 @@ def hat_center(a: GradedAlgebra) -> GradedAlgebra:
         (1, 0): {1: one},
         (1, 1): {0: square},
     }
-    return GradedAlgebra(field, (0, z_parity), table, (one, field.zero()))
+    return GradedAlgebra._trusted(field, (0, z_parity), table, (one, field.zero()))
 
 
 def is_azumaya(a: GradedAlgebra) -> bool:

@@ -8,12 +8,14 @@ commands compose through pipes::
 
 Exit codes: 0 on success, 2 on bad input (with a machine-readable
 ``{"error": ...}`` document), 1 on internal failure or selftest failure.
+A reader that closes stdout early does not change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import MISSING, fields
@@ -22,7 +24,7 @@ from .algebra import (AlgebraError, GradedAlgebra, end_graded, graded_tensor,
                       ground_algebra, hat_center, is_azumaya, opposite)
 from .clifford import DiagonalForm, clifford
 from .groups import AbGroup
-from .invariants import bw_class, class_triple
+from .invariants import bw_class, invariant_triple
 from .scalars import Field, field_from_label
 from .selftest import run_selftest
 from .spaces import (ComplexCurve, ComplexProjective, ComplexSurfaceWitt,
@@ -87,7 +89,7 @@ def _cmd_invariants(args):
     if args.opposite:
         a = opposite(a)
     bw = bw_class(a)
-    parity, q2, ungraded = class_triple(bw, a.field)
+    parity, q2, ungraded = invariant_triple(a)
     return {"parity": parity, "q2": q2, "ungraded": ungraded, "bw": bw}, 0
 
 
@@ -233,10 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 # A value that starts like a negative scalar: -1, -1/2, -.5, -i.
 _NEGATIVE_VALUE = re.compile(r"-[\d./i]")
+# The spellings argparse accepts for --form: --f is ambiguous with --field.
+_FORM_FLAGS = ("--fo", "--for", "--form")
 
 
 def _attach_negative_forms(argv: list[str]) -> list[str]:
-    """Spell ``--form -1,1`` as ``--form=-1,1``.
+    """Spell ``--form -1,1`` (or ``--fo -1,1``) as ``--form=-1,1``.
 
     argparse reads a separate token that starts with ``-`` and is not a
     plain negative number as an option, so a form whose first entry is
@@ -244,11 +248,27 @@ def _attach_negative_forms(argv: list[str]) -> list[str]:
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] == "--form" and _NEGATIVE_VALUE.match(token):
+        if out and out[-1] in _FORM_FLAGS and _NEGATIVE_VALUE.match(token):
             out[-1] = "--form=" + token
         else:
             out.append(token)
     return out
+
+
+def _emit(document, indent=None) -> None:
+    """Write ``document`` as JSON, and a newline, on stdout.
+
+    A reader that closes the pipe early (``| head -1``) is not an error:
+    the rest of the output is dropped, and stdout is pointed at devnull
+    so that the interpreter's final flush does not fail again.
+    """
+    try:
+        json.dump(document, sys.stdout, indent=indent)
+        print()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
 
 
 def main(argv=None) -> int:
@@ -257,17 +277,13 @@ def main(argv=None) -> int:
     try:
         payload, code = args.handler(args)
     except (AlgebraError, DescriptorError, ValueError, OSError, KeyError) as exc:
-        json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}},
-                  sys.stdout)
-        print()
+        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 2
     except Exception as exc:  # noqa: BLE001 - report, then signal internal failure
-        json.dump({"error": {"type": type(exc).__name__, "message": str(exc),
-                             "internal": True}}, sys.stdout)
-        print()
+        _emit({"error": {"type": type(exc).__name__, "message": str(exc),
+                         "internal": True}})
         return 1
-    json.dump(payload, sys.stdout, indent=2)
-    print()
+    _emit(payload, indent=2)
     return code
 
 

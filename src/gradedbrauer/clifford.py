@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import AlgebraError, GradedAlgebra, Scalar
+from .algebra import AlgebraError, GradedAlgebra, Scalar, _check_budget
 from .scalars import Field, REAL
 
 
@@ -112,12 +112,11 @@ def clifford(form: DiagonalForm) -> GradedAlgebra:
     {0: Fraction(-1, 1)}
     """
     n = form.rank
-    if n > 16:
-        raise AlgebraError("refusing a Clifford algebra of rank above 16")
     dim = 1 << n
+    _check_budget(dim, f"Clifford algebra of rank {n}")
     field = form.field
     one = field.one()
-    parity = [s.bit_count() & 1 for s in range(dim)]
+    parity = tuple(s.bit_count() & 1 for s in range(dim))
     lowest = [(t & -t).bit_length() - 1 for t in range(dim)]
     products = [one] * dim  # products[m]: the a_i for i in m, multiplied
     for m in range(1, dim):
@@ -132,8 +131,8 @@ def clifford(form: DiagonalForm) -> GradedAlgebra:
             odd[t] = odd[t & (t - 1)] ^ above[lowest[t]]
             common = s & t
             table[(s, t)] = {s ^ t: negated[common] if odd[t] else products[common]}
-    unit = [one if s == 0 else field.zero() for s in range(dim)]
-    return GradedAlgebra(field, parity, table, unit)
+    unit = (one,) + (field.zero(),) * (dim - 1)
+    return GradedAlgebra._trusted(field, parity, table, unit)
 
 
 def tensor_index_pairing(rank_left: int, rank_right: int) -> list[int]:
@@ -168,4 +167,4 @@ def relabel(a: GradedAlgebra, perm: Sequence[int]) -> GradedAlgebra:
     table: dict[tuple[int, int], dict[int, Scalar]] = {}
     for (i, j), cell in a.table.items():
         table[(perm[i], perm[j])] = {perm[k]: v for k, v in cell.items()}
-    return GradedAlgebra(a.field, parity, table, unit)
+    return GradedAlgebra._trusted(a.field, tuple(parity), table, tuple(unit))

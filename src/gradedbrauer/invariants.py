@@ -46,13 +46,15 @@ def quadratic_descriptor(a: GradedAlgebra) -> tuple[int, int]:
 
     The square sign is ``+1`` or ``-1`` over the real point and always
     ``+1`` over the complex point, matching the normal form produced by
-    :func:`gradedbrauer.algebra.hat_center`.
+    :func:`gradedbrauer.algebra.hat_center`.  Computed once per algebra
+    and kept on it; a :class:`~gradedbrauer.algebra.NotAzumayaError` is
+    not kept, so every call raises it again.
     """
-    h = hat_center(a)
-    par = h.parity[1]
-    square = h.basis_product(1, 1).get(0)
-    sign = 1 if square == h.field.one() else -1
-    return par, sign
+    if a._descriptor is None:
+        h = hat_center(a)
+        sign = 1 if h.table[(1, 1)][0] == h.field.one() else -1
+        a._descriptor = (h.parity[1], sign)
+    return a._descriptor
 
 
 def q2_class(a: GradedAlgebra) -> int:
@@ -81,37 +83,37 @@ def q2_add(x: int, y: int, field: Field) -> int:
     return (x + y) % n
 
 
-def ungraded_class(a: GradedAlgebra, class_parity: int | None = None) -> int:
+def ungraded_class(a: GradedAlgebra) -> int:
     """The division-type invariant (0 = matrix type, 1 = quaternion type).
 
     Examines the regular trace form of the designated ungraded algebra:
     the input itself when its class is even, its degree-0 part when
     odd.  A zero signature means the input is not in the Azumaya range
-    of this detector.
+    of this detector.  Computed once per algebra and kept on it, like
+    :func:`quadratic_descriptor`.
     """
     if not a.field.is_real:
         return 0
-    if class_parity is None:
-        class_parity = parity_class(a)
-    designated = a if class_parity == 0 else a.even_part()
-    sig = trace_signature(designated)
-    if sig > 0:
-        return 0
-    if sig < 0:
-        return 1
-    raise NotAzumayaError(
-        "regular trace form has zero signature; no division-type anchor"
-    )
+    if a._ungraded is None:
+        designated = a if parity_class(a) == 0 else a.even_part()
+        sig = trace_signature(designated)
+        if sig == 0:
+            raise NotAzumayaError(
+                "regular trace form has zero signature; no division-type anchor"
+            )
+        a._ungraded = 0 if sig > 0 else 1
+    return a._ungraded
 
 
 def invariant_triple(a: GradedAlgebra) -> tuple[int, int, int]:
-    """``(parity, q2, ungraded)`` — a complete invariant of the class."""
-    par, sign = quadratic_descriptor(a)
-    if a.field.is_real:
-        q2 = _Q2_FROM_DESCRIPTOR[(par, sign)]
-    else:
-        q2 = par
-    return par, q2, ungraded_class(a, class_parity=par)
+    """``(parity, q2, ungraded)`` — a complete invariant of the class.
+
+    A read of what :func:`quadratic_descriptor` and :func:`ungraded_class`
+    keep on the algebra, so it costs one classification per algebra
+    however often it, :func:`bw_class` or the single invariants are
+    asked for.
+    """
+    return parity_class(a), q2_class(a), ungraded_class(a)
 
 
 @lru_cache(maxsize=None)
@@ -137,11 +139,6 @@ def _calibration(field_label: str) -> dict[tuple[int, int, int], int]:
     return table
 
 
-def class_triple(k: int, field: Field) -> tuple[int, int, int]:
-    """The invariant triple of class ``k``: the inverse of the calibration."""
-    return next(t for t, v in _calibration(field.label).items() if v == k)
-
-
 def group_order(field: Field) -> int:
     """Order of the graded Brauer group of the point: 8 over R, 2 over C."""
     return 8 if field.is_real else 2
@@ -150,8 +147,8 @@ def group_order(field: Field) -> int:
 def bw_class(a: GradedAlgebra) -> int:
     """The class of ``a`` in Z/8 (real point) or Z/2 (complex point).
 
-    Normalized so that the rank-one Clifford algebra ``C<1>`` maps to 1.
-    Raises :class:`~gradedbrauer.algebra.NotAzumayaError` when the
+    Normalized so that the rank-one Clifford algebra ``C<1>`` maps to 1:
+    the :func:`invariant_triple` looked up in :func:`_calibration`.  Raises :class:`~gradedbrauer.algebra.NotAzumayaError` when the
     computed invariants match no class — which for genuinely graded
     Azumaya input cannot happen.
     """

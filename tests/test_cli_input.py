@@ -1,10 +1,16 @@
-"""Untrusted algebra JSON at the CLI boundary: bad input exits 2.
+"""Untrusted input at the CLI boundary: bad input exits 2.
 
 Scalars must be exact (strings or integers, never floats or bools), and
-the unit and the grading are checked on every ingest.
+the unit and the grading are checked on every ingest.  Algebras above the
+size budget are refused before any table is built, and a reader that
+closes stdout early does not turn success into a failure.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +139,60 @@ def test_negative_first_form_entry_in_both_spellings(capsys, command, form, fiel
     assert glued[0] == 0
     assert separate == glued
     assert json.loads(separate[1])
+
+
+@pytest.mark.parametrize("flag", ["--fo", "--for"])
+@pytest.mark.parametrize("command, form", [
+    ("invariants", "-1,1"), ("invariants", "-1/2,-1,3"), ("clifford", "-1,2"),
+    ("azumaya", "-1"), ("centralizer", "-2,1")])
+def test_negative_form_after_an_abbreviated_flag(capsys, flag, command, form):
+    """argparse takes ``--fo`` and ``--for`` for ``--form``; a negative form
+    after them is joined as it is after the full spelling."""
+    glued = run_cli(capsys, command, f"--form={form}")
+    abbreviated = run_cli(capsys, command, flag, form)
+    assert glued[0] == 0
+    assert abbreviated == glued
+
+
+def test_ambiguous_abbreviation_is_still_a_usage_error(capsys):
+    """``--f`` could be ``--form`` or ``--field``: argparse refuses it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", "--f", "-1,1"])
+    assert exc.value.code == 2
+    assert "ambiguous" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--form", ",".join(["1"] * 11)],
+    ["invariants", "--form", ",".join(["-1"] * 17)],
+    ["tensor", "form:1,1,1,1,1,1", "form:1,1,1,1,1"],
+    ["invariants", "--algebra", "end:20,13"],
+    ["invariants", "--algebra", "end:20,0"],  # purely even: stabilized to dim 1600
+])
+def test_algebras_above_the_size_budget_exit_two(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "AlgebraError"
+    assert "MAX_DIM = 1024" in error["message"]
+
+
+def test_closed_stdout_is_not_an_error():
+    """``gradedbrauer clifford --form 1,1,1,1,1,1 | head -1``: the reader
+    leaves after one line of a 200 kB document, and the CLI still exits 0
+    with nothing on stderr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gradedbrauer.cli", "clifford", "--form",
+         "1,1,1,1,1,1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err == b""
 
 
 @pytest.mark.parametrize("key, value", [("parity", 5), ("structure", "x")])

@@ -67,9 +67,10 @@ def test_triple_product_sign():
     assert a.basis_product(0b110, 0b011) == {0b101: -1}
 
 
-def test_clifford_rank_guard():
-    with pytest.raises(AlgebraError):
-        clifford(DiagonalForm((1,) * 17))
+def test_clifford_size_budget():
+    for rank in (11, 17):
+        with pytest.raises(AlgebraError, match="MAX_DIM = 1024"):
+            clifford(DiagonalForm((1,) * rank))
 
 
 def test_clifford_over_the_complex_point():

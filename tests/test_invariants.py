@@ -14,9 +14,9 @@ import pytest
 from gradedbrauer.algebra import (GradedAlgebra, NotAzumayaError, end_graded,
                                   graded_tensor, ground_algebra, opposite)
 from gradedbrauer.clifford import DiagonalForm, clifford, hyperbolic, signature_form
-from gradedbrauer.invariants import (bw_class, class_triple, group_order,
-                                     invariant_triple, parity_class, q2_add,
-                                     q2_class, ungraded_class, witt_to_bw)
+from gradedbrauer.invariants import (bw_class, group_order, invariant_triple,
+                                     parity_class, q2_add, q2_class,
+                                     ungraded_class, witt_to_bw)
 from gradedbrauer.scalars import COMPLEX, REAL
 
 F = Fraction
@@ -51,16 +51,13 @@ GENERATOR_TRIPLES = {
 def test_generator_powers_have_the_frozen_triples():
     for k, want in GENERATOR_TRIPLES.items():
         assert invariant_triple(generator_power(k)) == want, k
+    # over the complex point: the ground field and C<1>
+    assert [invariant_triple(ground_algebra(COMPLEX)),
+            invariant_triple(cl(1, 0, COMPLEX))] == [(0, 0, 0), (1, 1, 0)]
 
 
 def test_generator_powers_realize_all_eight_classes():
     assert [bw_class(generator_power(k)) for k in range(8)] == list(range(8))
-
-
-def test_class_triple_inverts_the_calibration():
-    for k, want in GENERATOR_TRIPLES.items():
-        assert class_triple(k, REAL) == want, k
-    assert [class_triple(k, COMPLEX) for k in range(2)] == [(0, 0, 0), (1, 1, 0)]
 
 
 def test_small_clifford_classes():
@@ -99,9 +96,10 @@ def test_ungraded_class_anchors():
 
 
 def test_ungraded_class_odd_parity_uses_the_even_part():
-    # class 3 = odd parity with quaternionic even part
-    assert ungraded_class(cl(3, 0), class_parity=1) == 1
-    assert ungraded_class(cl(1, 0), class_parity=1) == 0
+    # class 3 = odd parity with quaternionic even part; the whole of
+    # Cl(3,0) has zero signature, so only its even part can answer
+    assert ungraded_class(cl(3, 0)) == 1
+    assert ungraded_class(cl(1, 0)) == 0
 
 
 def test_group_orders():
