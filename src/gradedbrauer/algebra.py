@@ -32,6 +32,7 @@ interface stays dense: :meth:`GradedAlgebra.mul` and
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul, truediv
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import linalg
@@ -120,8 +121,10 @@ class GradedAlgebra:
 
     Construction normalizes scalars into the field and drops zeros, but
     does *not* verify associativity or the grading — call
-    :meth:`validate` for the full (cubic-cost) audit.  :meth:`from_json`
-    checks the unit and the grading.  The library's own constructors
+    :meth:`validate` for the full audit, which checks associativity on
+    ``dim**2 * r`` basis triples for ``r`` generators of the algebra
+    (Light's test).  :meth:`from_json` checks the unit and the grading.
+    The library's own constructors
     (:func:`gradedbrauer.clifford.clifford`, :func:`end_graded`,
     :func:`graded_tensor`, :func:`opposite`, ...) build normalized tables
     and skip this pass through :meth:`_trusted`.
@@ -221,60 +224,213 @@ class GradedAlgebra:
         return _dense(product, self.dim, self.field.zero())
 
     def _solve_unit(self) -> Optional[list[Scalar]]:
-        # u is a two-sided unit iff u e_j = e_j and e_j u = e_j for all j.
-        # Both families are linear in u's coordinates.
-        n = self.dim
-        zero, one = self.field.zero(), self.field.one()
-        rows, rhs = [], []
-        for j in range(n):
-            for k in range(n):
-                left = [self.table.get((i, j), {}).get(k, zero) for i in range(n)]
-                right = [self.table.get((j, i), {}).get(k, zero) for i in range(n)]
-                target = one if k == j else zero
-                rows.append(left)
-                rhs.append(target)
-                rows.append(right)
-                rhs.append(target)
-        return linalg.solve(rows, rhs, self.field)
+        """The two-sided unit solved from the table, or ``None``.
+
+        ``u`` is a two-sided unit iff ``u e_j = e_j`` and ``e_j u = e_j``
+        for every ``j``; both families are linear in ``u``'s coordinates.
+        Column ``i`` of that system holds the cells ``(i, j)`` on rows
+        ``(0, j, k)`` and the cells ``(j, i)`` on rows ``(1, j, k)``, so
+        the columns carry the table's nonzeros and nothing else, and
+        :func:`gradedbrauer.linalg.column_kernel` solves them as
+        :func:`gradedbrauer.linalg.solve` does.  A two-sided unit is
+        unique, so any solution is the unit.
+        """
+        n, one = self.dim, self.field.one()
+        columns: list[SparseVector] = [{} for _ in range(n)]
+        for (i, j), cell in self.table.items():
+            for k, v in cell.items():
+                columns[i][(0, j, k)] = v
+                columns[j][(1, i, k)] = v
+        columns.append({(side, j, j): one for side in (0, 1) for j in range(n)})
+        kernel = linalg.column_kernel(columns, one)
+        if not kernel or n not in kernel[-1]:
+            return None  # the constants column is independent: inconsistent
+        unit = [self.field.zero()] * n
+        for c, v in kernel[-1].items():
+            if c != n:
+                unit[c] = -v
+        return unit
 
     # ------------------------------------------------------------ validation
 
     def validate(self) -> None:
         """Full structural audit; raises :class:`AlgebraError` on failure.
 
-        Runs :meth:`check_unit_and_grading`, then checks that
-        multiplication is associative on every basis triple.  That last
-        check is cubic in the dimension, which is why it is not
-        performed on construction or on JSON ingest.
+        Runs :meth:`check_unit_and_grading`, then Light's associativity
+        test (Clifford & Preston, *The Algebraic Theory of Semigroups* I,
+        AMS 1961, section 1.2).  The elements ``y`` with ``(x y) z =
+        x (y z)`` for all ``x, z`` form a subspace ``S`` that holds the
+        unit and is closed under the product: for ``y, w`` in ``S``,
+
+            (x (y w)) z = ((x y) w) z    as y is in S
+                        = (x y) (w z)    as w is in S
+                        = x (y (w z))    as y is in S
+                        = x ((y w) z)    as w is in S.
+
+        So ``(e_i e_j) e_k = e_i (e_j e_k)`` is checked for every ``i, k``
+        but only for ``j`` in the ``r`` generators of
+        :meth:`_light_generators`, whose words span the algebra: ``dim**2
+        * r`` triples instead of ``dim**3``.  The proof uses bilinearity
+        alone and every word is a product in this table, so the verdict is
+        exact on non-associative input too.  ``r`` is the rank for a
+        Clifford algebra and ``2m - 1`` for graded ``m x m`` matrices; at
+        worst it is the whole basis.  For each pair ``i, j`` both sides are
+        compared as whole rows ``k -> e_i e_j e_k``; when ``e_i e_j = c e_t``
+        the left row is the table's row ``t`` and only the right one is
+        divided by ``c``, so a table with one term per cell costs one dict
+        entry per triple.
         """
         self.check_unit_and_grading()
-        zero = self.field.zero()
-        for i in range(self.dim):
-            for j in range(self.dim):
-                left_part = self.table.get((i, j), {})
-                for k in range(self.dim):
-                    acc: dict[int, Scalar] = {}
-                    for t, c in left_part.items():
-                        for m, d in self.table.get((t, k), {}).items():
-                            acc[m] = acc.get(m, zero) + c * d
-                    for s, c in self.table.get((j, k), {}).items():
-                        for m, d in self.table.get((i, s), {}).items():
-                            acc[m] = acc.get(m, zero) - c * d
-                    if any(acc.values()):
-                        raise AlgebraError(
-                            f"associativity fails on basis triple ({i}, {j}, {k})"
-                        )
+        n = self.dim
+        # Every scalar in ``rows`` is interned: equal values are one object,
+        # so equal cells compare by identity rather than through the scalar
+        # type's __eq__, and products and quotients are memoized on the ids
+        # of their operands.  Only objects alive until return (table values,
+        # ``one`` and the members of ``canon``) are keyed by id.
+        canon: dict[Scalar, Scalar] = {}
+        by_id: dict[int, Scalar] = {}
+        results: dict[tuple[object, int, int], Scalar] = {}
+
+        def interned(v: Scalar) -> Scalar:
+            c = by_id.get(id(v))
+            if c is None:
+                c = by_id[id(v)] = canon.setdefault(v, v)
+            return c
+
+        def apply(op, c: Scalar, v: Scalar) -> Scalar:
+            # op(c, v), interned, for interned c and v
+            key = (op, id(c), id(v))
+            p = results.get(key)
+            if p is None:
+                p = op(c, v)
+                p = results[key] = canon.setdefault(p, p)
+            return p
+
+        one = interned(self.field.one())
+        rows: list[dict[int, dict[int, Scalar]]] = [{} for _ in range(n)]
+        for (i, k), cell in self.table.items():
+            rows[i][k] = {m: interned(v) for m, v in cell.items()}
+
+        for j in self._light_generators():
+            # e_j e_k = d e_s for the one-term cells, grouped by d
+            monomial: dict[int, tuple[Scalar, list[tuple[int, int]]]] = {}
+            general = []
+            for k, cell in rows[j].items():
+                if len(cell) == 1:
+                    (s, d), = cell.items()
+                    monomial.setdefault(id(d), (d, []))[1].append((k, s))
+                else:
+                    general.append((k, cell))
+            for i in range(n):
+                # lhs: k -> (e_i e_j) e_k / c, where c is the coefficient
+                # of a one-term e_i e_j, so that lhs is a row of the table
+                left = rows[i].get(j)
+                c = one
+                if not left:
+                    lhs: dict[int, dict[int, Scalar]] = {}
+                elif len(left) == 1:
+                    (t, c), = left.items()
+                    lhs = rows[t]
+                else:
+                    lhs = {}
+                    for t, b in left.items():
+                        for k, cell in rows[t].items():
+                            linalg._add_scaled(lhs.setdefault(k, {}), b, cell)
+                    lhs = {k: acc for k, acc in lhs.items() if acc}
+                # rhs: k -> e_i (e_j e_k) / c
+                row, rhs = rows[i], {}
+                for d, pairs in monomial.values():
+                    e = d if c is one else apply(truediv, d, c)
+                    if e is one:
+                        rhs.update({k: row[s] for k, s in pairs if s in row})
+                    else:
+                        rhs.update({k: {m: apply(mul, e, v) for m, v in row[s].items()}
+                                    for k, s in pairs if s in row})
+                for k, cell in general:
+                    acc = {}
+                    for s, d in cell.items():
+                        if s in row:
+                            e = d if c is one else apply(truediv, d, c)
+                            linalg._add_scaled(acc, e, row[s])
+                    if acc:
+                        rhs[k] = acc
+                if lhs != rhs:
+                    k = min(k for k in lhs.keys() | rhs.keys()
+                            if lhs.get(k) != rhs.get(k))
+                    raise AlgebraError(
+                        f"associativity fails on basis triple ({i}, {j}, {k})"
+                    )
+
+    def _light_generators(self) -> list[int]:
+        """Basis indices whose words, with the unit, span the algebra.
+
+        Indices are taken in order; one already in the span of the words
+        found so far is skipped, any other becomes a generator, and the
+        span is closed again under right multiplication by every
+        generator.  Each word is the product, in this table
+        (:func:`_mul_into`), of a word and a generator, and membership is
+        an incremental sparse elimination as in
+        :func:`gradedbrauer.linalg.column_kernel`.  The unit must already
+        be checked.
+        """
+        n, table, one = self.dim, self.table, self.field.one()
+        pivots: list[tuple[int, SparseVector]] = []  # (pivot index, reduced)
+
+        def extends_span(vec: SparseVector) -> bool:
+            reduced = dict(vec)
+            for row, pivot in pivots:
+                f = reduced.get(row)
+                if f is not None:
+                    linalg._add_scaled(reduced, -f, pivot)
+            if not reduced:
+                return False
+            row, inv = next(iter(reduced.items()))
+            pivots.append((row, {r: v / inv for r, v in reduced.items()}))
+            return True
+
+        unit = _sparse(self.unit)
+        extends_span(unit)
+        words = [unit]
+        done = [0]  # done[w]: how many generators words[w] was multiplied by
+        generators: list[int] = []
+        for j in range(n):
+            if len(pivots) == n:
+                break
+            if not extends_span({j: one}):
+                continue
+            generators.append(j)
+            words.append({j: one})
+            done.append(0)
+            w = 0
+            while w < len(words) and len(pivots) < n:
+                while done[w] < len(generators) and len(pivots) < n:
+                    product: SparseVector = {}
+                    _mul_into(product, table, words[w], {generators[done[w]]: one})
+                    done[w] += 1
+                    if product and extends_span(product):
+                        words.append(product)
+                        done.append(0)
+                w += 1
+        return generators
 
     def check_unit_and_grading(self) -> None:
         """The cheap part of :meth:`validate`, run on every JSON ingest:
         the unit is even and two-sided, and every product lands in the
-        parity forced by the grading.  Raises :class:`AlgebraError`."""
+        parity forced by the grading.  Raises :class:`AlgebraError`.
+
+        The products ``u e_j`` and ``e_j u`` visit only the unit's
+        nonzero coordinates (:func:`_mul_into`)."""
         for i, u in enumerate(self.unit):
             if u and self.parity[i] == 1:
                 raise AlgebraError("unit has a component in odd degree")
+        unit, one = _sparse(self.unit), self.field.one()
         for j in range(self.dim):
-            ej = self.basis_vector(j)
-            if self.mul(self.unit, ej) != ej or self.mul(ej, self.unit) != ej:
+            ej = {j: one}
+            left: SparseVector = {}
+            right: SparseVector = {}
+            _mul_into(left, self.table, unit, ej)
+            _mul_into(right, self.table, ej, unit)
+            if left != ej or right != ej:
                 raise AlgebraError(f"unit fails on basis element {j}")
         for (i, j), cell in self.table.items():
             want = self.parity[i] ^ self.parity[j]
@@ -342,7 +498,8 @@ class GradedAlgebra:
         ``structure`` may be the sparse triple list this class emits or
         a dense ``dim x dim x dim`` nested list.  ``unit`` may be
         omitted, in which case it is solved for.  Scalars are strings or
-        integers.  The unit and the grading are checked
+        integers.  An algebra above :data:`MAX_DIM` is refused before its
+        table is built.  The unit and the grading are checked
         (:meth:`check_unit_and_grading`); associativity is not.
         """
         if not isinstance(data, Mapping):
@@ -362,6 +519,7 @@ class GradedAlgebra:
         dim = _json_int(data.get("dim", len(parity)), "dim")
         if dim != len(parity):
             raise AlgebraError("dim does not match the length of parity")
+        _check_budget(dim, "algebra read from JSON")
         table: dict[tuple[int, int], dict[int, object]] = {}
         # Sparse entries are flat [i, j, k, value] rows; a dense table nests
         # lists two deep before reaching scalars.  structure[0][0] separates

@@ -65,6 +65,18 @@ def test_wrong_unit_exits_two(capsys, tmp_path, unit, message):
     assert doc["error"] == {"type": "AlgebraError", "message": message}
 
 
+@pytest.mark.parametrize("structure", [
+    [[0, 0, 0, "1"], [0, 1, 1, "1"]],   # e_0 e_1 = e_1 but e_1 e_0 = 0
+    [[0, 0, 0, "1"], [1, 0, 1, "1"]],   # e_1 e_0 = e_1 but e_0 e_1 = 0
+])
+def test_one_sided_unit_exits_two(capsys, tmp_path, structure):
+    doc = {"field": "R", "parity": [0, 0], "unit": ["1", "0"],
+           "structure": structure}
+    code, out = run_file(capsys, tmp_path, doc)
+    assert code == 2
+    assert out["error"]["message"] == "unit fails on basis element 1"
+
+
 def test_wrong_parity_product_exits_two(capsys, tmp_path):
     alg = generator_json()
     alg["structure"].append([1, 1, 1, "1"])  # odd * odd with an odd component
@@ -175,6 +187,22 @@ def test_algebras_above_the_size_budget_exit_two(capsys, argv):
     error = json.loads(out)["error"]
     assert error["type"] == "AlgebraError"
     assert "MAX_DIM = 1024" in error["message"]
+
+
+def test_json_above_the_size_budget_exits_two(capsys, tmp_path):
+    """``k^1100``: 1100 orthogonal even idempotents, refused before its
+    table is built."""
+    n = 1100
+    doc = {"field": "R", "dim": n, "parity": [0] * n, "unit": ["1"] * n,
+           "structure": [[i, i, i, "1"] for i in range(n)]}
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    code = main(["azumaya", "--algebra", str(path)])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert error == {"type": "AlgebraError",
+                     "message": "algebra read from JSON has dimension 1100, "
+                                "above the size budget MAX_DIM = 1024"}
 
 
 def test_closed_stdout_is_not_an_error():
