@@ -11,7 +11,7 @@ into the groups those classes form over a space.
 
 from .algebra import (AlgebraError, GradedAlgebra, NotAzumayaError,
                       end_graded, graded_centralizer, graded_tensor,
-                      ground_algebra, hat_center, is_azumaya, m11, opposite,
+                      ground_algebra, hat_center, is_azumaya, opposite,
                       trace_gram, trace_signature)
 from .clifford import (DiagonalForm, clifford, hyperbolic, relabel,
                        signature_form, tensor_index_pairing)
@@ -41,7 +41,7 @@ __all__ = [
     "curve_reports", "end_graded", "field_from_label", "graded_centralizer",
     "graded_tensor", "ground_algebra", "group_order", "hat_center",
     "hyperbolic", "invariant_factors", "invariant_triple", "is_azumaya",
-    "m11", "named_examples", "opposite", "parity_class", "q2_add",
+    "named_examples", "opposite", "parity_class", "q2_add",
     "q2_class", "quadratic_descriptor", "relabel", "run_selftest",
     "signature_form", "surface_reports", "tensor_index_pairing",
     "trace_gram", "trace_signature", "ungraded_class", "witt_to_bw",

@@ -18,14 +18,14 @@ zero — because dense ``dim**3`` tensors stop being practical right
 where the interesting examples start (dim 256 means 16.7 million
 entries).
 
-Elements are sparse too wherever the classification spends its time.
-Inside :func:`graded_centralizer` a vector is a dict ``{index: coeff}``
-of its nonzero coordinates, products (:func:`_mul_into`) visit only
-nonzero terms, and kernels come from the sparse column elimination of
-:func:`gradedbrauer.linalg.column_kernel`.  On Clifford and graded
-matrix algebras, where every cell holds one term, a product of basis
-vectors is one dict entry instead of a ``dim``-long list.  The public
-interface stays dense: :meth:`GradedAlgebra.mul` and
+Elements are sparse too: on the classification path (:func:`hat_center`,
+:func:`is_azumaya`, the trace form) a vector is a dict ``{index: coeff}``
+of its nonzero coordinates and a matrix a dict of such rows, products
+(:func:`_mul_into`) visit only nonzero terms, and kernels come from the
+sparse column elimination of :func:`gradedbrauer.linalg.column_kernel`.
+On Clifford and graded matrix algebras, where every cell holds one term,
+a product of basis vectors is one dict entry instead of a ``dim``-long
+list.  The public interface stays dense: :meth:`GradedAlgebra.mul` and
 :func:`graded_centralizer` take and return coordinate lists.
 """
 
@@ -44,12 +44,11 @@ Vector = Sequence[Scalar]
 SparseVector = dict[int, Scalar]
 
 # The largest dimension :func:`gradedbrauer.clifford.clifford`,
-# :func:`end_graded` and :func:`graded_tensor` build.  Measured with CLI
+# :func:`end_graded` and :func:`graded_tensor` build, and the largest
+# algebra :meth:`GradedAlgebra.from_json` reads.  Measured with CLI
 # ``invariants`` on one CPU: the rank-10 Clifford algebra (dim 1024, a
-# million structure cells) takes about 5 s and 410 MB peak RSS, and each
-# step in rank quadruples the table.  A purely even input is classified
-# inside its (1|1)-stabilization, four times larger, so for it the limit
-# is a quarter of this.
+# million structure cells) takes about 3.5 s and 395 MB peak RSS, and
+# each step in rank quadruples the table.
 MAX_DIM = 1024
 
 
@@ -230,10 +229,11 @@ class GradedAlgebra:
         for every ``j``; both families are linear in ``u``'s coordinates.
         Column ``i`` of that system holds the cells ``(i, j)`` on rows
         ``(0, j, k)`` and the cells ``(j, i)`` on rows ``(1, j, k)``, so
-        the columns carry the table's nonzeros and nothing else, and
-        :func:`gradedbrauer.linalg.column_kernel` solves them as
-        :func:`gradedbrauer.linalg.solve` does.  A two-sided unit is
-        unique, so any solution is the unit.
+        the columns carry the table's nonzeros and nothing else.  The
+        right-hand side is appended as a last column: the system is
+        consistent exactly when :func:`gradedbrauer.linalg.column_kernel`
+        finds that column dependent, and its kernel vector carries the
+        solution.  A two-sided unit is unique, so any solution is the unit.
         """
         n, one = self.dim, self.field.one()
         columns: list[SparseVector] = [{} for _ in range(n)]
@@ -506,14 +506,21 @@ class GradedAlgebra:
             raise AlgebraError("algebra JSON must be an object, not "
                                f"{type(data).__name__}")
         try:
-            field = field_from_label(data["field"])
+            label = data["field"]
             parity = data["parity"]
             structure = data["structure"]
         except KeyError as exc:
             raise AlgebraError(f"algebra JSON is missing key {exc}") from None
+        if not isinstance(label, str):
+            raise AlgebraError(f"field must be a string label, not "
+                               f"{type(label).__name__} {label!r}")
+        field = field_from_label(label)
         if not (isinstance(parity, (list, tuple))
                 and isinstance(structure, (list, tuple))):
             raise AlgebraError("parity and structure must be lists")
+        unit = data.get("unit")
+        if unit is not None and not isinstance(unit, (list, tuple)):
+            raise AlgebraError(f"unit must be a list, not {type(unit).__name__}")
         for p in parity:
             _json_int(p, "parity bit")
         dim = _json_int(data.get("dim", len(parity)), "dim")
@@ -527,13 +534,16 @@ class GradedAlgebra:
         dense = bool(structure) and isinstance(structure[0], list) \
             and bool(structure[0]) and isinstance(structure[0][0], list)
         if dense:
-            if len(structure) != dim or any(len(plane) != dim for plane in structure):
+            # every plane and every fiber a list of dim entries (not a string)
+            if not (len(structure) == dim and all(
+                    isinstance(plane, (list, tuple)) and len(plane) == dim
+                    and all(isinstance(fiber, (list, tuple)) and len(fiber) == dim
+                            for fiber in plane)
+                    for plane in structure)):
                 raise AlgebraError("dense structure table has the wrong shape")
             for i, plane in enumerate(structure):
                 for j, fiber in enumerate(plane):
-                    if len(fiber) != dim:
-                        raise AlgebraError("dense structure table has the wrong shape")
-                    table[(i, j)] = {k: v for k, v in enumerate(fiber)}
+                    table[(i, j)] = dict(enumerate(fiber))
         else:
             for entry in structure:
                 if not isinstance(entry, (list, tuple)) or len(entry) != 4:
@@ -545,7 +555,7 @@ class GradedAlgebra:
                 if k in cell:
                     raise AlgebraError(f"duplicate structure triple ({i}, {j}, {k})")
                 cell[k] = value
-        algebra = cls(field, parity, table, data.get("unit"))
+        algebra = cls(field, parity, table, unit)
         algebra.check_unit_and_grading()
         return algebra
 
@@ -627,16 +637,6 @@ def opposite(a: GradedAlgebra) -> GradedAlgebra:
     return GradedAlgebra._trusted(a.field, a.parity, table, a.unit)
 
 
-def m11(a: GradedAlgebra) -> GradedAlgebra:
-    """Tensor with the rank (1|1) graded matrix algebra.
-
-    This is the stabilization ``End(k^{1|1}) (x) a`` used to define the
-    graded center of an algebra whose odd part vanishes.
-    """
-    _check_budget(4 * a.dim, f"(1|1)-stabilization of an algebra of dimension {a.dim}")
-    return graded_tensor(end_graded(1, 1, a.field), a)
-
-
 def graded_centralizer(a: GradedAlgebra,
                        elements: Iterable[tuple[Vector, int]],
                        check_closure: bool = True) -> list[tuple[list[Scalar], int]]:
@@ -645,21 +645,9 @@ def graded_centralizer(a: GradedAlgebra,
     ``elements`` are homogeneous ``(vector, parity)`` pairs.  The result
     lists homogeneous ``(vector, parity)`` pairs ``c`` with
     ``c s = (-1)^{|c||s|} s c`` for every given ``s``, degree-0 vectors
-    first.
-
-    The kernel is intersected one constraint at a time: each constraint
-    matrix has only as many columns as the *current* kernel dimension,
-    which collapses quickly for the algebras that matter here — that is
-    the difference between seconds and hours at dimension 256.
-
-    Elements stay sparse ``{index: coeff}`` vectors throughout: the
-    column of a kernel vector ``v`` is the sparse product ``v s ∓ s v``,
-    and :func:`gradedbrauer.linalg.column_kernel` eliminates the columns
-    one at a time.  On a table with one term per cell (Clifford and
-    graded matrix algebras) a column is a single term, so the cost
-    follows the nonzeros instead of ``dim`` times the kernel size.  The
-    basis is the one dense elimination gives, so the result does not
-    depend on the representation.
+    first.  This is the dense front end of :func:`_supercommutant`: it
+    checks that each element is homogeneous of its parity, coerces its
+    coordinates into the field, and returns coordinate lists.
     """
     constraints = []
     for vec, par in elements:
@@ -669,7 +657,35 @@ def graded_centralizer(a: GradedAlgebra,
             if v and a.parity[idx] != par:
                 raise AlgebraError("constraint element is not homogeneous")
         constraints.append((_sparse([a.field.coerce(v) for v in vec]), par))
-    one, zero = a.field.one(), a.field.zero()
+    zero = a.field.zero()
+    return [(_dense(v, a.dim, zero), deg)
+            for v, deg in _supercommutant(a, constraints, check_closure)]
+
+
+def _supercommutant(a: GradedAlgebra,
+                    constraints: list[tuple[SparseVector, int]],
+                    check_closure: bool = True) -> list[tuple[SparseVector, int]]:
+    """:func:`graded_centralizer` on sparse vectors.
+
+    ``constraints`` are homogeneous ``(sparse vector, parity)`` pairs with
+    coordinates already in the field; the result lists sparse ``(vector,
+    parity)`` pairs, degree-0 vectors first.  With ``check_closure`` an
+    :class:`AlgebraError` is raised when the span is not closed under the
+    product.
+
+    The kernel is intersected one constraint at a time: each constraint
+    matrix has only as many columns as the *current* kernel dimension,
+    which collapses quickly for the algebras that matter here — that is
+    the difference between seconds and hours at dimension 256.  The
+    column of a kernel vector ``v`` is the sparse product ``v s ∓ s v``,
+    and :func:`gradedbrauer.linalg.column_kernel` eliminates the columns
+    one at a time.  On a table with one term per cell (Clifford and
+    graded matrix algebras) a column is a single term, so the cost
+    follows the nonzeros instead of ``dim`` times the kernel size.  The
+    basis is the one dense elimination gives, so the result does not
+    depend on the representation.
+    """
+    one = a.field.one()
     result: list[tuple[SparseVector, int]] = []
     for deg in (0, 1):
         kernel: list[SparseVector] = [{i: one} for i in a.degree_indices(deg)]
@@ -694,70 +710,81 @@ def graded_centralizer(a: GradedAlgebra,
                 _mul_into(product, a.table, u, v)
                 if not linalg.in_span(span, product, one):
                     raise AlgebraError("centralizer failed to close under product")
-    return [(_dense(v, a.dim, zero), deg) for v, deg in result]
+    return result
 
 
-def _proportionality(unit: Vector, vec: Vector) -> Optional[Scalar]:
-    """The scalar ``t`` with ``vec == t * unit``, or ``None``."""
-    pivot = next((i for i, u in enumerate(unit) if u), None)
-    if pivot is None:
+def _proportionality(unit: SparseVector, vec: SparseVector) -> Optional[Scalar]:
+    """The nonzero scalar ``t`` with ``vec == t * unit``, or ``None``."""
+    if not vec or vec.keys() != unit.keys():
         return None
-    t = vec[pivot] / unit[pivot]
-    for u, v in zip(unit, vec):
-        if v != t * u:
-            return None
-    return t
+    i, u = next(iter(unit.items()))
+    t = vec[i] / u
+    return t if all(v == t * unit[k] for k, v in vec.items()) else None
 
 
 def hat_center(a: GradedAlgebra) -> GradedAlgebra:
     """The graded center, in quadratic normal form.
 
-    For an input with nonzero odd part this is the supercommutant of
-    the degree-0 part inside the algebra itself; for a purely even
-    input the computation runs inside the (1|1)-stabilization, which is
-    what makes the construction insensitive to tensoring with graded
-    matrix algebras.
+    The result is a two-dimensional algebra ``k[z]/(z^2 - s)`` on basis
+    ``(1, z)`` with ``z`` homogeneous and ``s`` scaled to ``+1`` or ``-1``
+    over the real point (``+1`` over the complex point) — the scaling is
+    a unit-group normal form, not an equality of algebras over the
+    rationals.  Raises :class:`NotAzumayaError` when the center is not
+    rank-two etale over the ground field.
 
-    The result is returned as a two-dimensional algebra ``k[z]/(z^2 -
-    s)`` on basis ``(1, z)`` with ``z`` homogeneous and ``s`` scaled to
-    ``+1`` or ``-1`` over the real point (``+1`` over the complex
-    point) — the scaling is a unit-group normal form, not an equality
-    of algebras over the rationals.  Raises :class:`NotAzumayaError`
-    when the center is not rank-two etale over the ground field.
+    For an input with nonzero odd part this is the supercommutant of the
+    degree-0 part inside the algebra itself.  For a purely even input
+    ``A`` the graded center is defined through the (1|1)-stabilization
+    ``M = End(k^{1|1}) (x) A``, which has the Brauer-Wall class of ``A``
+    (Wall, *Graded Brauer groups*, J. reine angew. Math. 213, 1964), but
+    ``M`` is never built.  With ``A`` purely even no Koszul sign arises,
+    so ``M`` is the ``2 x 2`` matrices over ``A`` with the checkerboard
+    grading: the even part is the diagonal ``A x A`` and the odd part
+    the off-diagonal.  An element ``y = (y_rc)`` that commutes with
+    ``diag(x, 0)`` and ``diag(0, x)`` for all ``x`` in ``A`` has
+    ``x y_12 = 0 = y_21 x`` (so, at ``x = 1``, no odd part) and diagonal
+    entries in the center ``Z(A)``.  The graded center is therefore
+    ``Z(A) x Z(A)``, purely even of dimension ``2 dim Z(A)``.  It is
+    rank two exactly when ``Z(A)`` is the ground field, and then it is
+    ``k x k``, generated by the even ``diag(1, -1)`` of square ``+1``:
+    the split normal form over both points.  So only ``Z(A)``, the
+    commutant of ``A``'s basis, is computed (with the closure check),
+    and a failure reports the dimension ``2 dim Z(A)``.
     """
-    # In both branches the center is the supercommutant of the ambient
-    # algebra's degree-0 part.  A purely even input is first stabilized,
-    # which grows an odd part without moving the Brauer-Wall class; on
-    # the ground field itself this yields the split quadratic algebra
-    # k x k with even generator, the identity class, as it must.
-    ambient = a if a.dim_odd > 0 else m11(a)
-    generators = [(ambient.basis_vector(i), 0) for i in ambient.degree_indices(0)]
-    cent = graded_centralizer(ambient, generators)
+    field = a.field
+    one = field.one()
+    cent = _supercommutant(a, [({i: one}, 0) for i in a.degree_indices(0)])
+    if not a.dim_odd:  # cent is Z(A), and the graded center Z(A) x Z(A)
+        if len(cent) != 1:
+            raise NotAzumayaError(
+                f"graded center has dimension {2 * len(cent)}, expected 2"
+            )
+        return _quadratic(field, 0, one)
     if len(cent) != 2:
         raise NotAzumayaError(
             f"graded center has dimension {len(cent)}, expected 2"
         )
-    field = a.field
-    unit = list(ambient.unit)
-    parities = sorted(par for _, par in cent)
-    if parities == [0, 1]:
-        even_vec = next(v for v, p in cent if p == 0)
-        odd_vec = next(v for v, p in cent if p == 1)
-        if _proportionality(unit, even_vec) is None:
+    unit = _sparse(a.unit)
+    (v0, p0), (v1, p1) = cent  # degree 0 first
+    z_sq: SparseVector = {}
+    if (p0, p1) == (0, 1):
+        if _proportionality(unit, v0) is None:
             raise NotAzumayaError("even part of the graded center misses the unit")
-        z_sq = ambient.mul(odd_vec, odd_vec)
+        _mul_into(z_sq, a.table, v1, v1)
         lam = _proportionality(unit, z_sq)
         z_parity = 1
-    elif parities == [0, 0]:
-        v0, v1 = (v for v, _ in cent)
+    elif p1 == 0:
         z0 = v1 if _proportionality(unit, v0) is not None else v0
         if _proportionality(unit, z0) is not None:
             raise NotAzumayaError("graded center degenerated to multiples of the unit")
-        rows = [[unit[r], z0[r]] for r in range(ambient.dim)]
-        sol = linalg.solve(rows, ambient.mul(z0, z0), field)
-        if sol is None:
+        # z0^2 = alpha + beta z0, read off the kernel vector of the columns
+        # (1, z0, z0^2): it is (-alpha, -beta, 1) when z0^2 is in their span
+        _mul_into(z_sq, a.table, z0, z0)
+        kernel = linalg.column_kernel([unit, z0, z_sq], one)
+        if not kernel or 2 not in kernel[-1]:
             raise NotAzumayaError("graded center is not closed on its generator")
-        alpha, beta = sol
+        alpha = -kernel[-1].get(0, field.zero())
+        beta = -kernel[-1].get(1, field.zero())
         # Complete the square: (z0 - beta/2)^2 = alpha + beta^2/4.
         lam = alpha + beta * beta * Fraction(1, 4)
         z_parity = 0
@@ -765,10 +792,12 @@ def hat_center(a: GradedAlgebra) -> GradedAlgebra:
         raise NotAzumayaError("graded center lost the unit")
     if lam is None or not lam:
         raise NotAzumayaError("graded center generator squares to a non-unit")
-    if field.is_real:
-        square = field.coerce(field.sign(lam))
-    else:
-        square = field.one()
+    return _quadratic(field, z_parity,
+                      field.coerce(field.sign(lam)) if field.is_real else one)
+
+
+def _quadratic(field: Field, z_parity: int, square: Scalar) -> GradedAlgebra:
+    """``k[z]/(z^2 - square)`` on basis ``(1, z)``, ``z`` of parity ``z_parity``."""
     one = field.one()
     table = {
         (0, 0): {0: one},
@@ -784,9 +813,10 @@ def is_azumaya(a: GradedAlgebra) -> bool:
 
     Decided on ``dim x dim`` data by two exact facts, each a certificate:
 
-    * the regular trace form (:func:`trace_gram`) is nondegenerate.  Over
-      a field of characteristic 0 its radical is the Jacobson radical
-      (Dieudonné), so full rank means ``a`` is semisimple; and
+    * the regular trace form (:func:`trace_gram`) is nondegenerate: the
+      column kernel of its sparse Gram rows is empty.  Over a field of
+      characteristic 0 its radical is the Jacobson radical (Dieudonné),
+      so this means ``a`` is semisimple; and
     * the supercenter, the supercommutant of the whole basis, is the
       ground field.  A semisimple graded algebra is a product of graded
       simple factors, each contributing an even central idempotent, and
@@ -798,37 +828,42 @@ def is_azumaya(a: GradedAlgebra) -> bool:
     ``x (x) y -> (c -> (-1)^{|y||c|} x c y)``, is bijective, without
     building its ``dim**2 x dim**2`` matrix.
     """
-    if linalg.rank(trace_gram(a)) < a.dim:
+    one = a.field.one()
+    gram = trace_gram(a)
+    if linalg.column_kernel([gram.get(i, {}) for i in range(a.dim)], one):
         return False
-    basis = [(a.basis_vector(i), p) for i, p in enumerate(a.parity)]
-    return len(graded_centralizer(a, basis, check_closure=False)) == 1
+    basis = [({i: one}, p) for i, p in enumerate(a.parity)]
+    return len(_supercommutant(a, basis, check_closure=False)) == 1
 
 
-def trace_gram(a: GradedAlgebra) -> list[list[Scalar]]:
+def trace_gram(a: GradedAlgebra) -> dict[int, dict[int, Scalar]]:
     """Gram matrix of the regular trace form ``(x, y) -> tr(L_{xy})``.
 
-    Uses ``tr(L_{e_i e_j}) = sum_m c_{ij}^m tr(L_{e_m})``, so only the
-    ``dim`` traces of basis left-multiplications are ever computed.
+    Returned as sparse rows ``{i: {j: tr(L_{e_i e_j})}}`` holding only
+    the nonzero entries (a zero row is absent); it is symmetric when
+    ``a`` is associative.  Uses ``tr(L_{e_i e_j}) = sum_m c_{ij}^m
+    tr(L_{e_m})``: one pass over the table takes the traces of the basis
+    left-multiplications, and a second reads, in each cell, only the
+    result indices whose trace is nonzero (on a Clifford algebra, the
+    unit alone).
     """
     zero = a.field.zero()
-    t = []
-    for m in range(a.dim):
-        acc = zero
-        for c in range(a.dim):
-            cell = a.table.get((m, c))
-            if cell:
-                v = cell.get(c)
-                if v:
-                    acc = acc + v
-        t.append(acc)
-    gram = [[zero] * a.dim for _ in range(a.dim)]
+    traces: dict[int, Scalar] = {}
+    for (m, c), cell in a.table.items():
+        v = cell.get(c)
+        if v:
+            traces[m] = traces.get(m, zero) + v
+    traces = {m: t for m, t in traces.items() if t}
+    rows: dict[int, dict[int, Scalar]] = {}
     for (i, j), cell in a.table.items():
         acc = zero
         for m, c in cell.items():
-            if t[m]:
-                acc = acc + c * t[m]
-        gram[i][j] = acc
-    return gram
+            t = traces.get(m)
+            if t is not None:
+                acc = acc + c * t
+        if acc:
+            rows.setdefault(i, {})[j] = acc
+    return rows
 
 
 def trace_signature(a: GradedAlgebra) -> int:
@@ -838,5 +873,5 @@ def trace_signature(a: GradedAlgebra) -> int:
     """
     if not a.field.is_real:
         raise AlgebraError("trace signature is only defined over the real point")
-    pos, neg, _ = linalg.signature(trace_gram(a))
+    pos, neg, _ = linalg.signature(trace_gram(a), a.dim)
     return pos - neg

@@ -275,6 +275,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_attach_negative_forms(argv))
     try:
+        if [] in vars(args).values():  # argparse reads "--form=--" as no values
+            raise ValueError("an option's value cannot be '--'")
         payload, code = args.handler(args)
     except (AlgebraError, DescriptorError, ValueError, OSError, KeyError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})

@@ -148,7 +148,8 @@ def bw_class(a: GradedAlgebra) -> int:
     """The class of ``a`` in Z/8 (real point) or Z/2 (complex point).
 
     Normalized so that the rank-one Clifford algebra ``C<1>`` maps to 1:
-    the :func:`invariant_triple` looked up in :func:`_calibration`.  Raises :class:`~gradedbrauer.algebra.NotAzumayaError` when the
+    the :func:`invariant_triple` looked up in :func:`_calibration`.
+    Raises :class:`~gradedbrauer.algebra.NotAzumayaError` when the
     computed invariants match no class — which for genuinely graded
     Azumaya input cannot happen.
     """

@@ -7,21 +7,11 @@ here is fraction-exact; nothing is numerically approximate.
 Vectors are sparse: dicts ``{index: coefficient}`` holding only nonzero
 entries.  A matrix is given by its columns, and one elimination,
 :func:`column_kernel`, takes them one at a time; kernels, ranks, linear
-systems and span tests all come from it.  :func:`nullspace`,
-:func:`rank` and :func:`solve` take a dense matrix (a list of row lists)
-and convert it.  :func:`signature` is a symmetric congruence reduction
-on a dense matrix.
+systems and span tests all come from it.  :func:`signature` is a
+symmetric congruence reduction on sparse rows.
 """
 
 from __future__ import annotations
-
-
-def _columns(rows):
-    """The columns of a dense matrix, as sparse vectors."""
-    if not rows:
-        return []
-    return [{r: row[c] for r, row in enumerate(rows) if row[c]}
-            for c in range(len(rows[0]))]
 
 
 def _add_scaled(target, factor, source):
@@ -96,113 +86,57 @@ def in_span(vectors, vector, one) -> bool:
     return bool(kernel) and len(vectors) in kernel[-1]
 
 
-def rank(rows) -> int:
-    """Rank of a dense matrix, by exact elimination."""
-    columns = _columns(rows)
-    return len(columns) - len(column_kernel(columns, 1))
+def signature(rows, n):
+    """Inertia ``(positive, negative, zero)`` of a symmetric rational
+    ``n x n`` matrix given by its sparse rows ``{i: {j: m_ij}}``.
 
-
-def nullspace(rows, field):
-    """A basis of the right kernel of a dense matrix, as dense vectors.
-
-    One vector per free column, with a 1 in the free position and 0 at
-    the other free positions: :func:`column_kernel` on the columns of
-    ``rows``.  ``field`` supplies exact zero/one elements so the free
-    coordinates are typed correctly.
+    Only nonzero entries are stored and a zero row may be absent.  The
+    reduction is by symmetric congruence: pick a row ``p`` with a nonzero
+    diagonal entry ``d``, count its sign, and subtract ``m_ip m_pk / d``
+    from every ``m_ik`` with ``i, k`` in the support of row ``p``, which
+    clears row and column ``p``.  When no diagonal entry is nonzero but
+    some ``m_ij`` is, replacing ``e_i`` by ``e_i + e_j`` makes the
+    ``(i, i)`` entry ``2 m_ij`` nonzero, and congruence leaves the
+    inertia alone, so the loop always makes progress.  The work follows
+    the nonzeros: on a diagonal matrix it is one step per row.  Entries
+    must be rationals; a matrix that is not symmetric raises ValueError.
     """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    zero = field.zero()
-    basis = []
-    for combo in column_kernel(_columns(rows), field.one()):
-        v = [zero] * ncols
-        for c, x in combo.items():
-            v[c] = x
-        basis.append(v)
-    return basis
-
-
-def solve(rows, rhs, field):
-    """Solve ``rows @ x == rhs`` exactly, or return ``None``.
-
-    Returns one solution vector when the system is consistent (any
-    solution if it is underdetermined): the one that is zero at every
-    column that depends on the columns before it.  ``rhs`` is appended
-    as a last column; the system is consistent exactly when that column
-    depends on the others, and its kernel vector ``e_rhs - sum x_c e_c``
-    carries the solution.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    columns = _columns(rows) + [{r: b for r, b in enumerate(rhs) if b}]
-    kernel = column_kernel(columns, field.one())
-    if not kernel or ncols not in kernel[-1]:
-        return None  # the constants column is independent: inconsistent
-    x = [field.zero()] * ncols
-    for c, v in kernel[-1].items():
-        if c != ncols:
-            x[c] = -v
-    return x
-
-
-def signature(sym):
-    """Inertia ``(positive, negative, zero)`` of a symmetric rational matrix.
-
-    Computed by symmetric congruence reduction: repeatedly pick a nonzero
-    diagonal entry, clear its row and column, and count its sign.  When
-    the diagonal is all zero but some off-diagonal entry ``m[i][j]`` is
-    not, replacing ``e_i`` by ``e_i + e_j`` makes the ``(i, i)`` entry
-    ``2*m[i][j]`` nonzero, and congruence leaves the inertia alone, so
-    the loop always makes progress.  Entries must be rationals.
-    """
-    m = [list(row) for row in sym]
-    n = len(m)
-    for row in m:
-        if len(row) != n:
-            raise ValueError("signature needs a square matrix")
-    pos = neg = zero = 0
-    live = list(range(n))  # indices not yet eliminated
-    while live:
-        pivot = None
-        for i in live:
-            if m[i][i]:
-                pivot = i
-                break
-        if pivot is None:
-            hit = None
-            for ii, i in enumerate(live):
-                for j in live[ii + 1:]:
-                    if m[i][j]:
-                        hit = (i, j)
-                        break
-                if hit:
-                    break
-            if hit is None:
-                zero += len(live)
-                break
-            i, j = hit
-            # e_i <- e_i + e_j, applied symmetrically.
-            for k in live:
-                m[i][k] = m[i][k] + m[j][k]
-            for k in live:
-                m[k][i] = m[k][i] + m[k][j]
+    m = {i: dict(row) for i, row in rows.items() if row}
+    if any(m.get(j, {}).get(i) != v for i, row in m.items() for j, v in row.items()):
+        raise ValueError("signature needs a symmetric matrix")
+    pos = neg = 0
+    while m:
+        p = next((i for i, row in m.items() if i in row), None)
+        if p is None:
+            # e_i <- e_i + e_j, applied symmetrically: row and column i
+            # gain row and column j, and the new (i, i) entry is 2 m_ij.
+            i, row = next(iter(m.items()))
+            j, mij = next(iter(row.items()))
+            new = dict(row)
+            _add_scaled(new, 1, m[j])
+            new[i] = mij + mij
+            for k in row.keys() | new.keys():
+                if k == i:
+                    continue
+                if k in new:
+                    m[k][i] = new[k]
+                else:
+                    del m[k][i]
+                    if not m[k]:
+                        del m[k]
+            m[i] = new
             continue
-        d = m[pivot][pivot]
+        row = m.pop(p)
+        d = row.pop(p)
         if d > 0:
             pos += 1
         else:
             neg += 1
-        live.remove(pivot)
-        targets = [i for i in live if m[i][pivot]]
-        for i in targets:
-            f = m[i][pivot] / d
-            mi, mp = m[i], m[pivot]
-            for k in live:
-                if mp[k]:
-                    mi[k] = mi[k] - f * mp[k]
-        for i in targets:
-            m[i][pivot] = m[pivot][i] = 0
-    return pos, neg, zero
-
+        for i in row:
+            del m[i][p]
+        for i, v in row.items():
+            _add_scaled(m[i], -(v / d), row)
+        for i in row:
+            if not m[i]:
+                del m[i]
+    return pos, neg, n - pos - neg

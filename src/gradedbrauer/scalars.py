@@ -136,6 +136,9 @@ def format_gaussian(z: GaussianRational) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    # An exponent is refused: Fraction("1e9999999") computes 10**9999999.
+    if "e" in text or "E" in text:
+        raise ValueError(f"not a rational scalar: {text!r}")
     try:
         return Fraction(text.replace(" ", ""))
     except (ValueError, ZeroDivisionError) as exc:

@@ -1,5 +1,7 @@
 """Dense reference for :func:`gradedbrauer.algebra.graded_centralizer`
-and for the kernels of :mod:`gradedbrauer.linalg`.
+and for the kernels of :mod:`gradedbrauer.linalg`, and the
+(1|1)-stabilization :func:`m11`, the reference route for the graded
+center of a purely even algebra.
 
 This is the centralizer as it was before elements went sparse: every
 product is a dense coordinate vector, every constraint column a dense
@@ -10,7 +12,17 @@ elimination or product code with the library, and the tests require
 the library to return exactly the same ``(vector, parity)`` list.
 """
 
-from gradedbrauer.algebra import AlgebraError
+from gradedbrauer.algebra import AlgebraError, end_graded, graded_tensor
+
+
+def m11(a):
+    """Tensor with the rank (1|1) graded matrix algebra.
+
+    This is the stabilization ``End(k^{1|1}) (x) a`` that defines the
+    graded center of an algebra whose odd part vanishes; the library
+    computes that center from ``Z(a)`` instead (see ``hat_center``).
+    """
+    return graded_tensor(end_graded(1, 1, a.field), a)
 
 
 def row_echelon(rows):

@@ -17,8 +17,8 @@ fraction-exact elimination.
 
 import numpy as np
 
-from gradedbrauer import linalg
 from gradedbrauer.scalars import GaussianRational
+from centralizer_oracle import dense_rank
 
 # A few word-sized primes congruent to 1 mod 4, so that -1 has a square
 # root mod p and Gaussian scalars reduce too.  Fixed rather than random:
@@ -129,4 +129,4 @@ def sandwich_is_azumaya(a):
     rows = [[zero] * size for _ in range(size)]
     for (r, c), value in entries.items():
         rows[r][c] = value
-    return linalg.rank(rows) == size
+    return dense_rank(rows) == size

@@ -16,13 +16,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from gradedbrauer.algebra import (AlgebraError, GradedAlgebra, end_graded,
-                                  graded_centralizer, graded_tensor, m11,
-                                  opposite)
-from gradedbrauer.clifford import DiagonalForm, clifford
+from gradedbrauer.algebra import (AlgebraError, GradedAlgebra, NotAzumayaError,
+                                  end_graded, graded_centralizer, graded_tensor,
+                                  ground_algebra, hat_center, opposite, trace_gram)
+from gradedbrauer.clifford import DiagonalForm, clifford, signature_form
 from gradedbrauer.scalars import COMPLEX, REAL, GaussianRational
-from centralizer_oracle import dense_centralizer
-from test_azumaya_oracle import known_non_azumaya, seeded_algebras, suite_algebras
+from centralizer_oracle import dense_centralizer, dense_mul, m11
+from test_azumaya_oracle import (known_non_azumaya, product, quadratic,
+                                 seeded_algebras, suite_algebras, upper_triangular)
 
 F = Fraction
 
@@ -46,9 +47,10 @@ def basis(a, indices):
 
 
 def assert_same_on_library_constraints(a):
-    """The constraints ``hat_center`` and ``is_azumaya`` pass."""
-    ambient = a if a.dim_odd > 0 else m11(a)
-    assert_same(ambient, basis(ambient, ambient.degree_indices(0)))
+    """The constraints ``hat_center`` and ``is_azumaya`` pass: the even
+    basis, or for a purely even algebra the whole basis with the closure
+    check, and the whole basis without it."""
+    assert_same(a, basis(a, a.degree_indices(0)))
     assert_same(a, basis(a, range(a.dim)), check_closure=False)
 
 
@@ -192,3 +194,69 @@ def test_identical_after_a_dense_change_of_basis_at_dimension_64():
         assert len(moved.table) == 64 * 64
         assert sum(map(len, moved.table.values())) > 0.99 * 64 * 64 * 32  # dense cells
         assert_same_on_library_constraints(moved)
+
+
+# ------------------------------------------- purely even: Z(A), not m11(A)
+
+def center_outcome(a):
+    try:
+        return hat_center(a)
+    except NotAzumayaError as exc:
+        return "error", str(exc)
+
+
+def purely_even_algebras():
+    """Purely even inputs with center ``k`` (matrix algebras, quaternions,
+    even Clifford parts) and larger (``k x k``, ``k[x]/x^2``, ``C`` over
+    ``R``, upper-triangular matrices, products ``A x A``)."""
+    out = []
+    for field in (REAL, COMPLEX):
+        ground = ground_algebra(field)
+        out += [ground] + [end_graded(n, 0, field) for n in (1, 2, 3, 4)]
+        out += [clifford(signature_form(p, q, field)).even_part()
+                for p, q in ((0, 3), (2, 0), (1, 2), (3, 1), (0, 4))]
+        out += [quadratic(field, False, 1), quadratic(field, False, 0),
+                upper_triangular([0, 0], field), upper_triangular([0, 0, 0], field),
+                product(ground, ground), product(product(ground, ground), ground),
+                product(end_graded(2, 0, field), end_graded(2, 0, field))]
+    quaternions = clifford(signature_form(0, 3)).even_part()
+    out += [quadratic(REAL, False, -1), quadratic(REAL, False, -3),
+            product(quaternions, quaternions)]
+    out += [a for a in suite_algebras() + known_non_azumaya() if not a.dim_odd]
+    return out
+
+
+def test_purely_even_center_equals_the_stabilization_route():
+    """``hat_center`` reads a purely even algebra's graded center off its
+    own center; the (1|1)-stabilization gives the same normal form, or
+    fails with the same message, on these algebras and on seeded dense
+    changes of basis of them."""
+    rng = random.Random(1964)
+    seen = set()
+    for a in purely_even_algebras():
+        for b in (a, transport(a, rng)):
+            assert not b.dim_odd
+            want = center_outcome(m11(b))
+            assert center_outcome(b) == want, repr(b)
+            seen.add(want if isinstance(want, tuple) else "split")
+    assert seen == {"split", ("error", "graded center has dimension 4, expected 2"),
+                    ("error", "graded center has dimension 6, expected 2")}
+
+
+def test_trace_gram_equals_traces_of_left_multiplication():
+    """The sparse Gram rows hold ``tr(L_{e_i e_j})`` computed directly from
+    dense products, and nothing else, after a dense change of basis too."""
+    rng = random.Random(8)
+    sources = [form(REAL, rng, 3), form(COMPLEX, rng, 2), end_graded(2, 1),
+               quadratic(REAL, False, 0), upper_triangular([0, 1, 1], COMPLEX)]
+    for a in sources + [transport(a, rng) for a in sources]:
+        zero = a.field.zero()
+        units = [a.basis_vector(k) for k in range(a.dim)]
+        want = {}
+        for i in range(a.dim):
+            for j in range(a.dim):
+                x = dense_mul(a, units[i], units[j])
+                t = sum((dense_mul(a, x, units[k])[k] for k in range(a.dim)), zero)
+                if t:
+                    want.setdefault(i, {})[j] = t
+        assert trace_gram(a) == want, repr(a)

@@ -6,15 +6,21 @@ size budget are refused before any table is built, and a reader that
 closes stdout early does not turn success into a failure.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gradedbrauer.algebra import AlgebraError, GradedAlgebra
+from gradedbrauer import algebra
+from gradedbrauer.algebra import AlgebraError, GradedAlgebra, end_graded
 from gradedbrauer.clifford import DiagonalForm, clifford
 from gradedbrauer.cli import main
 from gradedbrauer.scalars import REAL
@@ -166,6 +172,19 @@ def test_negative_form_after_an_abbreviated_flag(capsys, flag, command, form):
     assert abbreviated == glued
 
 
+@pytest.mark.parametrize("argv", [
+    ["azumaya", "--form=--"], ["invariants", "--algebra=--"],
+    ["selftest", "--seed=--"], ["space", "free-product", "--h3tors=--"],
+    ["space", "free-product", "--h0=--"]])
+def test_double_dash_as_an_option_value_exits_two(capsys, argv):
+    """argparse reads ``--form=--`` as an empty list of values, which no
+    handler takes; it is bad input, not an internal failure."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ValueError", "message": "an option's value cannot be '--'"}
+
+
 def test_ambiguous_abbreviation_is_still_a_usage_error(capsys):
     """``--f`` could be ``--form`` or ``--field``: argparse refuses it."""
     with pytest.raises(SystemExit) as exc:
@@ -179,7 +198,7 @@ def test_ambiguous_abbreviation_is_still_a_usage_error(capsys):
     ["invariants", "--form", ",".join(["-1"] * 17)],
     ["tensor", "form:1,1,1,1,1,1", "form:1,1,1,1,1"],
     ["invariants", "--algebra", "end:20,13"],
-    ["invariants", "--algebra", "end:20,0"],  # purely even: stabilized to dim 1600
+    ["invariants", "--algebra", "end:33,0"],  # purely even, dim 1089
 ])
 def test_algebras_above_the_size_budget_exit_two(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
@@ -187,6 +206,15 @@ def test_algebras_above_the_size_budget_exit_two(capsys, argv):
     error = json.loads(out)["error"]
     assert error["type"] == "AlgebraError"
     assert "MAX_DIM = 1024" in error["message"]
+
+
+@pytest.mark.parametrize("even", [20, 32])
+def test_purely_even_algebras_classify_up_to_the_size_budget(capsys, even):
+    """``end:20,0`` (dim 400) and ``end:32,0`` (dim 1024) are classified
+    from their own center, not inside a stabilization four times larger."""
+    code, out, _ = run_cli(capsys, "invariants", "--algebra", f"end:{even},0")
+    assert code == 0
+    assert json.loads(out)["bw"] == 0
 
 
 def test_json_above_the_size_budget_exits_two(capsys, tmp_path):
@@ -231,3 +259,156 @@ def test_non_list_parity_or_structure_exits_two(capsys, tmp_path, key, value):
     assert code == 2
     assert doc["error"] == {"type": "AlgebraError",
                             "message": "parity and structure must be lists"}
+
+
+def assert_refused(capsys, tmp_path, doc, message):
+    code, out = run_file(capsys, tmp_path, doc)
+    assert code == 2
+    assert out["error"] == {"type": "AlgebraError", "message": message}
+
+
+def test_non_string_field_label_exits_two(capsys, tmp_path):
+    alg = generator_json()
+    alg["field"] = ["R"]
+    assert_refused(capsys, tmp_path, alg,
+                   "field must be a string label, not list ['R']")
+
+
+def test_non_list_unit_exits_two(capsys, tmp_path):
+    alg = generator_json()
+    alg["unit"] = 5
+    assert_refused(capsys, tmp_path, alg, "unit must be a list, not int")
+
+
+def test_string_unit_is_not_read_by_characters(capsys, tmp_path):
+    """``"unit": "1"`` on the ground field is a string, not the list ["1"]."""
+    doc = {"field": "R", "parity": [0], "unit": "1", "structure": [[0, 0, 0, "1"]]}
+    assert_refused(capsys, tmp_path, doc, "unit must be a list, not str")
+
+
+# k[x]/(x^2 - 1) with x even, as a dense table: e_i e_j = e_{i xor j}
+DENSE_PLANE = [["1", "0"], ["0", "1"]]
+
+
+def test_dense_table_with_a_non_list_plane_exits_two(capsys, tmp_path):
+    doc = {"field": "R", "parity": [0, 0], "structure": [DENSE_PLANE, 5]}
+    assert_refused(capsys, tmp_path, doc, "dense structure table has the wrong shape")
+
+
+def test_dense_table_with_a_non_list_fiber_exits_two(capsys, tmp_path):
+    doc = {"field": "R", "parity": [0, 0],
+           "structure": [DENSE_PLANE, [["0", "1"], 5]]}
+    assert_refused(capsys, tmp_path, doc, "dense structure table has the wrong shape")
+
+
+def test_dense_table_with_a_string_fiber_is_not_read_by_characters(capsys, tmp_path):
+    doc = {"field": "R", "parity": [0, 0],
+           "structure": [DENSE_PLANE, [["0", "1"], "10"]]}
+    assert_refused(capsys, tmp_path, doc, "dense structure table has the wrong shape")
+
+
+# ------------------------------------------------------------ fuzzing main
+
+SCALAR_TEXT = st.text(alphabet="0123456789-+/.ieE ", max_size=6)
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 3)
+               | st.floats(allow_nan=False, allow_infinity=False)
+               | SCALAR_TEXT | st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=16)
+# Small algebras the perturbations start from: every kind of center.
+SEEDS = [clifford(DiagonalForm(form, REAL)).to_json()
+         for form in ((), (1,), (-1,), (1, -1), (-1, -1))]
+SEEDS += [end_graded(1, 1).to_json(), end_graded(2, 0).to_json(),
+          {"field": "C", "parity": [0, 0], "unit": ["1", "0"],
+           "structure": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]]}]
+
+
+@st.composite
+def algebra_documents(draw):
+    """A small algebra's JSON with a few entries, keys or values changed:
+    often still a valid algebra, often not associative, often malformed."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(SEEDS))))
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("value", "drop", "add", "key", "unit")))
+        structure = doc.get("structure")
+        if not isinstance(structure, list):
+            structure = []  # replaced by an arbitrary value: nothing to edit
+        if edit == "value" and structure:
+            entry = draw(st.sampled_from(structure))
+            if isinstance(entry, list) and entry:
+                entry[-1] = draw(SCALAR_TEXT | st.integers(-2, 2))
+        elif edit == "drop" and structure:
+            structure.pop(draw(st.integers(0, len(structure) - 1)))
+        elif edit == "add":
+            index = st.integers(0, 4)
+            structure.append([draw(index), draw(index), draw(index),
+                              draw(st.sampled_from(("1", "-1", "2", "1/2", "i")))])
+        elif edit == "key":
+            doc[draw(st.sampled_from(("field", "dim", "parity", "unit",
+                                      "structure")))] = draw(JSON_VALUES)
+        else:
+            doc.pop("unit", None)
+    return doc
+
+
+STDIN = (algebra_documents().map(json.dumps) | JSON_VALUES.map(json.dumps)
+         | st.text(max_size=20))
+# Shorthand and form text; a bare name is a path, looked up in an empty
+# directory.
+FORM_TEXT = st.text(alphabet="0123456789-+/,.ieE ", max_size=12) | st.text(max_size=6)
+SHORTHAND = (st.just("-") | st.just("ground") | FORM_TEXT.map("form:{}".format)
+             | FORM_TEXT.map("end:{}".format)
+             | st.text(alphabet=st.characters(blacklist_characters="/\\"), max_size=8))
+
+
+@st.composite
+def cli_calls(draw):
+    command = draw(st.sampled_from(("invariants", "azumaya", "centralizer")))
+    argv = [command]
+    if draw(st.booleans()):
+        argv.append("--form=" + draw(FORM_TEXT))
+    else:
+        argv.append("--algebra=" + draw(SHORTHAND))
+    argv += ["--field", draw(st.sampled_from(("R", "C")))]
+    if command == "invariants" and draw(st.booleans()):
+        argv.append("--opposite")
+    return argv, draw(STDIN)
+
+
+def on_stdin(doc):
+    return ["invariants", "--algebra=-", "--field", "R"], json.dumps(doc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cli_calls())
+@example(on_stdin({"field": ["R"], "parity": [0], "structure": [[0, 0, 0, "1"]]}))
+@example(on_stdin({"field": "R", "parity": [0], "unit": 5, "structure": [[0, 0, 0, "1"]]}))
+@example(on_stdin({"field": "R", "parity": [0], "unit": "1", "structure": [[0, 0, 0, "1"]]}))
+@example(on_stdin({"field": "R", "parity": [0, 0], "structure": [DENSE_PLANE, 5]}))
+@example(on_stdin({"field": "R", "parity": [0, 0],
+                   "structure": [DENSE_PLANE, [["0", "1"], 5]]}))
+@example(on_stdin({"field": "R", "parity": [0, 0],
+                   "structure": [DENSE_PLANE, [["0", "1"], "10"]]}))
+@example((["invariants", "--form=1e9999999"], ""))
+@example((["azumaya", "--form=--"], ""))
+def test_every_input_exits_zero_or_two(call):
+    """``main`` on arbitrary shorthand, forms and JSON on stdin: exit 0
+    with a JSON document, or exit 2 with exactly one ``{"error": {"type",
+    "message"}}`` document; never 1.  A small ``MAX_DIM`` keeps every
+    example fast."""
+    argv, stdin = call
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as empty:
+        mp.setattr(algebra, "MAX_DIM", 16)
+        mp.setattr(sys, "stdin", io.StringIO(stdin))
+        mp.chdir(empty)
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    assert code in (0, 2), out.getvalue()
+    doc = json.loads(out.getvalue())
+    if code == 2:
+        assert list(doc) == ["error"]
+        assert sorted(doc["error"]) == ["message", "type"]

@@ -15,12 +15,13 @@ import pytest
 from gradedbrauer import invariants
 from gradedbrauer.algebra import (GradedAlgebra, NotAzumayaError, end_graded,
                                   graded_tensor, ground_algebra, hat_center,
-                                  m11, opposite)
+                                  opposite)
 from gradedbrauer.clifford import DiagonalForm, clifford, relabel, signature_form
 from gradedbrauer.invariants import (bw_class, invariant_triple, parity_class,
                                      q2_class, quadratic_descriptor,
                                      ungraded_class)
 from gradedbrauer.scalars import COMPLEX, REAL, GaussianRational
+from centralizer_oracle import m11
 
 F = Fraction
 

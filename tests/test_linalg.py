@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedbrauer.linalg import in_span, nullspace, rank, signature, solve
+from gradedbrauer.linalg import column_kernel, combine, in_span, signature
 from gradedbrauer.scalars import COMPLEX, REAL, GaussianRational
 from centralizer_oracle import (dense_nullspace, dense_rank, dense_solve,
                                 in_row_span, row_echelon)
@@ -14,31 +14,15 @@ F = Fraction
 small_entries = st.integers(min_value=-6, max_value=6).map(F)
 
 
-def matrices(max_side=5):
-    return st.integers(1, max_side).flatmap(
-        lambda m: st.integers(1, max_side).flatmap(
-            lambda n: st.lists(
-                st.lists(small_entries, min_size=n, max_size=n),
-                min_size=m, max_size=m)))
+def rows_of(matrix):
+    """The sparse rows of a dense matrix, zero rows left out."""
+    return {i: {j: v for j, v in enumerate(row) if v}
+            for i, row in enumerate(matrix) if any(row)}
 
 
-def mat_mul_vec(rows, vec):
-    return [sum(r[j] * vec[j] for j in range(len(vec))) for r in rows]
-
-
-def test_rank_of_rank_one_matrix():
-    rows = [[F(1), F(2)], [F(2), F(4)], [F(-3), F(-6)]]
-    assert rank(rows) == 1
-
-
-@given(matrices())
-@settings(max_examples=60, deadline=None)
-def test_nullspace_vectors_are_killed(rows):
-    n = len(rows[0])
-    basis = nullspace(rows, REAL)
-    assert len(basis) == n - rank(rows)
-    for vec in basis:
-        assert mat_mul_vec(rows, vec) == [0] * len(rows)
+def test_kernel_of_rank_one_matrix():
+    columns = [{0: F(1), 1: F(2), 2: F(-3)}, {0: F(2), 1: F(4), 2: F(-6)}]
+    assert column_kernel(columns, 1) == [{0: F(-2), 1: 1}]
 
 
 rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
@@ -46,8 +30,9 @@ rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 
 @st.composite
 def kernel_inputs(draw):
-    """A field and a matrix over it: random, of forced low rank, or zero,
-    with zero rows (the empty matrix) or zero columns allowed."""
+    """A field and a matrix over it, as dense rows for the references and
+    as sparse columns: random, of forced low rank, or zero, with zero rows
+    (the empty matrix) or zero columns allowed."""
     field = draw(st.sampled_from((REAL, COMPLEX)))
     if field is REAL:
         entry = rationals
@@ -56,31 +41,52 @@ def kernel_inputs(draw):
     m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     kind = draw(st.sampled_from(("random", "low rank", "zero")))
     if kind == "zero":
-        return field, [[field.zero()] * n for _ in range(m)]
-    if kind == "random":
-        return field, [[draw(entry) for _ in range(n)] for _ in range(m)]
-    r = draw(st.integers(0, max(0, min(m, n) - 1)))
-    left = [[draw(entry) for _ in range(r)] for _ in range(m)]
-    right = [[draw(entry) for _ in range(n)] for _ in range(r)]
-    return field, [[sum((left[i][k] * right[k][j] for k in range(r)), field.zero())
-                    for j in range(n)] for i in range(m)]
+        rows = [[field.zero()] * n for _ in range(m)]
+    elif kind == "random":
+        rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    else:
+        r = draw(st.integers(0, max(0, min(m, n) - 1)))
+        left = [[draw(entry) for _ in range(r)] for _ in range(m)]
+        right = [[draw(entry) for _ in range(n)] for _ in range(r)]
+        rows = [[sum((left[i][k] * right[k][j] for k in range(r)), field.zero())
+                 for j in range(n)] for i in range(m)]
+    columns = [{i: x for i, x in enumerate(column) if x} for column in zip(*rows)]
+    return field, rows, columns
+
+
+@given(kernel_inputs())
+@settings(max_examples=100, deadline=None)
+def test_column_kernel_vectors_are_killed(case):
+    field, rows, columns = case
+    kernel = column_kernel(columns, field.one())
+    assert len(kernel) == len(columns) - dense_rank(rows)
+    for combo in kernel:
+        assert combo and combine(combo, columns) == {}
 
 
 @given(kernel_inputs())
 @settings(max_examples=200, deadline=None)
-def test_nullspace_equals_the_dense_back_substitution(case):
-    field, rows = case
+def test_column_kernel_equals_the_dense_back_substitution(case):
+    field, rows, columns = case
     want = dense_nullspace(rows, field)
-    got = nullspace(rows, field)
+    got = []
+    for combo in column_kernel(columns, field.one()):
+        vec = [field.zero()] * len(columns)
+        for c, x in combo.items():
+            vec[c] = x
+        got.append(vec)
     assert [[(type(x), x) for x in v] for v in got] == \
         [[(type(x), x) for x in v] for v in want]
 
 
 @given(kernel_inputs(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_rank_solve_and_span_equal_the_dense_elimination(case, data):
-    field, rows = case
-    assert rank(rows) == dense_rank(rows)
+def test_rank_and_span_equal_the_dense_elimination(case, data):
+    """The column kernel gives the dense rank, and with a right-hand side
+    appended as a last column it gives dense elimination's solution (the
+    one that is zero at every dependent column) or none."""
+    field, rows, columns = case
+    assert len(columns) - len(column_kernel(columns, field.one())) == dense_rank(rows)
     if not rows:
         return
     ncols = len(rows[0])
@@ -90,28 +96,15 @@ def test_rank_solve_and_span_equal_the_dense_elimination(case, data):
                  for r in rows],
                 [data.draw(rationals) for _ in rows]):
         want = dense_solve(rows, rhs, field)
-        assert solve(rows, rhs, field) == want
+        vector = {i: b for i, b in enumerate(rhs) if b}
+        kernel = column_kernel(columns + [vector], field.one())
+        if want is not None:
+            assert kernel and kernel[-1][ncols] == 1
+            assert {c: -v for c, v in kernel[-1].items() if c != ncols} == \
+                {c: x for c, x in enumerate(want) if x}
         echelon, pivots = row_echelon([list(r) for r in zip(*rows)] or [[]])
         spanned = in_row_span(echelon, pivots, rhs) if ncols else not any(rhs)
-        columns = [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(ncols)]
-        vector = {i: b for i, b in enumerate(rhs) if b}
         assert in_span(columns, vector, field.one()) == spanned == (want is not None)
-
-
-@given(matrices())
-@settings(max_examples=60, deadline=None)
-def test_solve_round_trip(rows):
-    n = len(rows[0])
-    target = [F(i % 3 - 1) for i in range(n)]
-    rhs = mat_mul_vec(rows, target)
-    x = solve(rows, rhs, REAL)
-    assert x is not None
-    assert mat_mul_vec(rows, x) == rhs
-
-
-def test_solve_detects_inconsistency():
-    rows = [[F(1), F(1)], [F(2), F(2)]]
-    assert solve(rows, [F(1), F(3)], REAL) is None
 
 
 def test_in_span():
@@ -124,13 +117,45 @@ def test_in_span():
 
 def test_signature_of_diagonal():
     sym = [[F(2), F(0), F(0)], [F(0), F(-3), F(0)], [F(0), F(0), F(0)]]
-    assert signature(sym) == (1, 1, 1)
+    assert signature(rows_of(sym), 3) == (1, 1, 1)
 
 
 def test_signature_needs_the_off_diagonal_trick():
     # hyperbolic plane: zero diagonal, signature (1, 1, 0)
     sym = [[F(0), F(1)], [F(1), F(0)]]
-    assert signature(sym) == (1, 1, 0)
+    assert signature(rows_of(sym), 2) == (1, 1, 0)
+
+
+def test_signature_counts_absent_rows_as_zero():
+    assert signature({}, 4) == (0, 0, 4)
+    assert signature({2: {2: F(-1, 2)}}, 5) == (0, 1, 4)
+
+
+def test_signature_refuses_an_asymmetric_matrix():
+    with pytest.raises(ValueError, match="symmetric"):
+        signature({0: {1: F(1)}, 1: {0: F(2)}}, 2)
+
+
+def test_signature_leaves_its_input_alone():
+    rows = rows_of([[F(0), F(1), F(2)], [F(1), F(0), F(0)], [F(2), F(0), F(5)]])
+    copy = {i: dict(row) for i, row in rows.items()}
+    signature(rows, 3)
+    assert rows == copy
+
+
+def congruent(change, sym):
+    n = len(sym)
+    return [[sum(change[k][i] * sym[k][l] * change[l][j]
+                 for k in range(n) for l in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+def invertible(change):
+    n = len(change)
+    if dense_rank(change) < n:
+        for i in range(n):
+            change[i][i] += 1  # nudge toward invertibility
+    return dense_rank(change) == n
 
 
 @given(st.integers(1, 4).flatmap(
@@ -144,12 +169,28 @@ def test_signature_is_congruence_invariant(pair):
     base, change = pair
     n = len(base)
     sym = [[base[i][j] + base[j][i] for j in range(n)] for i in range(n)]
-    if rank(change) < n:
-        for i in range(n):
-            change[i][i] += 1  # nudge toward invertibility
-        if rank(change) < n:
-            return
-    transformed = [[sum(change[k][i] * sym[k][l] * change[l][j]
-                        for k in range(n) for l in range(n))
-                    for j in range(n)] for i in range(n)]
-    assert signature(transformed) == signature(sym)
+    if not invertible(change):
+        return
+    assert signature(rows_of(congruent(change, sym)), n) == signature(rows_of(sym), n)
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.sampled_from((F(-2), F(-1, 3), F(0), F(1), F(5, 2))),
+                 min_size=n, max_size=n),
+        st.lists(st.lists(small_entries, min_size=n, max_size=n),
+                 min_size=n, max_size=n))))
+@settings(max_examples=100, deadline=None)
+def test_signature_is_sylvesters_inertia(pair):
+    """``B^T D B`` for an invertible ``B`` has the inertia of the diagonal
+    ``D`` (Sylvester's law of inertia), however much the congruence fills
+    in, zero diagonals included."""
+    diagonal, change = pair
+    n = len(diagonal)
+    if not invertible(change):
+        return
+    sym = congruent(change, [[diagonal[i] if i == j else F(0) for j in range(n)]
+                             for i in range(n)])
+    want = (sum(d > 0 for d in diagonal), sum(d < 0 for d in diagonal),
+            sum(d == 0 for d in diagonal))
+    assert signature(rows_of(sym), n) == want

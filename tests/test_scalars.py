@@ -91,6 +91,15 @@ def test_fields_reject_inexact_and_non_numeric_scalars(value):
             field.coerce(value)
 
 
+@pytest.mark.parametrize("text", ["1e9999999", "2E-9999999", "1+1e9999999i"])
+def test_exponents_are_refused_before_they_are_expanded(text):
+    """``Fraction("1e9999999")`` would compute ``10**9999999`` (seconds and
+    megabytes); a scalar is ``p/q`` or ``a+bi``, so an exponent is refused."""
+    for field in (REAL, COMPLEX):
+        with pytest.raises(ValueError, match="not a rational scalar"):
+            field.parse(text)
+
+
 def test_complex_field_accepts_everything_rational():
     assert COMPLEX.coerce(Fraction(1, 2)) == GaussianRational(Fraction(1, 2), 0)
     assert COMPLEX.parse("1-i") == GaussianRational(1, -1)
