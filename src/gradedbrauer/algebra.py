@@ -866,12 +866,17 @@ def trace_gram(a: GradedAlgebra) -> dict[int, dict[int, Scalar]]:
     return rows
 
 
-def trace_signature(a: GradedAlgebra) -> int:
-    """Signature (positives minus negatives) of the regular trace form.
+def trace_inertia(a: GradedAlgebra) -> tuple[int, int, int]:
+    """Inertia ``(positive, negative, zero)`` of the regular trace form.
 
     Only defined over the real point; the complex point has no signs.
     """
     if not a.field.is_real:
         raise AlgebraError("trace signature is only defined over the real point")
-    pos, neg, _ = linalg.signature(trace_gram(a), a.dim)
+    return linalg.signature(trace_gram(a), a.dim)
+
+
+def trace_signature(a: GradedAlgebra) -> int:
+    """Signature (positives minus negatives) of the regular trace form."""
+    pos, neg, _ = trace_inertia(a)
     return pos - neg

@@ -278,7 +278,7 @@ def main(argv=None) -> int:
         if [] in vars(args).values():  # argparse reads "--form=--" as no values
             raise ValueError("an option's value cannot be '--'")
         payload, code = args.handler(args)
-    except (AlgebraError, DescriptorError, ValueError, OSError, KeyError) as exc:
+    except (AlgebraError, DescriptorError, ValueError, OSError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 2
     except Exception as exc:  # noqa: BLE001 - report, then signal internal failure

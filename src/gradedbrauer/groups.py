@@ -23,35 +23,24 @@ what pins the answer down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterable, Optional
-
-
-def _prime_factorization(n: int) -> dict[int, int]:
-    """Trial-division factorization, fine for the orders seen here.
-
-    >>> _prime_factorization(360)
-    {2: 3, 3: 2, 5: 1}
-    """
-    if n < 1:
-        raise ValueError(f"cannot factor {n}")
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def invariant_factors(cyclic_orders: Iterable[int]) -> tuple[int, ...]:
     """Canonical ascending invariant factors of a direct sum of cyclics.
 
-    Merges the prime-power content of each order and rebuilds the
-    divisibility chain: the largest factor soaks up the highest power of
-    every prime, the next factor the second-highest powers, and so on.
+    Uses only gcd and lcm, so no order is ever factored.  Each order
+    ``n`` is folded into the chain from its smallest factor up: at a
+    factor ``d`` the pair becomes ``gcd(d, n)``, kept in ``d``'s place,
+    and ``lcm(d, n)``, carried on as the new ``n``; what is carried past
+    the largest factor is appended.  Every step is the isomorphism
+    ``Z/d + Z/n = Z/gcd(d, n) + Z/lcm(d, n)``.  At one prime the pair's
+    exponents become (min, max), so the fold inserts ``n``'s exponent
+    into the chain's ascending exponents like one pass of insertion
+    sort.  The exponents stay ascending at every prime at once, which
+    is the divisibility chain; the 1s that gcds leave at the bottom are
+    dropped.  The work is quadratic in the number of orders.
 
     >>> invariant_factors([2, 3])
     (6,)
@@ -62,26 +51,15 @@ def invariant_factors(cyclic_orders: Iterable[int]) -> tuple[int, ...]:
     >>> invariant_factors([1, 1])
     ()
     """
-    per_prime: dict[int, list[int]] = {}
+    chain: list[int] = []
     for n in cyclic_orders:
         if n < 1:
             raise ValueError(f"cyclic order must be positive, got {n}")
-        if n == 1:
-            continue
-        for p, e in _prime_factorization(n).items():
-            per_prime.setdefault(p, []).append(e)
-    if not per_prime:
-        return ()
-    depth = max(len(v) for v in per_prime.values())
-    factors = []
-    for slot in range(depth):  # slot 0 builds the largest factor
-        f = 1
-        for p, exps in per_prime.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if slot < len(exps_sorted):
-                f *= p ** exps_sorted[slot]
-        factors.append(f)
-    return tuple(reversed(factors))
+        for j, d in enumerate(chain):
+            g = gcd(d, n)
+            chain[j], n = g, d // g * n
+        chain.append(n)
+    return tuple(d for d in chain if d > 1)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import (GradedAlgebra, NotAzumayaError, graded_tensor,
-                      ground_algebra, hat_center, opposite, trace_signature)
+                      ground_algebra, hat_center, opposite, trace_inertia)
 from .clifford import DiagonalForm, clifford
 from .scalars import Field, field_from_label
 
@@ -88,20 +88,31 @@ def ungraded_class(a: GradedAlgebra) -> int:
 
     Examines the regular trace form of the designated ungraded algebra:
     the input itself when its class is even, its degree-0 part when
-    odd.  A zero signature means the input is not in the Azumaya range
-    of this detector.  Computed once per algebra and kept on it, like
+    odd.  On graded Azumaya input that algebra is central simple: for
+    an even class it is the input, and for an odd class the input is
+    ``A_0 (x) k[z]/(z^2 - lambda)`` with ``z`` the odd generator of the
+    graded center and ``lambda != 0``.  A central simple algebra in
+    characteristic 0 has a nondegenerate trace form, so a degenerate
+    one (a nonzero zero count in the same inertia) refuses the input,
+    and so does a zero signature, which leaves no division-type
+    anchor.  Computed once per algebra and kept on it, like
     :func:`quadratic_descriptor`.
     """
     if not a.field.is_real:
         return 0
     if a._ungraded is None:
         designated = a if parity_class(a) == 0 else a.even_part()
-        sig = trace_signature(designated)
-        if sig == 0:
+        pos, neg, zero = trace_inertia(designated)
+        if zero:
+            raise NotAzumayaError(
+                f"regular trace form is degenerate (nullity {zero}); "
+                "the algebra is not graded Azumaya"
+            )
+        if pos == neg:
             raise NotAzumayaError(
                 "regular trace form has zero signature; no division-type anchor"
             )
-        a._ungraded = 0 if sig > 0 else 1
+        a._ungraded = 0 if pos > neg else 1
     return a._ungraded
 
 

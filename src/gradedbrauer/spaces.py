@@ -31,7 +31,7 @@ checks it, and the test suite enforces it across every golden table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import singledispatch
 from typing import Optional, Union
 
@@ -74,34 +74,38 @@ class InvariantReport:
         return go == ro * qo
 
     def to_json(self) -> dict:
-        def enc(g: GroupLike):
-            return None if g is None else g.to_json()
+        def enc(value):
+            if isinstance(value, tuple):
+                return list(value)
+            return None if value is None else value.to_json()
 
-        return {
-            "q2": enc(self.q2),
-            "rbr": enc(self.rbr),
-            "gbr": enc(self.gbr),
-            "wr": enc(self.wr),
-            "br": enc(self.br),
-            "bw": enc(self.bw),
-            "w": enc(self.w),
-            "rules": list(self.rules),
-            "notes": list(self.notes),
-        }
+        return {f.name: enc(getattr(self, f.name)) for f in fields(self)}
 
 
-def _nonneg(name: str, value: int) -> int:
-    if not isinstance(value, int) or value < 0:
-        raise DescriptorError(f"{name} must be a nonnegative integer, got {value!r}")
-    return value
+# What a descriptor field of each annotated type must hold.
+_FIELD_RULES = {
+    "int": (lambda v: type(v) is int and v >= 0, "a nonnegative integer"),
+    "bool": (lambda v: type(v) is bool, "a bool"),
+    "AbGroup": (lambda v: isinstance(v, AbGroup) and v.is_finite(),
+                "a finite AbGroup"),
+}
 
 
-def _finite_group(name: str, g: AbGroup) -> AbGroup:
-    if not isinstance(g, AbGroup):
-        raise DescriptorError(f"{name} must be an AbGroup")
-    if not g.is_finite():
-        raise DescriptorError(f"{name} must be finite, got {g}")
-    return g
+class _Descriptor:
+    """Base of the descriptor dataclasses: every field is checked against
+    its annotation by :data:`_FIELD_RULES` (a bool is not an ``int``),
+    then the class's own rules between fields run in ``_check``."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            holds, kind = _FIELD_RULES[f.type]
+            value = getattr(self, f.name)
+            if not holds(value):
+                raise DescriptorError(f"{f.name} must be {kind}, got {value!r}")
+        self._check()
+
+    def _check(self) -> None:
+        """Rules between fields; none unless a subclass overrides this."""
 
 
 # --------------------------------------------------------------------------
@@ -109,7 +113,7 @@ def _finite_group(name: str, g: AbGroup) -> AbGroup:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TrivialAction:
+class TrivialAction(_Descriptor):
     """Connected finite complex with the trivial involution.
 
     ``b1``/``b2`` are the mod-2 Betti numbers and ``bockstein_rank``
@@ -124,10 +128,7 @@ class TrivialAction:
     bockstein_rank: int = 0
     components: int = 1
 
-    def __post_init__(self) -> None:
-        _nonneg("b1", self.b1)
-        _nonneg("b2", self.b2)
-        _nonneg("bockstein_rank", self.bockstein_rank)
+    def _check(self) -> None:
         if self.components != 1:
             raise DescriptorError(
                 "only the connected case is implemented; got "
@@ -141,7 +142,7 @@ class TrivialAction:
 
 
 @dataclass(frozen=True)
-class FreeProduct:
+class FreeProduct(_Descriptor):
     """Two copies of a finite complex, swapped by the involution.
 
     Equivariantly this is ``(two-point free orbit) x Y``; the quotient
@@ -153,15 +154,13 @@ class FreeProduct:
     h1: int = 0
     h3_torsion: AbGroup = field(default_factory=AbGroup.trivial)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.h0 < 1:
             raise DescriptorError("h0 counts components of a nonempty space")
-        _nonneg("h1", self.h1)
-        _finite_group("h3_torsion", self.h3_torsion)
 
 
 @dataclass(frozen=True)
-class Graph:
+class Graph(_Descriptor):
     """Connected 1-dimensional complex with involution.
 
     ``fixed_components`` counts the connected components of the fixed
@@ -172,9 +171,7 @@ class Graph:
     fixed_components: int
     h1_quotient: int
 
-    def __post_init__(self) -> None:
-        _nonneg("fixed_components", self.fixed_components)
-        _nonneg("h1_quotient", self.h1_quotient)
+    def _check(self) -> None:
         if self.fixed_components == 0 and self.h1_quotient == 0:
             raise DescriptorError(
                 "a free involution on a connected graph forces a loop in the "
@@ -184,7 +181,7 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class SurfaceWithInvolution:
+class SurfaceWithInvolution(_Descriptor):
     """Closed connected orientable surface with involution.
 
     ``genus`` is the genus of the surface itself; ``fixed_circles``
@@ -194,13 +191,9 @@ class SurfaceWithInvolution:
     genus: int
     fixed_circles: int
 
-    def __post_init__(self) -> None:
-        _nonneg("genus", self.genus)
-        _nonneg("fixed_circles", self.fixed_circles)
-
 
 @dataclass(frozen=True)
-class RealCurve:
+class RealCurve(_Descriptor):
     """Smooth projective geometrically irreducible curve over the reals.
 
     ``genus`` is the genus of the complexified curve; ``real_components``
@@ -213,25 +206,18 @@ class RealCurve:
     genus: int
     real_components: int
 
-    def __post_init__(self) -> None:
-        _nonneg("genus", self.genus)
-        _nonneg("real_components", self.real_components)
-
 
 @dataclass(frozen=True)
-class ComplexCurve:
+class ComplexCurve(_Descriptor):
     """Connected algebraic curve over the complex numbers; ``h1`` is the
     mod-2 rank of the first etale cohomology (2g for a smooth projective
     curve of genus g, more for an open one)."""
 
     h1: int
 
-    def __post_init__(self) -> None:
-        _nonneg("h1", self.h1)
-
 
 @dataclass(frozen=True)
-class FreeFourDim:
+class FreeFourDim(_Descriptor):
     """Connected complex of dimension at most 4 with a free involution.
 
     ``h1_quotient`` is the mod-2 first Betti number of the quotient;
@@ -249,10 +235,7 @@ class FreeFourDim:
     two_torsion_h3: int = 0
     h3_exponent_at_most_two: bool = False
 
-    def __post_init__(self) -> None:
-        _nonneg("h1_quotient", self.h1_quotient)
-        _nonneg("h1_quotient_reduced", self.h1_quotient_reduced)
-        _nonneg("two_torsion_h3", self.two_torsion_h3)
+    def _check(self) -> None:
         if self.h1_quotient_reduced > self.h1_quotient:
             raise DescriptorError(
                 "h1_quotient_reduced is a quotient of h1_quotient and cannot "
@@ -265,7 +248,7 @@ class FreeFourDim:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ComplexProjective:
+class ComplexProjective(_Descriptor):
     """Smooth projective variety over the complex numbers.
 
     ``h0``/``h1`` are mod-2 Betti numbers of the complex points,
@@ -280,16 +263,13 @@ class ComplexProjective:
     divisible_rank: int
     h3_torsion: AbGroup = field(default_factory=AbGroup.trivial)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.h0 < 1:
             raise DescriptorError("h0 counts components of a nonempty variety")
-        _nonneg("h1", self.h1)
-        _nonneg("divisible_rank", self.divisible_rank)
-        _finite_group("h3_torsion", self.h3_torsion)
 
 
 @dataclass(frozen=True)
-class RealProjective:
+class RealProjective(_Descriptor):
     """Smooth projective geometrically connected variety over the reals.
 
     ``lefschetz_rank`` is the Lefschetz number of the real structure
@@ -305,9 +285,7 @@ class RealProjective:
     real_brauer: AbGroup = field(default_factory=AbGroup.trivial, kw_only=True)
     h1_equivariant: int
 
-    def __post_init__(self) -> None:
-        _nonneg("lefschetz_rank", self.lefschetz_rank)
-        _finite_group("real_brauer", self.real_brauer)
+    def _check(self) -> None:
         if self.h1_equivariant < 1:
             raise DescriptorError(
                 "h1_equivariant is at least 1: the twisted line class never "
@@ -316,7 +294,7 @@ class RealProjective:
 
 
 @dataclass(frozen=True)
-class ComplexSurfaceWitt:
+class ComplexSurfaceWitt(_Descriptor):
     """Witt-group data of a smooth projective surface over the complex
     numbers: ``h1`` and 2-torsion rank of ``H^3`` of the complex points,
     plus the rank of the divisible part of the Brauer group."""
@@ -325,14 +303,9 @@ class ComplexSurfaceWitt:
     h1: int
     two_torsion_h3: int = 0
 
-    def __post_init__(self) -> None:
-        _nonneg("divisible_rank", self.divisible_rank)
-        _nonneg("h1", self.h1)
-        _nonneg("two_torsion_h3", self.two_torsion_h3)
-
 
 @dataclass(frozen=True)
-class RealSurfaceNoPoints:
+class RealSurfaceNoPoints(_Descriptor):
     """Smooth projective geometrically connected real surface with no
     real points.
 
@@ -347,20 +320,12 @@ class RealSurfaceNoPoints:
     two_torsion_brauer: int
     h1_quotient_reduced: int
 
-    def __post_init__(self) -> None:
-        _nonneg("lefschetz_rank", self.lefschetz_rank)
-        _nonneg("two_torsion_brauer", self.two_torsion_brauer)
-        _nonneg("h1_quotient_reduced", self.h1_quotient_reduced)
+    def _check(self) -> None:
         if self.two_torsion_brauer < self.lefschetz_rank:
             raise DescriptorError(
                 "the Lefschetz number embeds a (Z/2)^rank into the 2-torsion "
                 "of the Brauer group, so two_torsion_brauer >= lefschetz_rank"
             )
-
-
-Descriptor = Union[TrivialAction, FreeProduct, Graph, SurfaceWithInvolution,
-                   RealCurve, ComplexCurve, FreeFourDim, ComplexProjective,
-                   RealProjective, ComplexSurfaceWitt, RealSurfaceNoPoints]
 
 
 # --------------------------------------------------------------------------

@@ -13,10 +13,13 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from gradedbrauer.algebra import (GradedAlgebra, end_graded, graded_tensor,
-                                  ground_algebra, is_azumaya, opposite)
+from gradedbrauer.algebra import (GradedAlgebra, NotAzumayaError, end_graded,
+                                  graded_tensor, ground_algebra, is_azumaya,
+                                  opposite)
 from gradedbrauer.clifford import DiagonalForm, clifford, relabel, signature_form
+from gradedbrauer.invariants import bw_class
 from gradedbrauer.scalars import COMPLEX, REAL
 from centralizer_oracle import dense_rank, m11
 from sandwich_oracle import rank_mod_prime, sandwich_is_azumaya
@@ -176,6 +179,18 @@ def test_known_non_azumaya_inputs():
         assert not sandwich_is_azumaya(a), repr(a)
         assert not is_azumaya(shuffled(a, rng))
         assert not is_azumaya(graded_tensor(a, cl(1, 0, a.field)))
+
+
+def test_bw_class_refuses_every_real_non_azumaya_variant():
+    """Over R the designated algebra of each of these has a degenerate
+    trace form, or its center is too big; either way no class."""
+    rng = random.Random(3)
+    for a in known_non_azumaya():
+        if a.field is not REAL:
+            continue
+        for variant in (a, shuffled(a, rng), graded_tensor(a, cl(1, 0))):
+            with pytest.raises(NotAzumayaError):
+                bw_class(variant)
 
 
 def test_rank_mod_prime_matches_exact_rank():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from gradedbrauer import cli
 from gradedbrauer.cli import main
 
 
@@ -133,6 +134,31 @@ def test_non_azumaya_input_is_a_validation_error(capsys, tmp_path):
     assert doc["error"]["type"] == "NotAzumayaError"
 
 
+def test_real_algebra_with_a_degenerate_trace_form_exits_two(capsys, monkeypatch):
+    """Upper-triangular 2x2 matrices: the center is the ground field, but
+    the trace form is degenerate, and ``azumaya`` says false."""
+    upper = {"field": "R", "parity": [0, 0, 0], "unit": ["1", "0", "1"],
+             "structure": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 2, 1, "1"],
+                           [2, 2, 2, "1"]]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(upper)))
+    code, doc = run(capsys, "invariants", "--algebra", "-")
+    assert code == 2
+    assert doc["error"]["type"] == "NotAzumayaError"
+    assert "degenerate" in doc["error"]["message"]
+
+
+def test_internal_key_error_exits_one(capsys, monkeypatch):
+    """A KeyError is a bug in this package, not bad input."""
+    def broken(args):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(cli, "_cmd_azumaya", broken)
+    code, doc = run(capsys, "azumaya", "--form", "1")
+    assert code == 1
+    assert doc["error"] == {"type": "KeyError", "message": "'missing'",
+                            "internal": True}
+
+
 def test_usage_error_without_arguments(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])
@@ -172,3 +198,21 @@ def test_import_loads_no_numpy():
          "import sys, gradedbrauer; print('numpy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_a_prime_torsion_order_is_never_factored():
+    """``--h3tors`` with a 19-digit prime: the invariant factors come from
+    gcds, so the process does not run a trial division to ~10^9."""
+    import gradedbrauer
+    src = str(Path(gradedbrauer.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    p = 1000000000000000003
+    out = subprocess.run(
+        [sys.executable, "-m", "gradedbrauer.cli", "space", "free-product",
+         "--h3tors", str(p)],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert out.returncode == 0
+    doc = json.loads(out.stdout)
+    assert doc["rbr"]["torsion"] == [p]
+    assert doc["gbr"]["torsion"] == [2 * p]

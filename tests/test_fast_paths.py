@@ -92,7 +92,7 @@ def test_memoized_answers_equal_fresh_ones(name):
 def test_one_classification_per_algebra(monkeypatch, name):
     a = ALGEBRAS[name]()
     centers = counter(monkeypatch, "hat_center")
-    signatures = counter(monkeypatch, "trace_signature")
+    signatures = counter(monkeypatch, "trace_inertia")
     for _ in range(2):
         for f in CLASSIFIERS:
             f(a)
@@ -101,7 +101,7 @@ def test_one_classification_per_algebra(monkeypatch, name):
 
 
 def test_q2_class_alone_takes_no_trace_signature(monkeypatch):
-    signatures = counter(monkeypatch, "trace_signature")
+    signatures = counter(monkeypatch, "trace_inertia")
     for build in ALGEBRAS.values():
         a = build()
         q2_class(a)
@@ -122,7 +122,7 @@ def test_a_center_that_is_not_azumaya_is_never_kept(monkeypatch):
 
 def test_a_zero_signature_is_never_kept(monkeypatch):
     a = cl(0, 2)
-    monkeypatch.setattr(invariants, "trace_signature", lambda designated: 0)
+    monkeypatch.setattr(invariants, "trace_inertia", lambda designated: (2, 2, 0))
     for _ in range(2):
         with pytest.raises(NotAzumayaError, match="zero signature"):
             invariant_triple(a)

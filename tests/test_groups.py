@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,6 +31,25 @@ def test_invariant_factors_preserve_order(orders):
     assert got == product
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
+
+
+# Divisors of 2520 = 2^3 3^2 5 7, so that every lcm stays at most 2520.
+small_orders = st.lists(st.sampled_from([d for d in range(1, 2521) if 2520 % d == 0]),
+                        max_size=8)
+
+
+@given(small_orders)
+def test_invariant_factors_count_the_same_m_torsion(orders):
+    """``prod gcd(m, n)`` is the size of the m-torsion of ``+ Z/n``, and
+    two finite abelian groups with the same m-torsion sizes for every m
+    are isomorphic; the factors also form a chain without a 1."""
+    factors = invariant_factors(orders)
+    assert all(d > 1 for d in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    top = math.lcm(*orders)
+    for m in range(1, top + 1):
+        assert (math.prod(math.gcd(m, n) for n in orders)
+                == math.prod(math.gcd(m, d) for d in factors))
 
 
 @given(cyclic_lists, cyclic_lists)

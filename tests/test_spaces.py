@@ -251,6 +251,9 @@ def test_report_json_shape():
                            h1_equivariant=0),
     lambda: RealSurfaceNoPoints(lefschetz_rank=3, two_torsion_brauer=2,
                                 h1_quotient_reduced=0),
+    lambda: Graph(fixed_components=True, h1_quotient=1),
+    lambda: FreeProduct(h0="1"),
+    lambda: FreeFourDim(1, 0, h3_exponent_at_most_two=1),
 ])
 def test_descriptor_validation(build):
     with pytest.raises(DescriptorError):
