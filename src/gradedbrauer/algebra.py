@@ -828,10 +828,9 @@ def is_azumaya(a: GradedAlgebra) -> bool:
     ``x (x) y -> (c -> (-1)^{|y||c|} x c y)``, is bijective, without
     building its ``dim**2 x dim**2`` matrix.
     """
-    one = a.field.one()
-    gram = trace_gram(a)
-    if linalg.column_kernel([gram.get(i, {}) for i in range(a.dim)], one):
+    if trace_nullity(a):
         return False
+    one = a.field.one()
     basis = [({i: one}, p) for i, p in enumerate(a.parity)]
     return len(_supercommutant(a, basis, check_closure=False)) == 1
 
@@ -864,6 +863,15 @@ def trace_gram(a: GradedAlgebra) -> dict[int, dict[int, Scalar]]:
         if acc:
             rows.setdefault(i, {})[j] = acc
     return rows
+
+
+def trace_nullity(a: GradedAlgebra) -> int:
+    """Dimension of the radical of the regular trace form: the number of
+    vectors in the column kernel of its sparse Gram rows.  Zero exactly
+    when the form is nondegenerate; defined over both points."""
+    gram = trace_gram(a)
+    return len(linalg.column_kernel([gram.get(i, {}) for i in range(a.dim)],
+                                    a.field.one()))
 
 
 def trace_inertia(a: GradedAlgebra) -> tuple[int, int, int]:

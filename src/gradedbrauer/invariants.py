@@ -34,7 +34,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import (GradedAlgebra, NotAzumayaError, graded_tensor,
-                      ground_algebra, hat_center, opposite, trace_inertia)
+                      ground_algebra, hat_center, opposite, trace_inertia,
+                      trace_nullity)
 from .clifford import DiagonalForm, clifford
 from .scalars import Field, field_from_label
 
@@ -93,26 +94,33 @@ def ungraded_class(a: GradedAlgebra) -> int:
     ``A_0 (x) k[z]/(z^2 - lambda)`` with ``z`` the odd generator of the
     graded center and ``lambda != 0``.  A central simple algebra in
     characteristic 0 has a nondegenerate trace form, so a degenerate
-    one (a nonzero zero count in the same inertia) refuses the input,
-    and so does a zero signature, which leaves no division-type
-    anchor.  Computed once per algebra and kept on it, like
-    :func:`quadratic_descriptor`.
+    one refuses the input at either point.  Over the real point the
+    nullity is the zero count of the same inertia that gives the sign,
+    and a zero signature, which leaves no division-type anchor, refuses
+    it too; over the complex point it is
+    :func:`~gradedbrauer.algebra.trace_nullity`, and the
+    invariant is identically 0.  Computed once per algebra and kept on
+    it, like :func:`quadratic_descriptor`.
     """
-    if not a.field.is_real:
-        return 0
     if a._ungraded is None:
         designated = a if parity_class(a) == 0 else a.even_part()
-        pos, neg, zero = trace_inertia(designated)
+        if a.field.is_real:
+            pos, neg, zero = trace_inertia(designated)
+        else:
+            zero = trace_nullity(designated)
         if zero:
             raise NotAzumayaError(
                 f"regular trace form is degenerate (nullity {zero}); "
                 "the algebra is not graded Azumaya"
             )
-        if pos == neg:
+        if not a.field.is_real:
+            a._ungraded = 0
+        elif pos == neg:
             raise NotAzumayaError(
                 "regular trace form has zero signature; no division-type anchor"
             )
-        a._ungraded = 0 if pos > neg else 1
+        else:
+            a._ungraded = 0 if pos > neg else 1
     return a._ungraded
 
 

@@ -13,6 +13,8 @@ symmetric congruence reduction on sparse rows.
 
 from __future__ import annotations
 
+from bisect import insort
+
 
 def _add_scaled(target, factor, source):
     """``target += factor * source`` on sparse vectors, in place.
@@ -49,17 +51,43 @@ def column_kernel(columns, one):
     each pivot is scaled at.  It is returned in column order, as sparse
     vectors over the column indices.  ``one`` is the field's unit, the
     coefficient of each free column in its own kernel vector.
+
+    Only the pivots whose row occurs in the column are visited: a map
+    from pivot rows to positions seeds a sorted queue of positions, and
+    reducing against a pivot inserts the position of every pivot row it
+    brings in.  A pivot is zero at the rows of the pivots kept before it,
+    so those positions all come later, and taking them in order applies
+    the same pivots in the same order as a scan of every pivot would.
     """
     pivots = []  # (pivot row, reduced column, combination)
+    position = {}  # pivot row -> index in pivots
     kernel = []
     for j, column in enumerate(columns):
         reduced = {r: v for r, v in column.items() if v}
         combo = {j: one}
-        for row, pivot, pivot_combo in pivots:
-            f = reduced.get(row)
-            if f is not None:
-                _add_scaled(reduced, -f, pivot)
-                _add_scaled(combo, -f, pivot_combo)
+        # negated positions, ascending, so that pop() gives the earliest
+        queue = [-position[r] for r in reduced if r in position] if position else None
+        if queue:
+            queue.sort()
+            while queue:
+                row, pivot, pivot_combo = pivots[-queue.pop()]
+                f = reduced.get(row)
+                if f is None:  # cancelled since it was queued
+                    continue
+                f = -f
+                for k, v in pivot.items():
+                    t = reduced.get(k)
+                    if t is None:
+                        reduced[k] = f * v
+                        if k in position:
+                            insort(queue, -position[k])
+                    else:
+                        t = t + f * v
+                        if t:
+                            reduced[k] = t
+                        else:
+                            del reduced[k]
+                _add_scaled(combo, f, pivot_combo)
         if not reduced:
             kernel.append(combo)
             continue
@@ -67,6 +95,7 @@ def column_kernel(columns, one):
         if inv != 1:
             reduced = {r: v / inv for r, v in reduced.items()}
             combo = {c: v / inv for c, v in combo.items()}
+        position[row] = len(pivots)
         pivots.append((row, reduced, combo))
     return kernel
 

@@ -7,6 +7,18 @@ Every number in this package is either a :class:`fractions.Fraction`
 Scalars serialize to short strings: ``"3"``, ``"-5/2"``, ``"1/2+3/4i"``,
 ``"-2i"``.  Parsing accepts anything :func:`Field.parse` emits, plus
 obvious variants (``"i"``, ``"-i"``, embedded spaces).
+
+Cost model.  A ``GaussianRational`` operation does only the ``Fraction``
+work its nonzero parts need, so an algebra over the complex point whose
+structure constants are real costs about what it costs over the real
+point.  Multiplication takes one ``Fraction`` product when both factors
+are real, two when one is, and four (plus two sums) only when neither
+is; ``+``, ``-`` and negation leave a zero imaginary part alone.
+Division by a real value divides the two parts; general division is
+``((ac + bd) + (bc - ad)i) / (c^2 + d^2)``.  Results are built by
+:func:`_make`, which skips the conversions of ``__init__`` because
+their parts are already ``Fraction``.  Both scalar types are immutable,
+so :meth:`Field.zero` and :meth:`Field.one` hand out shared constants.
 """
 
 from __future__ import annotations
@@ -22,18 +34,19 @@ class GaussianRational:
 
     Supports field arithmetic and mixes freely with ``int`` and
     ``Fraction``.  A value with ``im == 0`` compares (and hashes) equal
-    to the corresponding rational.
+    to the corresponding rational.  Both parts are always ``Fraction``.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0) -> None:
-        # Parts that are already Fractions (every arithmetic result) are
-        # stored as they are; only other rationals are converted.
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        _set_re(self, re if type(re) is Fraction else Fraction(re))
+        _set_im(self, im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("GaussianRational is immutable")
+
+    def __delattr__(self, name: str) -> None:
         raise AttributeError("GaussianRational is immutable")
 
     def __repr__(self) -> str:
@@ -46,77 +59,114 @@ class GaussianRational:
         return bool(self.re) or bool(self.im)
 
     def __hash__(self) -> int:
-        if not self.im:
+        im = self.im
+        if not im:
             return hash(self.re)
-        return hash((self.re, self.im))
+        return hash((self.re, im))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, GaussianRational):
+        if type(other) is GaussianRational:
             return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return not self.im and self.re == other
         return NotImplemented
 
     def __neg__(self) -> GaussianRational:
-        return GaussianRational(-self.re, -self.im)
+        im = self.im
+        return _make(-self.re, -im if im else im)
 
     def __add__(self, other: object) -> GaussianRational:
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is GaussianRational:
+            b, d = self.im, other.im
+            return _make(self.re + other.re, (b + d if b else d) if d else b)
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re + other, self.im)
+            return _make(self.re + other, self.im)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> GaussianRational:
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is GaussianRational:
+            b, d = self.im, other.im
+            return _make(self.re - other.re, (b - d if b else -d) if d else b)
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re - other, self.im)
+            return _make(self.re - other, self.im)
         return NotImplemented
 
     def __rsub__(self, other: object) -> GaussianRational:
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(other) - self
+            im = self.im
+            return _make(other - self.re, -im if im else im)
         return NotImplemented
 
     def __mul__(self, other: object) -> GaussianRational:
-        if isinstance(other, GaussianRational):
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
+        if type(other) is GaussianRational:
+            a, b = self.re, self.im
+            c, d = other.re, other.im
+            if not b:
+                return _make(a * c, a * d if d else b)
+            if not d:
+                return _make(a * c, b * c)
+            return _make(a * c - b * d, a * d + b * c)
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
+            b = self.im
+            return _make(self.re * other, b * other if b else b)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def conjugate(self) -> GaussianRational:
-        return GaussianRational(self.re, -self.im)
+        im = self.im
+        return _make(self.re, -im if im else im)
 
     def norm(self) -> Fraction:
         """The rational ``re**2 + im**2``."""
-        return self.re * self.re + self.im * self.im
+        a, b = self.re, self.im
+        return a * a + b * b if b else a * a
 
     def __truediv__(self, other: object) -> GaussianRational:
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if isinstance(other, GaussianRational):
-            n = other.norm()
-            if not n:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            c = other.conjugate()
-            prod = self * c
-            return GaussianRational(prod.re / n, prod.im / n)
-        return NotImplemented
+        if type(other) is GaussianRational:
+            c, d = other.re, other.im
+            if d:
+                # (a + bi) / (c + di) = ((ac + bd) + (bc - ad)i) / (c^2 + d^2)
+                a, b = self.re, self.im
+                n = c * c + d * d
+                if not b:
+                    return _make(a * c / n, -(a * d) / n)
+                return _make((a * c + b * d) / n, (b * c - a * d) / n)
+        elif isinstance(other, (int, Fraction)):
+            c = other
+        else:
+            return NotImplemented
+        if not c:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        b = self.im
+        return _make(self.re / c, b / c if b else b)
 
     def __rtruediv__(self, other: object) -> GaussianRational:
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(other) / self
+            return _make(Fraction(other), _ZERO) / self
         return NotImplemented
 
+
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+_new = object.__new__
+
+
+def _make(re: Fraction, im: Fraction) -> GaussianRational:
+    """``GaussianRational(re, im)`` for parts that are already Fractions,
+    as every arithmetic result's are: no conversion and no type checks."""
+    z = _new(GaussianRational)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_GAUSSIAN_ZERO = _make(_ZERO, _ZERO)
+_GAUSSIAN_ONE = _make(_ONE, _ZERO)
 
 I = GaussianRational(0, 1)
 
@@ -204,10 +254,12 @@ class Field:
         return self.label == "R"
 
     def zero(self):
-        return Fraction(0) if self.is_real else GaussianRational(0)
+        """The field's zero, one shared (immutable) instance."""
+        return _ZERO if self.label == "R" else _GAUSSIAN_ZERO
 
     def one(self):
-        return Fraction(1) if self.is_real else GaussianRational(1)
+        """The field's unit, one shared (immutable) instance."""
+        return _ONE if self.label == "R" else _GAUSSIAN_ONE
 
     def coerce(self, value):
         """Bring ``value`` into this field, rejecting what does not embed.

@@ -181,16 +181,31 @@ def test_known_non_azumaya_inputs():
         assert not is_azumaya(graded_tensor(a, cl(1, 0, a.field)))
 
 
+def refuse_every_variant(field):
+    """``bw_class`` raises on each ``known_non_azumaya()`` input over
+    ``field``, shuffled and tensored with Cl(1); returns how many."""
+    rng = random.Random(3)
+    count = 0
+    for a in known_non_azumaya():
+        if a.field is not field:
+            continue
+        for variant in (a, shuffled(a, rng), graded_tensor(a, cl(1, 0, field))):
+            count += 1
+            with pytest.raises(NotAzumayaError):
+                bw_class(variant)
+    return count
+
+
 def test_bw_class_refuses_every_real_non_azumaya_variant():
     """Over R the designated algebra of each of these has a degenerate
     trace form, or its center is too big; either way no class."""
-    rng = random.Random(3)
-    for a in known_non_azumaya():
-        if a.field is not REAL:
-            continue
-        for variant in (a, shuffled(a, rng), graded_tensor(a, cl(1, 0))):
-            with pytest.raises(NotAzumayaError):
-                bw_class(variant)
+    refuse_every_variant(REAL)
+
+
+def test_bw_class_refuses_every_complex_non_azumaya_variant():
+    """Over C there is no sign to read, but the designated algebra's trace
+    form must still be nondegenerate, so the same inputs get no class."""
+    assert refuse_every_variant(COMPLEX) == 30
 
 
 def test_rank_mod_prime_matches_exact_rank():

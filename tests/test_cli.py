@@ -134,10 +134,8 @@ def test_non_azumaya_input_is_a_validation_error(capsys, tmp_path):
     assert doc["error"]["type"] == "NotAzumayaError"
 
 
-def test_real_algebra_with_a_degenerate_trace_form_exits_two(capsys, monkeypatch):
-    """Upper-triangular 2x2 matrices: the center is the ground field, but
-    the trace form is degenerate, and ``azumaya`` says false."""
-    upper = {"field": "R", "parity": [0, 0, 0], "unit": ["1", "0", "1"],
+def upper_triangular_exits_two(capsys, monkeypatch, field):
+    upper = {"field": field, "parity": [0, 0, 0], "unit": ["1", "0", "1"],
              "structure": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 2, 1, "1"],
                            [2, 2, 2, "1"]]}
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(upper)))
@@ -145,6 +143,18 @@ def test_real_algebra_with_a_degenerate_trace_form_exits_two(capsys, monkeypatch
     assert code == 2
     assert doc["error"]["type"] == "NotAzumayaError"
     assert "degenerate" in doc["error"]["message"]
+
+
+def test_real_algebra_with_a_degenerate_trace_form_exits_two(capsys, monkeypatch):
+    """Upper-triangular 2x2 matrices: the center is the ground field, but
+    the trace form is degenerate, and ``azumaya`` says false."""
+    upper_triangular_exits_two(capsys, monkeypatch, "R")
+
+
+def test_complex_algebra_with_a_degenerate_trace_form_exits_two(capsys, monkeypatch):
+    """The same matrices over C: no sign is read there, but the
+    degenerate trace form still refuses the input."""
+    upper_triangular_exits_two(capsys, monkeypatch, "C")
 
 
 def test_internal_key_error_exits_one(capsys, monkeypatch):

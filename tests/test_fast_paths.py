@@ -2,7 +2,7 @@
 
 * The classification is kept on the algebra: the answers read from the
   memo equal those of a fresh instance, ``hat_center`` and the trace
-  signature run once per algebra, and a ``NotAzumayaError`` is never kept.
+  form run once per algebra, and a ``NotAzumayaError`` is never kept.
 * The library's constructors skip ``GradedAlgebra.__init__``: each one's
   output equals the checked construction from the same parity, table and
   unit, with the field's own scalar types and no zero cells.
@@ -93,21 +93,24 @@ def test_one_classification_per_algebra(monkeypatch, name):
     a = ALGEBRAS[name]()
     centers = counter(monkeypatch, "hat_center")
     signatures = counter(monkeypatch, "trace_inertia")
+    nullities = counter(monkeypatch, "trace_nullity")
     for _ in range(2):
         for f in CLASSIFIERS:
             f(a)
     assert len(centers) == 1
-    assert len(signatures) == (1 if a.field.is_real else 0)
+    # one trace form per algebra: its inertia over R, its nullity over C
+    assert (len(signatures), len(nullities)) == ((1, 0) if a.field.is_real else (0, 1))
 
 
 def test_q2_class_alone_takes_no_trace_signature(monkeypatch):
     signatures = counter(monkeypatch, "trace_inertia")
+    nullities = counter(monkeypatch, "trace_nullity")
     for build in ALGEBRAS.values():
         a = build()
         q2_class(a)
         parity_class(a)
         quadratic_descriptor(a)
-    assert signatures == []
+    assert signatures == nullities == []
 
 
 def test_a_center_that_is_not_azumaya_is_never_kept(monkeypatch):

@@ -8,6 +8,7 @@ from gradedbrauer.linalg import column_kernel, combine, in_span, signature
 from gradedbrauer.scalars import COMPLEX, REAL, GaussianRational
 from centralizer_oracle import (dense_nullspace, dense_rank, dense_solve,
                                 in_row_span, row_echelon)
+from column_kernel_oracle import scan_column_kernel
 
 F = Fraction
 
@@ -105,6 +106,48 @@ def test_rank_and_span_equal_the_dense_elimination(case, data):
         echelon, pivots = row_echelon([list(r) for r in zip(*rows)] or [[]])
         spanned = in_row_span(echelon, pivots, rhs) if ncols else not any(rhs)
         assert in_span(columns, vector, field.one()) == spanned == (want is not None)
+
+
+@st.composite
+def sparse_columns(draw):
+    """Sparse columns over Q or Q(i) on up to 12 rows: most entries are
+    absent, so a column touches few pivots, and some columns repeat
+    combinations of earlier ones, so some reduce to zero."""
+    field = draw(st.sampled_from((REAL, COMPLEX)))
+    part = st.one_of(st.just(F(0)), rationals)
+    entry = rationals if field is REAL else st.builds(GaussianRational, part, part)
+    nrows = draw(st.integers(1, 12))
+    columns = []
+    for _ in range(draw(st.integers(0, 14))):
+        if columns and draw(st.integers(0, 3)) == 0:
+            column = {}
+            for _ in range(draw(st.integers(1, 3))):
+                c = draw(entry)
+                if c:
+                    _add_into(column, c, draw(st.sampled_from(columns)))
+        else:
+            rows = draw(st.lists(st.integers(0, nrows - 1), max_size=4, unique=True))
+            column = {r: draw(entry) for r in rows}
+        columns.append(column)
+    return field, columns
+
+
+def _add_into(target, c, source):
+    for k, v in source.items():
+        target[k] = target.get(k, 0) + c * v
+
+
+@given(sparse_columns())
+@settings(max_examples=300, deadline=None)
+def test_column_kernel_equals_the_scan_of_every_pivot(case):
+    """Visiting only the pivots a column touches applies the same pivots
+    in the same order: the same basis, entry for entry, with the same
+    entry types and key order."""
+    field, columns = case
+    got = column_kernel(columns, field.one())
+    want = scan_column_kernel(columns, field.one())
+    assert [[(k, type(v), v) for k, v in combo.items()] for combo in got] == \
+        [[(k, type(v), v) for k, v in combo.items()] for combo in want]
 
 
 def test_in_span():
