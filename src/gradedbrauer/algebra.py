@@ -36,8 +36,8 @@ from operator import mul, truediv
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import linalg
-from .scalars import (COMPLEX, Field, GaussianRational, REAL,
-                      field_from_label)
+from .scalars import (_GAUSSIAN_ONE, _ONE, COMPLEX, Field, GaussianRational,
+                      REAL, field_from_label)
 
 Scalar = Union[Fraction, GaussianRational]
 Vector = Sequence[Scalar]
@@ -71,13 +71,20 @@ def _mul_into(acc: SparseVector, table, x: SparseVector, y: SparseVector,
     ``x`` and ``y`` are sparse vectors without zeros and ``table`` a
     structure table (whose cells hold no zeros); entries of ``acc`` that
     cancel are removed, so the work is proportional to the nonzero
-    terms, not to ``dim``.
+    terms, not to ``dim``.  A coordinate that *is* the field's shared
+    unit (:meth:`~gradedbrauer.scalars.Field.one`; an identity test,
+    never ``==``) is not multiplied: ``x_i y_j`` is then the other
+    coordinate itself, and :func:`gradedbrauer.linalg._add_scaled` skips
+    a unit factor the same way.
     """
     for i, xi in x.items():
+        x_unit = xi is _ONE or xi is _GAUSSIAN_ONE
         for j, yj in y.items():
             cell = table.get((i, j))
             if cell:
-                linalg._add_scaled(acc, -(xi * yj) if negate else xi * yj, cell)
+                f = yj if x_unit else (
+                    xi if yj is _ONE or yj is _GAUSSIAN_ONE else xi * yj)
+                linalg._add_scaled(acc, -f if negate else f, cell)
 
 
 class AlgebraError(ValueError):
@@ -309,7 +316,9 @@ class GradedAlgebra:
         one = interned(self.field.one())
         rows: list[dict[int, dict[int, Scalar]]] = [{} for _ in range(n)]
         for (i, k), cell in self.table.items():
-            rows[i][k] = {m: interned(v) for m, v in cell.items()}
+            # a cell whose scalars are interned already is used as it is
+            rows[i][k] = cell if all(interned(v) is v for v in cell.values()) \
+                else {m: interned(v) for m, v in cell.items()}
 
         for j in self._light_generators():
             # e_j e_k = d e_s for the one-term cells, grouped by d
@@ -607,33 +616,60 @@ def graded_tensor(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
     Basis element ``(i, p)`` (meaning ``x_i (x) y_p``) gets index
     ``i * b.dim + p``; the product carries the sign
     ``(-1)^{|x_j| |y_p|}`` from moving ``x_j`` past ``y_p``.
+
+    The factors' tables hold few distinct scalar objects (a Clifford
+    table one per value), so each ``±ca cb`` is computed once per pair of
+    objects and shared by every cell that needs it.  The memo is keyed by
+    the ids of ``ca`` and ``cb``, which stay alive in the factor tables
+    while it exists.
     """
     if a.field.label != b.field.label:
         raise AlgebraError("tensor factors live over different fields")
     nb = b.dim
     _check_budget(a.dim * nb, f"graded tensor product of dimensions {a.dim} and {nb}")
     parity = tuple(pa ^ pb for pa in a.parity for pb in b.parity)
+    products: dict[tuple[int, int, int], Scalar] = {}
     table: dict[tuple[int, int], dict[int, Scalar]] = {}
+    cells_b = [(p, q, b.parity[p], list(cell_b.items()))
+               for (p, q), cell_b in b.table.items()]
     for (i, j), cell_a in a.table.items():
         sign_needed = a.parity[j]
-        for (p, q), cell_b in b.table.items():
-            flip = sign_needed and b.parity[p]
+        items_a = [(k * nb, ca, id(ca)) for k, ca in cell_a.items()]
+        row, col = i * nb, j * nb
+        for p, q, parity_p, items_b in cells_b:
+            flip = sign_needed & parity_p
             cell: dict[int, Scalar] = {}
-            for k, ca in cell_a.items():
-                for r, cb in cell_b.items():
-                    v = ca * cb
-                    cell[k * nb + r] = -v if flip else v
-            table[(i * nb + p, j * nb + q)] = cell
+            for k, ca, id_a in items_a:
+                for r, cb in items_b:
+                    key = (id_a, id(cb), flip)
+                    v = products.get(key)
+                    if v is None:
+                        v = ca * cb
+                        v = products[key] = -v if flip else v
+                    cell[k + r] = v
+            table[(row + p, col + q)] = cell
     unit = tuple(ua * ub for ua in a.unit for ub in b.unit)
     return GradedAlgebra._trusted(a.field, parity, table, unit)
 
 
 def opposite(a: GradedAlgebra) -> GradedAlgebra:
-    """The graded opposite: ``a * b = (-1)^{|a||b|} b a`` on the same basis."""
+    """The graded opposite: ``a * b = (-1)^{|a||b|} b a`` on the same basis.
+
+    A cell that keeps its sign is ``a``'s own dict, shared (an algebra is
+    never mutated after construction), and each distinct scalar object
+    is negated once."""
+    negated: dict[int, Scalar] = {}  # id(v) -> -v, for v alive in a.table
     table: dict[tuple[int, int], dict[int, Scalar]] = {}
     for (i, j), cell in a.table.items():
-        flip = a.parity[i] and a.parity[j]
-        table[(j, i)] = {k: (-v if flip else v) for k, v in cell.items()}
+        if a.parity[i] and a.parity[j]:
+            flipped = {}
+            for k, v in cell.items():
+                w = negated.get(id(v))
+                if w is None:
+                    w = negated[id(v)] = -v
+                flipped[k] = w
+            cell = flipped
+        table[(j, i)] = cell
     return GradedAlgebra._trusted(a.field, a.parity, table, a.unit)
 
 
@@ -683,9 +719,13 @@ def _supercommutant(a: GradedAlgebra,
     graded matrix algebras) a column is a single term, so the cost
     follows the nonzeros instead of ``dim`` times the kernel size.  The
     basis is the one dense elimination gives, so the result does not
-    depend on the representation.
+    depend on the representation.  A constraint that is the unit itself
+    (``e_0`` of a Clifford algebra, say) commutes with everything and
+    is skipped.
     """
     one = a.field.one()
+    unit = _sparse(a.unit)
+    constraints = [(s_vec, s_par) for s_vec, s_par in constraints if s_vec != unit]
     result: list[tuple[SparseVector, int]] = []
     for deg in (0, 1):
         kernel: list[SparseVector] = [{i: one} for i in a.degree_indices(deg)]
@@ -835,7 +875,8 @@ def is_azumaya(a: GradedAlgebra) -> bool:
     return len(_supercommutant(a, basis, check_closure=False)) == 1
 
 
-def trace_gram(a: GradedAlgebra) -> dict[int, dict[int, Scalar]]:
+def trace_gram(a: GradedAlgebra, indices: Optional[Sequence[int]] = None
+               ) -> dict[int, dict[int, Scalar]]:
     """Gram matrix of the regular trace form ``(x, y) -> tr(L_{xy})``.
 
     Returned as sparse rows ``{i: {j: tr(L_{e_i e_j})}}`` holding only
@@ -845,43 +886,61 @@ def trace_gram(a: GradedAlgebra) -> dict[int, dict[int, Scalar]]:
     left-multiplications, and a second reads, in each cell, only the
     result indices whose trace is nonzero (on a Clifford algebra, the
     unit alone).
+
+    With ``indices``, basis indices whose span is a subalgebra ``B``
+    (such as ``a.degree_indices(0)``, the even part), it is the regular
+    trace form of ``B``, read in place: both passes visit only the cells
+    ``(i, j)`` with ``i`` and ``j`` in ``indices``, ``tr(L_{e_m})`` is
+    taken on ``B``, and rows and columns keep ``a``'s indices.  Reindexed,
+    that is the Gram matrix of the subalgebra built on its own.
     """
-    zero = a.field.zero()
+    zero, table = a.field.zero(), a.table
+    if indices is None:
+        cells = table.items()
+    else:
+        keep = set(indices)
+        cells = [(ij, cell) for ij, cell in table.items()
+                 if ij[0] in keep and ij[1] in keep]
     traces: dict[int, Scalar] = {}
-    for (m, c), cell in a.table.items():
+    for (m, c), cell in cells:
         v = cell.get(c)
         if v:
             traces[m] = traces.get(m, zero) + v
     traces = {m: t for m, t in traces.items() if t}
     rows: dict[int, dict[int, Scalar]] = {}
-    for (i, j), cell in a.table.items():
-        acc = zero
+    for (i, j), cell in cells:
+        acc = None  # a cell that meets no nonzero trace costs no scalar work
         for m, c in cell.items():
             t = traces.get(m)
             if t is not None:
-                acc = acc + c * t
+                acc = c * t if acc is None else acc + c * t
         if acc:
             rows.setdefault(i, {})[j] = acc
     return rows
 
 
-def trace_nullity(a: GradedAlgebra) -> int:
+def trace_nullity(a: GradedAlgebra, indices: Optional[Sequence[int]] = None) -> int:
     """Dimension of the radical of the regular trace form: the number of
     vectors in the column kernel of its sparse Gram rows.  Zero exactly
-    when the form is nondegenerate; defined over both points."""
-    gram = trace_gram(a)
-    return len(linalg.column_kernel([gram.get(i, {}) for i in range(a.dim)],
-                                    a.field.one()))
+    when the form is nondegenerate; defined over both points.  With
+    ``indices``, the form of the subalgebra they span (:func:`trace_gram`)."""
+    gram = trace_gram(a, indices)
+    return len(linalg.column_kernel(
+        [gram.get(i, {}) for i in (range(a.dim) if indices is None else indices)],
+        a.field.one()))
 
 
-def trace_inertia(a: GradedAlgebra) -> tuple[int, int, int]:
-    """Inertia ``(positive, negative, zero)`` of the regular trace form.
+def trace_inertia(a: GradedAlgebra, indices: Optional[Sequence[int]] = None
+                  ) -> tuple[int, int, int]:
+    """Inertia ``(positive, negative, zero)`` of the regular trace form,
+    or with ``indices`` of the subalgebra they span (:func:`trace_gram`).
 
     Only defined over the real point; the complex point has no signs.
     """
     if not a.field.is_real:
         raise AlgebraError("trace signature is only defined over the real point")
-    return linalg.signature(trace_gram(a), a.dim)
+    return linalg.signature(trace_gram(a, indices),
+                            a.dim if indices is None else len(indices))
 
 
 def trace_signature(a: GradedAlgebra) -> int:

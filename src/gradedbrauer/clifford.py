@@ -99,9 +99,13 @@ def clifford(form: DiagonalForm) -> GradedAlgebra:
     e_{S xor T}``.
 
     The ``2^n`` products of form entries are computed once, one per
-    bitmask, and shared by the ``4^n`` cells.  The sign is ``-1`` when
-    sorting the word ``e_S e_T`` takes an odd number of transpositions,
-    i.e. when an odd number of pairs ``s in S, t in T`` have ``s > t``.
+    bitmask, and shared by the ``4^n`` cells.  They are interned by
+    value, and each distinct value is negated once, so the table holds
+    one scalar object per value (the field's shared unit among them),
+    which consumers can compare and memoize by identity.  The sign is
+    ``-1`` when sorting the word ``e_S e_T`` takes an odd number of
+    transpositions, i.e. when an odd number of pairs ``s in S, t in T``
+    have ``s > t``.
     Along a row ``S`` it is built up over ``T``: dropping the lowest
     generator ``b`` of ``T`` removes the pairs with ``t = b``, one for
     each generator of ``S`` above ``b``.
@@ -118,10 +122,16 @@ def clifford(form: DiagonalForm) -> GradedAlgebra:
     one = field.one()
     parity = tuple(s.bit_count() & 1 for s in range(dim))
     lowest = [(t & -t).bit_length() - 1 for t in range(dim)]
+    canon = {one: one}  # each value's one object
     products = [one] * dim  # products[m]: the a_i for i in m, multiplied
     for m in range(1, dim):
-        products[m] = products[m & (m - 1)] * form.entries[lowest[m]]
-    negated = [-c for c in products]
+        v = products[m & (m - 1)] * form.entries[lowest[m]]
+        products[m] = canon.setdefault(v, v)
+    negation = {}
+    for v in list(canon.values()):
+        w = -v
+        negation[id(v)] = canon.setdefault(w, w)
+    negated = [negation[id(c)] for c in products]
     table: dict[tuple[int, int], dict[int, Scalar]] = {}
     for s in range(dim):
         above = [(s >> (b + 1)).bit_count() & 1 for b in range(n)]

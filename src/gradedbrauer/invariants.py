@@ -89,8 +89,10 @@ def ungraded_class(a: GradedAlgebra) -> int:
 
     Examines the regular trace form of the designated ungraded algebra:
     the input itself when its class is even, its degree-0 part when
-    odd.  On graded Azumaya input that algebra is central simple: for
-    an even class it is the input, and for an odd class the input is
+    odd, read in place as the span of the even basis indices (no
+    :meth:`~gradedbrauer.algebra.GradedAlgebra.even_part` is built).
+    On graded Azumaya input that algebra is central simple: for an even
+    class it is the input, and for an odd class the input is
     ``A_0 (x) k[z]/(z^2 - lambda)`` with ``z`` the odd generator of the
     graded center and ``lambda != 0``.  A central simple algebra in
     characteristic 0 has a nondegenerate trace form, so a degenerate
@@ -103,11 +105,11 @@ def ungraded_class(a: GradedAlgebra) -> int:
     it, like :func:`quadratic_descriptor`.
     """
     if a._ungraded is None:
-        designated = a if parity_class(a) == 0 else a.even_part()
+        even = None if parity_class(a) == 0 else a.degree_indices(0)
         if a.field.is_real:
-            pos, neg, zero = trace_inertia(designated)
+            pos, neg, zero = trace_inertia(a, even)
         else:
-            zero = trace_nullity(designated)
+            zero = trace_nullity(a, even)
         if zero:
             raise NotAzumayaError(
                 f"regular trace form is degenerate (nullity {zero}); "

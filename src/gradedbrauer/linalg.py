@@ -15,19 +15,28 @@ from __future__ import annotations
 
 from bisect import insort
 
+from .scalars import _GAUSSIAN_ONE, _ONE  # what Field.one() returns
+
 
 def _add_scaled(target, factor, source):
     """``target += factor * source`` on sparse vectors, in place.
 
     ``factor`` and the entries of ``source`` must be nonzero; entries of
-    ``target`` that cancel are removed, so it stays free of zeros.
+    ``target`` that cancel are removed, so it stays free of zeros.  A
+    ``factor`` that *is* a field's shared unit (an identity test, never
+    ``==``) multiplies nothing: the entries of ``source`` are used as they
+    are.  An equal value that is another object takes the general path,
+    so the result is the same value either way.
     """
+    unit = factor is _ONE or factor is _GAUSSIAN_ONE
     for k, v in source.items():
+        if not unit:
+            v = factor * v
         t = target.get(k)
         if t is None:
-            target[k] = factor * v
+            target[k] = v
         else:
-            t = t + factor * v
+            t = t + v
             if t:
                 target[k] = t
             else:

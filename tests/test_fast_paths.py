@@ -2,7 +2,8 @@
 
 * The classification is kept on the algebra: the answers read from the
   memo equal those of a fresh instance, ``hat_center`` and the trace
-  form run once per algebra, and a ``NotAzumayaError`` is never kept.
+  form run once per algebra (an odd class's even part read in place,
+  never built), and a ``NotAzumayaError`` is never kept.
 * The library's constructors skip ``GradedAlgebra.__init__``: each one's
   output equals the checked construction from the same parity, table and
   unit, with the field's own scalar types and no zero cells.
@@ -94,12 +95,18 @@ def test_one_classification_per_algebra(monkeypatch, name):
     centers = counter(monkeypatch, "hat_center")
     signatures = counter(monkeypatch, "trace_inertia")
     nullities = counter(monkeypatch, "trace_nullity")
+    even_parts = []
+    real_even_part = GradedAlgebra.even_part
+    monkeypatch.setattr(GradedAlgebra, "even_part",
+                        lambda self: even_parts.append(self) or real_even_part(self))
     for _ in range(2):
         for f in CLASSIFIERS:
             f(a)
     assert len(centers) == 1
     # one trace form per algebra: its inertia over R, its nullity over C
     assert (len(signatures), len(nullities)) == ((1, 0) if a.field.is_real else (0, 1))
+    # an odd class reads its even part in place
+    assert even_parts == []
 
 
 def test_q2_class_alone_takes_no_trace_signature(monkeypatch):
@@ -125,7 +132,8 @@ def test_a_center_that_is_not_azumaya_is_never_kept(monkeypatch):
 
 def test_a_zero_signature_is_never_kept(monkeypatch):
     a = cl(0, 2)
-    monkeypatch.setattr(invariants, "trace_inertia", lambda designated: (2, 2, 0))
+    monkeypatch.setattr(invariants, "trace_inertia",
+                        lambda a, indices=None: (2, 2, 0))
     for _ in range(2):
         with pytest.raises(NotAzumayaError, match="zero signature"):
             invariant_triple(a)
