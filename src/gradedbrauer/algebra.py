@@ -617,37 +617,43 @@ def graded_tensor(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
     ``i * b.dim + p``; the product carries the sign
     ``(-1)^{|x_j| |y_p|}`` from moving ``x_j`` past ``y_p``.
 
-    The factors' tables hold few distinct scalar objects (a Clifford
-    table one per value), so each ``±ca cb`` is computed once per pair of
-    objects and shared by every cell that needs it.  The memo is keyed by
-    the ids of ``ca`` and ``cb``, which stay alive in the factor tables
-    while it exists.
+    Each ``±ca cb`` is computed once per pair of distinct values and
+    shared by every cell that needs it: the factors' scalars are first
+    interned by value (one hash per factor entry), and the memo is keyed
+    by the ids of the interned objects, which ``canon`` keeps alive.  So
+    it holds at most ``2 x`` (distinct values of ``a``) ``x`` (distinct
+    values of ``b``) entries, whether or not the factors share objects.
     """
     if a.field.label != b.field.label:
         raise AlgebraError("tensor factors live over different fields")
     nb = b.dim
     _check_budget(a.dim * nb, f"graded tensor product of dimensions {a.dim} and {nb}")
     parity = tuple(pa ^ pb for pa in a.parity for pb in b.parity)
+    canon: dict[Scalar, Scalar] = {}  # each value's one object
     products: dict[tuple[int, int, int], Scalar] = {}
     table: dict[tuple[int, int], dict[int, Scalar]] = {}
-    cells_b = [(p, q, b.parity[p], list(cell_b.items()))
+
+    def interned(cell, scale):  # (scale k, the value's one object, its id)
+        return [(k * scale, (c := canon.setdefault(v, v)), id(c))
+                for k, v in cell.items()]
+
+    cells_b = [(p, q, b.parity[p], interned(cell_b, 1))
                for (p, q), cell_b in b.table.items()]
     for (i, j), cell_a in a.table.items():
         sign_needed = a.parity[j]
-        items_a = [(k * nb, ca, id(ca)) for k, ca in cell_a.items()]
-        row, col = i * nb, j * nb
+        items_a = interned(cell_a, nb)
         for p, q, parity_p, items_b in cells_b:
             flip = sign_needed & parity_p
             cell: dict[int, Scalar] = {}
             for k, ca, id_a in items_a:
-                for r, cb in items_b:
-                    key = (id_a, id(cb), flip)
+                for r, cb, id_b in items_b:
+                    key = (id_a, id_b, flip)
                     v = products.get(key)
                     if v is None:
                         v = ca * cb
                         v = products[key] = -v if flip else v
                     cell[k + r] = v
-            table[(row + p, col + q)] = cell
+            table[(i * nb + p, j * nb + q)] = cell
     unit = tuple(ua * ub for ua in a.unit for ub in b.unit)
     return GradedAlgebra._trusted(a.field, parity, table, unit)
 
@@ -661,14 +667,9 @@ def opposite(a: GradedAlgebra) -> GradedAlgebra:
     negated: dict[int, Scalar] = {}  # id(v) -> -v, for v alive in a.table
     table: dict[tuple[int, int], dict[int, Scalar]] = {}
     for (i, j), cell in a.table.items():
-        if a.parity[i] and a.parity[j]:
-            flipped = {}
-            for k, v in cell.items():
-                w = negated.get(id(v))
-                if w is None:
-                    w = negated[id(v)] = -v
-                flipped[k] = w
-            cell = flipped
+        if a.parity[i] and a.parity[j]:  # entries are nonzero: `or` means a miss
+            cell = {k: negated.get(id(v)) or negated.setdefault(id(v), -v)
+                    for k, v in cell.items()}
         table[(j, i)] = cell
     return GradedAlgebra._trusted(a.field, a.parity, table, a.unit)
 
@@ -719,13 +720,9 @@ def _supercommutant(a: GradedAlgebra,
     graded matrix algebras) a column is a single term, so the cost
     follows the nonzeros instead of ``dim`` times the kernel size.  The
     basis is the one dense elimination gives, so the result does not
-    depend on the representation.  A constraint that is the unit itself
-    (``e_0`` of a Clifford algebra, say) commutes with everything and
-    is skipped.
+    depend on the representation.
     """
     one = a.field.one()
-    unit = _sparse(a.unit)
-    constraints = [(s_vec, s_par) for s_vec, s_par in constraints if s_vec != unit]
     result: list[tuple[SparseVector, int]] = []
     for deg in (0, 1):
         kernel: list[SparseVector] = [{i: one} for i in a.degree_indices(deg)]

@@ -127,10 +127,7 @@ def clifford(form: DiagonalForm) -> GradedAlgebra:
     for m in range(1, dim):
         v = products[m & (m - 1)] * form.entries[lowest[m]]
         products[m] = canon.setdefault(v, v)
-    negation = {}
-    for v in list(canon.values()):
-        w = -v
-        negation[id(v)] = canon.setdefault(w, w)
+    negation = {id(v): canon.setdefault(-v, -v) for v in list(canon.values())}
     negated = [negation[id(c)] for c in products]
     table: dict[tuple[int, int], dict[int, Scalar]] = {}
     for s in range(dim):

@@ -197,6 +197,19 @@ def test_graded_centralizer_rejects_mixed_elements():
         graded_centralizer(a, [(mixed, 0)])
 
 
+def test_graded_centralizer_does_not_trust_the_declared_unit():
+    """The constructor takes an explicit unit without checking it; a
+    constraint equal to a wrong declared unit still constrains."""
+    a = cl(2, 0)
+    e12 = a.basis_vector(3)  # anticommutes with e_1 and e_2
+    wrong = GradedAlgebra(a.field, a.parity, a.table, unit=e12)
+    want = graded_centralizer(a, [(e12, 0)])
+    assert [deg for _, deg in want] == [0, 0]
+    assert graded_centralizer(wrong, [(e12, 0)]) == want
+    with pytest.raises(AlgebraError, match="unit fails"):
+        wrong.validate()
+
+
 def test_hat_center_normal_forms():
     # (parity of generator, square) pairs for the first Clifford algebras
     expected = {

@@ -225,6 +225,22 @@ def test_graded_tensor_equals_the_naive_construction():
         assert (snapshot(a), snapshot(b)) == before
 
 
+def test_tensor_of_factors_that_share_no_scalars():
+    """Factors read from JSON hold a new object per entry; the product
+    still holds at most one object per (value of a, value of b, sign)."""
+    for a, b in [(clifford(DiagonalForm((F(1, 2), -3, 2), REAL)),
+                  clifford(DiagonalForm((1, -2), REAL))),
+                 (cl(1, 2, COMPLEX), end_graded(1, 1, COMPLEX))]:
+        a, b = (GradedAlgebra.from_json(x.to_json()) for x in (a, b))
+        values = [[v for cell in x.table.values() for v in cell.values()]
+                  for x in (a, b)]
+        assert all(len({id(v) for v in vs}) == len(vs) for vs in values)
+        t = graded_tensor(a, b)
+        same(t, naive_tensor(a, b))
+        objects = {id(v) for cell in t.table.values() for v in cell.values()}
+        assert len(objects) <= 2 * len(set(values[0])) * len(set(values[1]))
+
+
 def test_opposite_equals_the_naive_construction():
     for a in inputs():
         before = snapshot(a)
