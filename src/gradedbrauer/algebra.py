@@ -125,11 +125,12 @@ class GradedAlgebra:
         Coordinates of the multiplicative unit.  When omitted, the unit
         is solved for from the table (and its absence is an error).
 
-    Construction normalizes scalars into the field and drops zeros, but
-    does *not* verify associativity or the grading — call
-    :meth:`validate` for the full audit, which checks associativity on
-    ``dim**2 * r`` basis triples for ``r`` generators of the algebra
-    (Light's test).  :meth:`from_json` checks the unit and the grading.
+    Construction normalizes scalars into the field, drops zeros and runs
+    :meth:`check_unit_and_grading`, so every algebra built here has a
+    true, even unit and a table that respects the grading.  It does
+    *not* verify associativity — call :meth:`validate` for the full
+    audit, which checks associativity on ``dim**2 * r`` basis triples
+    for ``r`` generators of the algebra (Light's test).
     The library's own constructors
     (:func:`gradedbrauer.clifford.clifford`, :func:`end_graded`,
     :func:`graded_tensor`, :func:`opposite`, ...) build normalized tables
@@ -179,6 +180,7 @@ class GradedAlgebra:
                 raise AlgebraError("unit vector has the wrong length")
             self.unit = tuple(field.coerce(v) for v in unit)
         self._descriptor = self._ungraded = None
+        self.check_unit_and_grading()
 
     @classmethod
     def _trusted(cls, field: Field, parity: tuple[int, ...],
@@ -423,9 +425,9 @@ class GradedAlgebra:
         return generators
 
     def check_unit_and_grading(self) -> None:
-        """The cheap part of :meth:`validate`, run on every JSON ingest:
-        the unit is even and two-sided, and every product lands in the
-        parity forced by the grading.  Raises :class:`AlgebraError`.
+        """The cheap part of :meth:`validate`, run by the constructor: the
+        unit is even and two-sided, and every product lands in the parity
+        forced by the grading.  Raises :class:`AlgebraError`.
 
         The products ``u e_j`` and ``e_j u`` visit only the unit's
         nonzero coordinates (:func:`_mul_into`)."""
@@ -508,8 +510,8 @@ class GradedAlgebra:
         a dense ``dim x dim x dim`` nested list.  ``unit`` may be
         omitted, in which case it is solved for.  Scalars are strings or
         integers.  An algebra above :data:`MAX_DIM` is refused before its
-        table is built.  The unit and the grading are checked
-        (:meth:`check_unit_and_grading`); associativity is not.
+        table is built.  The constructor checks the unit and the grading
+        (:meth:`check_unit_and_grading`); associativity is not checked.
         """
         if not isinstance(data, Mapping):
             raise AlgebraError("algebra JSON must be an object, not "
@@ -564,9 +566,7 @@ class GradedAlgebra:
                 if k in cell:
                     raise AlgebraError(f"duplicate structure triple ({i}, {j}, {k})")
                 cell[k] = value
-        algebra = cls(field, parity, table, unit)
-        algebra.check_unit_and_grading()
-        return algebra
+        return cls(field, parity, table, unit)
 
 
 def _json_int(value: object, what: str) -> int:
@@ -750,15 +750,6 @@ def _supercommutant(a: GradedAlgebra,
     return result
 
 
-def _proportionality(unit: SparseVector, vec: SparseVector) -> Optional[Scalar]:
-    """The nonzero scalar ``t`` with ``vec == t * unit``, or ``None``."""
-    if not vec or vec.keys() != unit.keys():
-        return None
-    i, u = next(iter(unit.items()))
-    t = vec[i] / u
-    return t if all(v == t * unit[k] for k, v in vec.items()) else None
-
-
 def hat_center(a: GradedAlgebra) -> GradedAlgebra:
     """The graded center, in quadratic normal form.
 
@@ -787,6 +778,14 @@ def hat_center(a: GradedAlgebra) -> GradedAlgebra:
     the split normal form over both points.  So only ``Z(A)``, the
     commutant of ``A``'s basis, is computed (with the closure check),
     and a failure reports the dimension ``2 dim Z(A)``.
+
+    With an odd part, the generator is read one way for both parities.
+    The unit (checked by the constructor) is even and commutes with
+    everything, so it lies in the span of the two centralizer vectors,
+    and one of them, ``z``, is not proportional to it.  The closure check
+    puts ``z^2`` in that span: ``z^2 = alpha + beta z``, read off the one
+    kernel vector ``(-alpha, -beta, 1)`` of the columns ``(1, z, z^2)``.
+    For an odd ``z`` the even ``z^2`` forces ``beta = 0``.
     """
     field = a.field
     one = field.one()
@@ -802,32 +801,15 @@ def hat_center(a: GradedAlgebra) -> GradedAlgebra:
             f"graded center has dimension {len(cent)}, expected 2"
         )
     unit = _sparse(a.unit)
-    (v0, p0), (v1, p1) = cent  # degree 0 first
+    z, z_parity = next((v, p) for v, p in cent if not linalg.in_span([unit], v, one))
     z_sq: SparseVector = {}
-    if (p0, p1) == (0, 1):
-        if _proportionality(unit, v0) is None:
-            raise NotAzumayaError("even part of the graded center misses the unit")
-        _mul_into(z_sq, a.table, v1, v1)
-        lam = _proportionality(unit, z_sq)
-        z_parity = 1
-    elif p1 == 0:
-        z0 = v1 if _proportionality(unit, v0) is not None else v0
-        if _proportionality(unit, z0) is not None:
-            raise NotAzumayaError("graded center degenerated to multiples of the unit")
-        # z0^2 = alpha + beta z0, read off the kernel vector of the columns
-        # (1, z0, z0^2): it is (-alpha, -beta, 1) when z0^2 is in their span
-        _mul_into(z_sq, a.table, z0, z0)
-        kernel = linalg.column_kernel([unit, z0, z_sq], one)
-        if not kernel or 2 not in kernel[-1]:
-            raise NotAzumayaError("graded center is not closed on its generator")
-        alpha = -kernel[-1].get(0, field.zero())
-        beta = -kernel[-1].get(1, field.zero())
-        # Complete the square: (z0 - beta/2)^2 = alpha + beta^2/4.
-        lam = alpha + beta * beta * Fraction(1, 4)
-        z_parity = 0
-    else:
-        raise NotAzumayaError("graded center lost the unit")
-    if lam is None or not lam:
+    _mul_into(z_sq, a.table, z, z)
+    (combo,) = linalg.column_kernel([unit, z, z_sq], one)
+    alpha = -combo.get(0, field.zero())
+    beta = -combo.get(1, field.zero())
+    # Complete the square: (z - beta/2)^2 = alpha + beta^2/4.
+    lam = alpha + beta * beta * Fraction(1, 4)
+    if not lam:
         raise NotAzumayaError("graded center generator squares to a non-unit")
     return _quadratic(field, z_parity,
                       field.coerce(field.sign(lam)) if field.is_real else one)

@@ -160,8 +160,6 @@ def signature(rows, n):
                     m[k][i] = new[k]
                 else:
                     del m[k][i]
-                    if not m[k]:
-                        del m[k]
             m[i] = new
             continue
         row = m.pop(p)

@@ -572,16 +572,18 @@ def circle_reports() -> dict[str, InvariantReport]:
     }
 
 
-def curve_reports(genus_range=(0, 1, 2), component_range=(0, 1, 2, 3)):
-    """Real-curve reports over a (genus, real circle count) grid."""
-    return {(g, nu): compute_report(RealCurve(g, nu))
-            for g in genus_range for nu in component_range}
+# The (genus, circle count) grid of the curve and surface golden tables.
+_GRID = tuple((g, nu) for g in (0, 1, 2) for nu in (0, 1, 2, 3))
 
 
-def surface_reports(genus_range=(0, 1, 2), circle_range=(0, 1, 2, 3)):
-    """Surface-with-involution reports over a (genus, fixed circles) grid."""
-    return {(g, nu): compute_report(SurfaceWithInvolution(g, nu))
-            for g in genus_range for nu in circle_range}
+def curve_reports() -> dict[tuple[int, int], InvariantReport]:
+    """Real-curve reports over the (genus, real circle count) grid."""
+    return {(g, nu): compute_report(RealCurve(g, nu)) for g, nu in _GRID}
+
+
+def surface_reports() -> dict[tuple[int, int], InvariantReport]:
+    """Surface-with-involution reports over the (genus, fixed circles) grid."""
+    return {(g, nu): compute_report(SurfaceWithInvolution(g, nu)) for g, nu in _GRID}
 
 
 def named_examples() -> dict[str, InvariantReport]:

@@ -95,10 +95,12 @@ def test_validate_catches_broken_associativity():
 
 
 def test_validate_catches_grading_violations():
-    bad = GradedAlgebra(REAL, (0, 1),
-                        {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
-                         (1, 1): {1: 1}},  # odd*odd landing in odd degree
-                        unit=(1, 0))
+    one = F(1)
+    table = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one},
+             (1, 1): {1: one}}  # odd*odd landing in odd degree
+    with pytest.raises(AlgebraError, match="parity"):
+        GradedAlgebra(REAL, (0, 1), table, unit=(1, 0))
+    bad = GradedAlgebra._trusted(REAL, (0, 1), table, (one, F(0)))
     with pytest.raises(AlgebraError, match="parity"):
         bad.validate()
 
@@ -106,7 +108,9 @@ def test_validate_catches_grading_violations():
 def test_validate_catches_fake_unit():
     a = GradedAlgebra(REAL, (0, 0), {(0, 0): {0: 1}, (1, 1): {1: 1}},
                       unit=(1, 1))
-    doctored = GradedAlgebra(a.field, a.parity, a.table, unit=(1, 0))
+    with pytest.raises(AlgebraError, match="unit fails"):
+        GradedAlgebra(a.field, a.parity, a.table, unit=(1, 0))
+    doctored = GradedAlgebra._trusted(a.field, a.parity, a.table, (F(1), F(0)))
     with pytest.raises(AlgebraError, match="unit"):
         doctored.validate()
 
@@ -198,11 +202,14 @@ def test_graded_centralizer_rejects_mixed_elements():
 
 
 def test_graded_centralizer_does_not_trust_the_declared_unit():
-    """The constructor takes an explicit unit without checking it; a
-    constraint equal to a wrong declared unit still constrains."""
+    """The constructor refuses a wrong explicit unit; on an algebra that
+    skips the check (``_trusted``), a constraint equal to the wrong
+    declared unit still constrains."""
     a = cl(2, 0)
     e12 = a.basis_vector(3)  # anticommutes with e_1 and e_2
-    wrong = GradedAlgebra(a.field, a.parity, a.table, unit=e12)
+    with pytest.raises(AlgebraError, match="unit fails on basis element 0"):
+        GradedAlgebra(a.field, a.parity, a.table, unit=e12)
+    wrong = GradedAlgebra._trusted(a.field, a.parity, a.table, tuple(e12))
     want = graded_centralizer(a, [(e12, 0)])
     assert [deg for _, deg in want] == [0, 0]
     assert graded_centralizer(wrong, [(e12, 0)]) == want

@@ -209,7 +209,11 @@ def test_unit_solve_matches_the_dense_solve():
     {(0, 0): {0: 1}, (1, 1): {0: 1}},                # e f = f e = 0
 ])
 def test_tables_without_a_unit(table):
-    parity = (0, 0)
-    assert dense_unit(GradedAlgebra(REAL, parity, table, (0, 0))) is None
+    parity, zero = (0, 0), REAL.zero()
+    with pytest.raises(AlgebraError, match="unit fails on basis element 0"):
+        GradedAlgebra(REAL, parity, table, (0, 0))
+    trusted = {ij: {k: REAL.coerce(v) for k, v in cell.items()}
+               for ij, cell in table.items()}
+    assert dense_unit(GradedAlgebra._trusted(REAL, parity, trusted, (zero, zero))) is None
     with pytest.raises(AlgebraError, match="admits no two-sided unit"):
         GradedAlgebra(REAL, parity, table)

@@ -1,0 +1,108 @@
+"""Refusals at the library and CLI boundary that no other test reaches.
+
+Each library case is a call, the exception it raises and its message.
+Where a CLI command reaches the same check, that command exits 2 with
+the same message in its ``{"error": ...}`` document (a unit of the wrong
+length in ``test_cli_input.test_wrong_unit_exits_two``).
+"""
+
+import json
+import re
+
+import pytest
+
+from gradedbrauer.algebra import (AlgebraError, GradedAlgebra, end_graded,
+                                  graded_centralizer, hat_center)
+from gradedbrauer.cli import main
+from gradedbrauer.clifford import (DiagonalForm, clifford, hyperbolic, relabel,
+                                   signature_form)
+from gradedbrauer.groups import AbGroup
+from gradedbrauer.scalars import COMPLEX, REAL, parse_gaussian
+
+
+def generator():
+    """``C<1>``: basis (1, e) with e odd and e^2 = 1."""
+    return clifford(signature_form(1, 0))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GradedAlgebra(REAL, (0,), {(0, 0): {0: 1}}, unit=(1, 0)),
+     AlgebraError, "unit vector has the wrong length"),
+    (lambda: GradedAlgebra.from_json(
+        {"field": "R", "parity": [0], "structure": [[0, 0, 0]]}),
+     AlgebraError, "bad structure triple [0, 0, 0]"),
+    (lambda: end_graded(0, 0),
+     AlgebraError, "graded endomorphism algebra of the zero space"),
+    (lambda: graded_centralizer(generator(), [([1, 0], 2)]),
+     AlgebraError, "constraint parity must be 0 or 1"),
+    (lambda: relabel(generator(), [0, 0]),
+     AlgebraError, "relabeling must be a permutation of the basis"),
+    (lambda: hyperbolic(-1),
+     ValueError, "need a nonnegative number of planes"),
+    (lambda: DiagonalForm((1,), REAL) + DiagonalForm((1,), COMPLEX),
+     ValueError, "cannot sum forms over different fields"),
+    (lambda: AbGroup(free_rank=-1), ValueError, "ranks must be nonnegative"),
+    (lambda: AbGroup(divisible_rank=-1), ValueError, "ranks must be nonnegative"),
+    (lambda: parse_gaussian(" "), ValueError, "empty scalar string"),
+], ids=["unit-length", "structure-entry", "end-0-0", "constraint-parity",
+        "relabel", "hyperbolic", "form-sum-fields", "free-rank",
+        "divisible-rank", "empty-gaussian"])
+def test_library_refusal(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def run_cli(capsys, tmp_path, argv, doc=None):
+    if doc is not None:
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + [str(path)]
+    code = main(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+def generator_with(**changes):
+    doc = generator().to_json()
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("argv, doc, error", [
+    (["azumaya", "--algebra"], generator_with(structure=[[0, 0, 0]]),
+     ("AlgebraError", "bad structure triple [0, 0, 0]")),
+    (["centralizer", "--algebra"], generator_with(structure=["x"]),
+     ("AlgebraError", "bad structure triple 'x'")),
+    (["invariants", "--algebra", "end:0,0"], None,
+     ("AlgebraError", "graded endomorphism algebra of the zero space")),
+    (["invariants", "--algebra"],
+     {"field": "C", "parity": [0], "unit": [""], "structure": [[0, 0, 0, "1"]]},
+     ("ValueError", "empty scalar string")),
+], ids=["structure-entry", "structure-non-list", "end-0-0", "empty-gaussian"])
+def test_cli_refusal_exits_two(capsys, tmp_path, argv, doc, error):
+    code, out = run_cli(capsys, tmp_path, argv, doc)
+    assert code == 2
+    assert out["error"] == dict(zip(("type", "message"), error))
+
+
+def unclosed_center():
+    """A purely even dim-4 table whose commutant is not closed under the
+    product.  It has the unit ``e_0`` and the right grading, but it is
+    not associative."""
+    table = {(0, k): {k: 1} for k in range(4)}
+    table.update({(k, 0): {k: 1} for k in range(1, 4)})
+    table.update({(1, 2): {0: 2, 2: -1, 3: 1}, (1, 3): {3: -1}, (2, 1): {0: 1},
+                  (2, 2): {2: 1}, (3, 1): {3: -1}, (3, 3): {1: 1}})
+    return GradedAlgebra(REAL, (0, 0, 0, 0), table, unit=(1, 0, 0, 0))
+
+
+def test_centralizer_closure_refusal(capsys, tmp_path):
+    a = unclosed_center()
+    with pytest.raises(AlgebraError, match="centralizer failed to close under product"):
+        hat_center(a)
+    with pytest.raises(AlgebraError, match=re.escape(
+            "associativity fails on basis triple (1, 1, 2)")):
+        a.validate()
+    code, out = run_cli(capsys, tmp_path, ["invariants", "--algebra"], a.to_json())
+    assert code == 2
+    assert out["error"] == {"type": "AlgebraError",
+                            "message": "centralizer failed to close under product"}

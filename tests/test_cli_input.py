@@ -62,6 +62,7 @@ def test_float_in_the_unit_exits_two(capsys, tmp_path):
 @pytest.mark.parametrize("unit, message", [
     (["2", "0"], "unit fails on basis element 0"),
     (["1", "1"], "unit has a component in odd degree"),
+    (["1", "0", "0"], "unit vector has the wrong length"),
 ])
 def test_wrong_unit_exits_two(capsys, tmp_path, unit, message):
     alg = generator_json()

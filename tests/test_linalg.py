@@ -169,6 +169,12 @@ def test_signature_needs_the_off_diagonal_trick():
     assert signature(rows_of(sym), 2) == (1, 1, 0)
 
 
+def test_signature_off_diagonal_trick_cancels_an_entry():
+    # e_0 <- e_0 + e_1 cancels m_02 against m_12; row 2 keeps m_21
+    sym = [[F(0), F(1), F(1)], [F(1), F(0), F(-1)], [F(1), F(-1), F(0)]]
+    assert signature(rows_of(sym), 3) == (2, 1, 0)
+
+
 def test_signature_counts_absent_rows_as_zero():
     assert signature({}, 4) == (0, 0, 4)
     assert signature({2: {2: F(-1, 2)}}, 5) == (0, 1, 4)
