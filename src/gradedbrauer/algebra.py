@@ -832,10 +832,10 @@ def is_azumaya(a: GradedAlgebra) -> bool:
 
     Decided on ``dim x dim`` data by two exact facts, each a certificate:
 
-    * the regular trace form (:func:`trace_gram`) is nondegenerate: the
-      column kernel of its sparse Gram rows is empty.  Over a field of
-      characteristic 0 its radical is the Jacobson radical (Dieudonné),
-      so this means ``a`` is semisimple; and
+    * the regular trace form (:func:`trace_gram`) is nondegenerate: its
+      :func:`~gradedbrauer.linalg.congruence_diagonal` has ``dim``
+      entries.  Over a field of characteristic 0 its radical is the
+      Jacobson radical (Dieudonné), so this means ``a`` is semisimple; and
     * the supercenter, the supercommutant of the whole basis, is the
       ground field.  A semisimple graded algebra is a product of graded
       simple factors, each contributing an even central idempotent, and
@@ -845,9 +845,11 @@ def is_azumaya(a: GradedAlgebra) -> bool:
 
     Together they say that the sandwich map ``a (x) a^op -> End(a)``,
     ``x (x) y -> (c -> (-1)^{|y||c|} x c y)``, is bijective, without
-    building its ``dim**2 x dim**2`` matrix.
+    building its ``dim**2 x dim**2`` matrix.  A trace form that is not
+    symmetric proves that the table is not associative, and raises
+    ValueError at either point.
     """
-    if trace_nullity(a):
+    if len(linalg.congruence_diagonal(trace_gram(a))) < a.dim:
         return False
     one = a.field.one()
     basis = [({i: one}, p) for i, p in enumerate(a.parity)]
@@ -898,31 +900,11 @@ def trace_gram(a: GradedAlgebra, indices: Optional[Sequence[int]] = None
     return rows
 
 
-def trace_nullity(a: GradedAlgebra, indices: Optional[Sequence[int]] = None) -> int:
-    """Dimension of the radical of the regular trace form: the number of
-    vectors in the column kernel of its sparse Gram rows.  Zero exactly
-    when the form is nondegenerate; defined over both points.  With
-    ``indices``, the form of the subalgebra they span (:func:`trace_gram`)."""
-    gram = trace_gram(a, indices)
-    return len(linalg.column_kernel(
-        [gram.get(i, {}) for i in (range(a.dim) if indices is None else indices)],
-        a.field.one()))
-
-
-def trace_inertia(a: GradedAlgebra, indices: Optional[Sequence[int]] = None
-                  ) -> tuple[int, int, int]:
-    """Inertia ``(positive, negative, zero)`` of the regular trace form,
-    or with ``indices`` of the subalgebra they span (:func:`trace_gram`).
+def trace_signature(a: GradedAlgebra) -> int:
+    """Signature (positives minus negatives) of the regular trace form.
 
     Only defined over the real point; the complex point has no signs.
     """
     if not a.field.is_real:
         raise AlgebraError("trace signature is only defined over the real point")
-    return linalg.signature(trace_gram(a, indices),
-                            a.dim if indices is None else len(indices))
-
-
-def trace_signature(a: GradedAlgebra) -> int:
-    """Signature (positives minus negatives) of the regular trace form."""
-    pos, neg, _ = trace_inertia(a)
-    return pos - neg
+    return sum(1 if d > 0 else -1 for d in linalg.congruence_diagonal(trace_gram(a)))

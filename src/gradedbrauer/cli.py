@@ -36,7 +36,7 @@ from .spaces import (ComplexCurve, ComplexProjective, ComplexSurfaceWitt,
 
 
 def _parse_form(text: str, field: Field) -> DiagonalForm:
-    entries = tuple(field.parse(part.strip()) for part in text.split(",") if part.strip())
+    entries = tuple(field.coerce(part.strip()) for part in text.split(",") if part.strip())
     return DiagonalForm(entries, field)
 
 

@@ -17,7 +17,9 @@ invariants, each computed from the algebra itself:
   underlying ungraded Azumaya algebra (the whole algebra for an even
   class, its degree-0 part for an odd class), detected by the sign of
   the regular trace form: positive signature means the matrix type
-  (class 0), negative means the quaternion type (class 1).  Over the
+  (class 0), negative means the quaternion type (class 1).  The signs
+  are read from one congruence diagonal of the form, whose length also
+  certifies that the form is nondegenerate at both points.  Over the
   complex point this invariant is identically 0.
 
 The Z/8 (resp. Z/2) value of a class is *not* read off a transcribed
@@ -34,9 +36,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import (GradedAlgebra, NotAzumayaError, graded_tensor,
-                      ground_algebra, hat_center, opposite, trace_inertia,
-                      trace_nullity)
+                      ground_algebra, hat_center, opposite, trace_gram)
 from .clifford import DiagonalForm, clifford
+from .linalg import congruence_diagonal
 from .scalars import Field, field_from_label
 
 _Q2_FROM_DESCRIPTOR = {(0, 1): 0, (1, 1): 1, (0, -1): 2, (1, -1): 3}
@@ -95,34 +97,33 @@ def ungraded_class(a: GradedAlgebra) -> int:
     class it is the input, and for an odd class the input is
     ``A_0 (x) k[z]/(z^2 - lambda)`` with ``z`` the odd generator of the
     graded center and ``lambda != 0``.  A central simple algebra in
-    characteristic 0 has a nondegenerate trace form, so a degenerate
-    one refuses the input at either point.  Over the real point the
-    nullity is the zero count of the same inertia that gives the sign,
-    and a zero signature, which leaves no division-type anchor, refuses
-    it too; over the complex point it is
-    :func:`~gradedbrauer.algebra.trace_nullity`, and the
-    invariant is identically 0.  Computed once per algebra and kept on
-    it, like :func:`quadratic_descriptor`.
+    characteristic 0 has a nondegenerate trace form.  One
+    :func:`~gradedbrauer.linalg.congruence_diagonal` of the form serves
+    both points: a diagonal shorter than the dimension (a degenerate
+    form) refuses the input at either point, and over the real point
+    the signs of its entries give the signature, where a zero
+    signature, which leaves no division-type anchor, refuses it too.
+    Over the complex point the invariant is identically 0.  Computed
+    once per algebra and kept on it, like :func:`quadratic_descriptor`.
     """
     if a._ungraded is None:
         even = None if parity_class(a) == 0 else a.degree_indices(0)
-        if a.field.is_real:
-            pos, neg, zero = trace_inertia(a, even)
-        else:
-            zero = trace_nullity(a, even)
-        if zero:
+        diagonal = congruence_diagonal(trace_gram(a, even))
+        nullity = (a.dim if even is None else len(even)) - len(diagonal)
+        if nullity:
             raise NotAzumayaError(
-                f"regular trace form is degenerate (nullity {zero}); "
+                f"regular trace form is degenerate (nullity {nullity}); "
                 "the algebra is not graded Azumaya"
             )
         if not a.field.is_real:
             a._ungraded = 0
-        elif pos == neg:
-            raise NotAzumayaError(
-                "regular trace form has zero signature; no division-type anchor"
-            )
         else:
-            a._ungraded = 0 if pos > neg else 1
+            signature = sum(1 if d > 0 else -1 for d in diagonal)
+            if not signature:
+                raise NotAzumayaError(
+                    "regular trace form has zero signature; no division-type anchor"
+                )
+            a._ungraded = 0 if signature > 0 else 1
     return a._ungraded
 
 

@@ -6,9 +6,11 @@ here is fraction-exact; nothing is numerically approximate.
 
 Vectors are sparse: dicts ``{index: coefficient}`` holding only nonzero
 entries.  A matrix is given by its columns, and one elimination,
-:func:`column_kernel`, takes them one at a time; kernels, ranks, linear
-systems and span tests all come from it.  :func:`signature` is a
-symmetric congruence reduction on sparse rows.
+:func:`column_kernel`, takes them one at a time; kernels, linear systems
+and span tests all come from it.  A symmetric matrix, given by its
+sparse rows, is diagonalized by :func:`congruence_diagonal`, whose
+diagonal gives its rank over either field and its inertia over the
+rationals.
 """
 
 from __future__ import annotations
@@ -124,25 +126,27 @@ def in_span(vectors, vector, one) -> bool:
     return bool(kernel) and len(vectors) in kernel[-1]
 
 
-def signature(rows, n):
-    """Inertia ``(positive, negative, zero)`` of a symmetric rational
-    ``n x n`` matrix given by its sparse rows ``{i: {j: m_ij}}``.
+def congruence_diagonal(rows):
+    """The nonzero diagonal of a diagonal matrix congruent to the
+    symmetric matrix given by its sparse rows ``{i: {j: m_ij}}``.
 
     Only nonzero entries are stored and a zero row may be absent.  The
     reduction is by symmetric congruence: pick a row ``p`` with a nonzero
-    diagonal entry ``d``, count its sign, and subtract ``m_ip m_pk / d``
-    from every ``m_ik`` with ``i, k`` in the support of row ``p``, which
-    clears row and column ``p``.  When no diagonal entry is nonzero but
-    some ``m_ij`` is, replacing ``e_i`` by ``e_i + e_j`` makes the
-    ``(i, i)`` entry ``2 m_ij`` nonzero, and congruence leaves the
-    inertia alone, so the loop always makes progress.  The work follows
-    the nonzeros: on a diagonal matrix it is one step per row.  Entries
-    must be rationals; a matrix that is not symmetric raises ValueError.
+    diagonal entry ``d``, keep ``d``, and subtract ``m_ip m_pk / d`` from
+    every ``m_ik`` with ``i, k`` in the support of row ``p``, which clears
+    row and column ``p``.  When no diagonal entry is nonzero but some
+    ``m_ij`` is, replacing ``e_i`` by ``e_i + e_j`` makes the ``(i, i)``
+    entry ``2 m_ij`` nonzero (characteristic 0), so the loop always makes
+    progress.  The work follows the nonzeros: on a diagonal matrix it is
+    one step per row.  Congruence keeps the rank, so the length of the
+    list is the rank over the rationals and the Gaussian rationals alike;
+    over the rationals the signs of its entries are the inertia
+    (Sylvester's law).  A matrix that is not symmetric raises ValueError.
     """
     m = {i: dict(row) for i, row in rows.items() if row}
     if any(m.get(j, {}).get(i) != v for i, row in m.items() for j, v in row.items()):
-        raise ValueError("signature needs a symmetric matrix")
-    pos = neg = 0
+        raise ValueError("congruence diagonal needs a symmetric matrix")
+    diagonal = []
     while m:
         p = next((i for i, row in m.items() if i in row), None)
         if p is None:
@@ -164,10 +168,7 @@ def signature(rows, n):
             continue
         row = m.pop(p)
         d = row.pop(p)
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
+        diagonal.append(d)
         for i in row:
             del m[i][p]
         for i, v in row.items():
@@ -175,4 +176,4 @@ def signature(rows, n):
         for i in row:
             if not m[i]:
                 del m[i]
-    return pos, neg, n - pos - neg
+    return diagonal

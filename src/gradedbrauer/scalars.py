@@ -5,7 +5,7 @@ Every number in this package is either a :class:`fractions.Fraction`
 (complex-point context, label ``"C"``).  No floating point, ever.
 
 Scalars serialize to short strings: ``"3"``, ``"-5/2"``, ``"1/2+3/4i"``,
-``"-2i"``.  Parsing accepts anything :func:`Field.parse` emits, plus
+``"-2i"``.  Parsing accepts anything :meth:`Field.render` emits, plus
 obvious variants (``"i"``, ``"-i"``, embedded spaces).
 
 Cost model.  A ``GaussianRational`` operation does only the ``Fraction``
@@ -172,7 +172,6 @@ I = GaussianRational(0, 1)
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -287,11 +286,9 @@ class Field:
             return parse_gaussian(value)
         return GaussianRational(Fraction(value))
 
-    def parse(self, text: str):
-        return self.coerce(text)
-
     def render(self, value) -> str:
-        value = self.coerce(value)
+        """The string of ``value``, which must already be a scalar of
+        this field (as :meth:`coerce` returns)."""
         if self.is_real:
             return format_rational(value)
         return format_gaussian(value)

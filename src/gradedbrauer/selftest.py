@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from .algebra import GradedAlgebra, end_graded, graded_tensor, opposite
+from .algebra import (GradedAlgebra, end_graded, graded_tensor, opposite,
+                      trace_signature)
 from .clifford import DiagonalForm, clifford, signature_form
 from .groups import AbGroup
 from .invariants import bw_class, group_order, q2_add, q2_class, witt_to_bw
@@ -80,7 +81,6 @@ def _check_opposite_inverts(tensor: TensorFn, rng: random.Random) -> None:
 
 
 def _check_trace_anchors(tensor: TensorFn, rng: random.Random) -> None:
-    from .algebra import trace_signature
     hyperbolic_sig = trace_signature(end_graded(2, 0))
     quaternion_sig = trace_signature(clifford(signature_form(0, 2)))
     if hyperbolic_sig <= 0 or quaternion_sig >= 0:

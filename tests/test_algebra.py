@@ -9,6 +9,7 @@ from gradedbrauer.algebra import (AlgebraError, GradedAlgebra,
                                   ground_algebra, hat_center, is_azumaya,
                                   opposite, trace_gram, trace_signature)
 from gradedbrauer.clifford import clifford, signature_form
+from gradedbrauer.invariants import bw_class
 from gradedbrauer.scalars import COMPLEX, REAL
 from centralizer_oracle import m11
 
@@ -300,6 +301,28 @@ def test_trace_signature_distinguishes_the_two_four_dimensional_classes():
 def test_trace_signature_real_only():
     with pytest.raises(AlgebraError):
         trace_signature(cl(1, 1, COMPLEX))
+
+
+def non_associative(field=REAL):
+    """Even, dim 3, unit ``e_0``, ``e_1 e_1 = e_1 e_2 = e_1`` and every
+    other product of ``e_1, e_2`` zero.  ``(e_1 e_2) e_1 = e_1`` but
+    ``e_1 (e_2 e_1) = 0``, and the trace form shows it: ``G_12 = 1`` and
+    ``G_21 = 0``."""
+    return GradedAlgebra(field, (0, 0, 0),
+                         {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                          (0, 2): {2: 1}, (2, 0): {2: 1},
+                          (1, 1): {1: 1}, (1, 2): {1: 1}},
+                         unit=(1, 0, 0))
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_an_asymmetric_trace_form_is_refused_alike_at_both_points(field):
+    a = non_associative(field)
+    g = trace_gram(a)
+    assert (g[1].get(2), g.get(2, {}).get(1)) == (1, None)
+    for decide in (bw_class, is_azumaya):
+        with pytest.raises(ValueError, match="symmetric"):
+            decide(a)
 
 
 # ------------------------------------------------------------------- JSON

@@ -93,6 +93,25 @@ def test_wrong_parity_product_exits_two(capsys, tmp_path):
     assert "wrong parity" in doc["error"]["message"]
 
 
+NON_ASSOCIATIVE = {"parity": [0, 0, 0], "unit": ["1", "0", "0"], "structure": [
+    [0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [0, 2, 2, "1"],
+    [2, 0, 2, "1"], [1, 1, 1, "1"], [1, 2, 1, "1"]]}
+
+
+@pytest.mark.parametrize("command", ["invariants", "azumaya"])
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_an_asymmetric_trace_form_exits_two_at_both_points(
+        capsys, monkeypatch, command, field):
+    """``e_1 e_1 = e_1 e_2 = e_1`` is not associative, and its trace form
+    is not symmetric: both commands refuse it the same way at R and C."""
+    doc = dict(NON_ASSOCIATIVE, field=field)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code = main([command, "--algebra", "-"])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (code, error["type"]) == (2, "ValueError")
+    assert "symmetric" in error["message"]
+
+
 def test_from_json_checks_without_the_cli():
     alg = generator_json()
     alg["unit"] = ["2", "0"]

@@ -93,8 +93,7 @@ def test_memoized_answers_equal_fresh_ones(name):
 def test_one_classification_per_algebra(monkeypatch, name):
     a = ALGEBRAS[name]()
     centers = counter(monkeypatch, "hat_center")
-    signatures = counter(monkeypatch, "trace_inertia")
-    nullities = counter(monkeypatch, "trace_nullity")
+    reductions = counter(monkeypatch, "congruence_diagonal")
     even_parts = []
     real_even_part = GradedAlgebra.even_part
     monkeypatch.setattr(GradedAlgebra, "even_part",
@@ -103,21 +102,21 @@ def test_one_classification_per_algebra(monkeypatch, name):
         for f in CLASSIFIERS:
             f(a)
     assert len(centers) == 1
-    # one trace form per algebra: its inertia over R, its nullity over C
-    assert (len(signatures), len(nullities)) == ((1, 0) if a.field.is_real else (0, 1))
+    # one reduction of one trace form per algebra, at either point
+    assert len(reductions) == 1
     # an odd class reads its even part in place
     assert even_parts == []
 
 
 def test_q2_class_alone_takes_no_trace_signature(monkeypatch):
-    signatures = counter(monkeypatch, "trace_inertia")
-    nullities = counter(monkeypatch, "trace_nullity")
+    grams = counter(monkeypatch, "trace_gram")
+    reductions = counter(monkeypatch, "congruence_diagonal")
     for build in ALGEBRAS.values():
         a = build()
         q2_class(a)
         parity_class(a)
         quadratic_descriptor(a)
-    assert signatures == nullities == []
+    assert grams == reductions == []
 
 
 def test_a_center_that_is_not_azumaya_is_never_kept(monkeypatch):
@@ -132,8 +131,9 @@ def test_a_center_that_is_not_azumaya_is_never_kept(monkeypatch):
 
 def test_a_zero_signature_is_never_kept(monkeypatch):
     a = cl(0, 2)
-    monkeypatch.setattr(invariants, "trace_inertia",
-                        lambda a, indices=None: (2, 2, 0))
+    # a full-rank diagonal, two entries of each sign
+    monkeypatch.setattr(invariants, "congruence_diagonal",
+                        lambda rows: [F(1), F(-1), F(2), F(-2)])
     for _ in range(2):
         with pytest.raises(NotAzumayaError, match="zero signature"):
             invariant_triple(a)

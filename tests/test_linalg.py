@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedbrauer.linalg import column_kernel, combine, in_span, signature
+from gradedbrauer.linalg import (column_kernel, combine, congruence_diagonal,
+                                 in_span)
 from gradedbrauer.scalars import COMPLEX, REAL, GaussianRational
 from centralizer_oracle import (dense_nullspace, dense_rank, dense_solve,
                                 in_row_span, row_echelon)
@@ -158,6 +159,14 @@ def test_in_span():
     assert not in_span([], {2: F(1)}, 1)
 
 
+def signature(rows, n):
+    """Inertia ``(positive, negative, zero)`` of an ``n x n`` rational
+    matrix, read from its congruence diagonal."""
+    diagonal = congruence_diagonal(rows)
+    pos = sum(d > 0 for d in diagonal)
+    return pos, len(diagonal) - pos, n - len(diagonal)
+
+
 def test_signature_of_diagonal():
     sym = [[F(2), F(0), F(0)], [F(0), F(-3), F(0)], [F(0), F(0), F(0)]]
     assert signature(rows_of(sym), 3) == (1, 1, 1)
@@ -182,13 +191,13 @@ def test_signature_counts_absent_rows_as_zero():
 
 def test_signature_refuses_an_asymmetric_matrix():
     with pytest.raises(ValueError, match="symmetric"):
-        signature({0: {1: F(1)}, 1: {0: F(2)}}, 2)
+        congruence_diagonal({0: {1: F(1)}, 1: {0: F(2)}})
 
 
 def test_signature_leaves_its_input_alone():
     rows = rows_of([[F(0), F(1), F(2)], [F(1), F(0), F(0)], [F(2), F(0), F(5)]])
     copy = {i: dict(row) for i, row in rows.items()}
-    signature(rows, 3)
+    congruence_diagonal(rows)
     assert rows == copy
 
 
@@ -243,3 +252,51 @@ def test_signature_is_sylvesters_inertia(pair):
     want = (sum(d > 0 for d in diagonal), sum(d < 0 for d in diagonal),
             sum(d == 0 for d in diagonal))
     assert signature(rows_of(sym), n) == want
+
+
+gaussians = st.builds(GaussianRational, rationals, rationals)
+
+
+@st.composite
+def gaussian_symmetric(draw):
+    """A symmetric ``n x n`` Gaussian matrix: random and sparse, or of
+    forced low rank ``L L^T`` (which may be lower still, as ``1 + i^2 =
+    0``), with its diagonal zeroed half the time so the ``e_i + e_j``
+    step runs."""
+    n = draw(st.integers(0, 6))
+    zero = COMPLEX.zero()
+    if draw(st.booleans()):
+        sym = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                sym[i][j] = sym[j][i] = draw(gaussians | st.just(zero))
+    else:
+        r = draw(st.integers(0, n))
+        left = [[draw(gaussians) for _ in range(r)] for _ in range(n)]
+        sym = [[sum((left[i][k] * left[j][k] for k in range(r)), zero)
+                for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            sym[i][i] = zero
+    return sym
+
+
+@given(gaussian_symmetric())
+@settings(max_examples=200, deadline=None)
+def test_congruence_diagonal_rank_is_the_column_kernel_rank_over_c(sym):
+    n = len(sym)
+    columns = [{i: sym[i][j] for i in range(n) if sym[i][j]} for j in range(n)]
+    diagonal = congruence_diagonal(rows_of(sym))
+    assert all(diagonal)
+    assert len(diagonal) == n - len(column_kernel(columns, COMPLEX.one()))
+
+
+@given(gaussian_symmetric(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_congruence_diagonal_rank_is_congruence_invariant_over_c(sym, data):
+    n = len(sym)
+    change = [[data.draw(gaussians) for _ in range(n)] for _ in range(n)]
+    if not invertible(change):
+        return
+    assert len(congruence_diagonal(rows_of(congruent(change, sym)))) == \
+        len(congruence_diagonal(rows_of(sym)))
