@@ -64,9 +64,8 @@ def _dense(vec: SparseVector, dim: int, zero: Scalar) -> list[Scalar]:
     return out
 
 
-def _mul_into(acc: SparseVector, table, x: SparseVector, y: SparseVector,
-              negate: bool = False) -> None:
-    """Add ``x y`` (``-x y`` when ``negate``) into ``acc``, in place.
+def _mul_into(acc: SparseVector, table, x: SparseVector, y: SparseVector) -> None:
+    """Add ``x y`` into ``acc``, in place.
 
     ``x`` and ``y`` are sparse vectors without zeros and ``table`` a
     structure table (whose cells hold no zeros); entries of ``acc`` that
@@ -84,7 +83,7 @@ def _mul_into(acc: SparseVector, table, x: SparseVector, y: SparseVector,
             if cell:
                 f = yj if x_unit else (
                     xi if yj is _ONE or yj is _GAUSSIAN_ONE else xi * yj)
-                linalg._add_scaled(acc, -f if negate else f, cell)
+                linalg._add_scaled(acc, f, cell)
 
 
 class AlgebraError(ValueError):
@@ -212,11 +211,18 @@ class GradedAlgebra:
     def degree_indices(self, p: int) -> list[int]:
         return [i for i, q in enumerate(self.parity) if q == p]
 
+    def _check_index(self, i: int) -> None:
+        if not 0 <= i < self.dim:
+            raise AlgebraError(f"basis index {i} is out of range for dimension {self.dim}")
+
     def basis_product(self, i: int, j: int) -> dict[int, Scalar]:
         """The product ``e_i e_j`` as a sparse ``{index: coefficient}``."""
+        self._check_index(i)
+        self._check_index(j)
         return dict(self.table.get((i, j), {}))
 
     def basis_vector(self, i: int) -> list[Scalar]:
+        self._check_index(i)
         v = [self.field.zero()] * self.dim
         v[i] = self.field.one()
         return v
@@ -225,8 +231,12 @@ class GradedAlgebra:
         """Multiply two coordinate vectors through the structure table.
 
         Only the nonzero coordinates of ``x`` and ``y`` are visited: the
-        product is :func:`_mul_into` on their sparse forms.
+        product is :func:`_mul_into` on their sparse forms.  Both must have
+        length ``dim``.
         """
+        if len(x) != self.dim or len(y) != self.dim:
+            raise AlgebraError(f"mul takes vectors of length {self.dim}, "
+                               f"not {len(x)} and {len(y)}")
         product: SparseVector = {}
         _mul_into(product, self.table, _sparse(x), _sparse(y))
         return _dense(product, self.dim, self.field.zero())
@@ -674,53 +684,59 @@ def opposite(a: GradedAlgebra) -> GradedAlgebra:
     return GradedAlgebra._trusted(a.field, a.parity, table, a.unit)
 
 
-def graded_centralizer(a: GradedAlgebra,
-                       elements: Iterable[tuple[Vector, int]],
-                       check_closure: bool = True) -> list[tuple[list[Scalar], int]]:
+def graded_centralizer(a: GradedAlgebra, elements: Iterable[tuple[Vector, int]]
+                       ) -> list[tuple[list[Scalar], int]]:
     """Basis of the supercommutant of ``elements`` inside ``a``.
 
     ``elements`` are homogeneous ``(vector, parity)`` pairs.  The result
     lists homogeneous ``(vector, parity)`` pairs ``c`` with
     ``c s = (-1)^{|c||s|} s c`` for every given ``s``, degree-0 vectors
-    first.  This is the dense front end of :func:`_supercommutant`: it
-    checks that each element is homogeneous of its parity, coerces its
-    coordinates into the field, and returns coordinate lists.
+    first; a span not closed under the product raises AlgebraError.
+    This is the dense front end of :func:`_supercommutant`: it checks
+    that each element has length ``dim`` and is homogeneous of its
+    parity, coerces its coordinates into the field, and returns
+    coordinate lists.
     """
     constraints = []
     for vec, par in elements:
         if par not in (0, 1):
             raise AlgebraError("constraint parity must be 0 or 1")
+        if len(vec) != a.dim:
+            raise AlgebraError(f"constraint element has length {len(vec)}, "
+                               f"expected {a.dim}")
         for idx, v in enumerate(vec):
             if v and a.parity[idx] != par:
                 raise AlgebraError("constraint element is not homogeneous")
         constraints.append((_sparse([a.field.coerce(v) for v in vec]), par))
     zero = a.field.zero()
     return [(_dense(v, a.dim, zero), deg)
-            for v, deg in _supercommutant(a, constraints, check_closure)]
+            for v, deg in _supercommutant(a, constraints)]
 
 
-def _supercommutant(a: GradedAlgebra,
-                    constraints: list[tuple[SparseVector, int]],
-                    check_closure: bool = True) -> list[tuple[SparseVector, int]]:
+def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]]
+                    ) -> list[tuple[SparseVector, int]]:
     """:func:`graded_centralizer` on sparse vectors.
 
     ``constraints`` are homogeneous ``(sparse vector, parity)`` pairs with
     coordinates already in the field; the result lists sparse ``(vector,
-    parity)`` pairs, degree-0 vectors first.  With ``check_closure`` an
-    :class:`AlgebraError` is raised when the span is not closed under the
-    product.
+    parity)`` pairs, degree-0 vectors first.
 
     The kernel is intersected one constraint at a time: each constraint
     matrix has only as many columns as the *current* kernel dimension,
     which collapses quickly for the algebras that matter here — that is
     the difference between seconds and hours at dimension 256.  The
-    column of a kernel vector ``v`` is the sparse product ``v s ∓ s v``,
-    and :func:`gradedbrauer.linalg.column_kernel` eliminates the columns
-    one at a time.  On a table with one term per cell (Clifford and
-    graded matrix algebras) a column is a single term, so the cost
-    follows the nonzeros instead of ``dim`` times the kernel size.  The
-    basis is the one dense elimination gives, so the result does not
-    depend on the representation.
+    column of a kernel vector ``v`` is ``v s - (-1)^{|v||s|} s v``: the
+    sparse ``s v``, negated as a whole unless both are odd, plus ``v s``,
+    so neither product multiplies by a shared unit (:func:`_mul_into`).
+    :func:`gradedbrauer.linalg.column_kernel` eliminates the columns one
+    at a time.  On a table with one term per cell (Clifford and graded
+    matrix algebras) a column is a single term, so the cost follows the
+    nonzeros instead of ``dim`` times the kernel size.  The basis is the
+    one dense elimination gives, so the result does not depend on the
+    representation.  Closure is one more elimination, of that basis and
+    its pairwise products: the span is closed exactly when every product
+    gives a kernel vector (one outside it would be a pivot), and
+    :class:`AlgebraError` is raised when it is not.
     """
     one = a.field.one()
     result: list[tuple[SparseVector, int]] = []
@@ -733,20 +749,23 @@ def _supercommutant(a: GradedAlgebra,
             columns = []
             for v in kernel:
                 column: SparseVector = {}
+                _mul_into(column, a.table, s_vec, v)
+                if not flip:
+                    column = {k: -c for k, c in column.items()}
                 _mul_into(column, a.table, v, s_vec)
-                _mul_into(column, a.table, s_vec, v, negate=not flip)
                 columns.append(column)
             kernel = [linalg.combine(combo, kernel)
                       for combo in linalg.column_kernel(columns, one)]
         result.extend((v, deg) for v in kernel)
-    if check_closure and len(result) < a.dim:
+    if len(result) < a.dim:
         span = [v for v, _ in result]
+        products = []
         for u in span:
             for v in span:
-                product: SparseVector = {}
-                _mul_into(product, a.table, u, v)
-                if not linalg.in_span(span, product, one):
-                    raise AlgebraError("centralizer failed to close under product")
+                products.append({})
+                _mul_into(products[-1], a.table, u, v)
+        if len(linalg.column_kernel(span + products, one)) < len(products):
+            raise AlgebraError("centralizer failed to close under product")
     return result
 
 
@@ -801,7 +820,7 @@ def hat_center(a: GradedAlgebra) -> GradedAlgebra:
             f"graded center has dimension {len(cent)}, expected 2"
         )
     unit = _sparse(a.unit)
-    z, z_parity = next((v, p) for v, p in cent if not linalg.in_span([unit], v, one))
+    z, z_parity = next((v, p) for v, p in cent if not linalg.column_kernel([unit, v], one))
     z_sq: SparseVector = {}
     _mul_into(z_sq, a.table, z, z)
     (combo,) = linalg.column_kernel([unit, z, z_sq], one)
@@ -845,15 +864,15 @@ def is_azumaya(a: GradedAlgebra) -> bool:
 
     Together they say that the sandwich map ``a (x) a^op -> End(a)``,
     ``x (x) y -> (c -> (-1)^{|y||c|} x c y)``, is bijective, without
-    building its ``dim**2 x dim**2`` matrix.  A trace form that is not
-    symmetric proves that the table is not associative, and raises
-    ValueError at either point.
+    building its ``dim**2 x dim**2`` matrix.  Only a non-associative table
+    fails a check: an asymmetric trace form raises ValueError at either
+    point, and a supercenter not closed under the product AlgebraError.
     """
     if len(linalg.congruence_diagonal(trace_gram(a))) < a.dim:
         return False
     one = a.field.one()
     basis = [({i: one}, p) for i, p in enumerate(a.parity)]
-    return len(_supercommutant(a, basis, check_closure=False)) == 1
+    return len(_supercommutant(a, basis)) == 1
 
 
 def trace_gram(a: GradedAlgebra, indices: Optional[Sequence[int]] = None

@@ -63,9 +63,11 @@ def _load_algebra(source: str, field: Field) -> GradedAlgebra:
 
 def _algebra_from_args(args) -> GradedAlgebra:
     field = field_from_label(args.field)
-    if getattr(args, "form", None) is not None:
+    if args.form is not None:
+        if args.algebra is not None:
+            raise ValueError("pass --form or --algebra, not both")
         return clifford(_parse_form(args.form, field))
-    if getattr(args, "algebra", None) is not None:
+    if args.algebra is not None:
         return _load_algebra(args.algebra, field)
     raise ValueError("pass --form or --algebra")
 

@@ -7,8 +7,9 @@ here is fraction-exact; nothing is numerically approximate.
 Vectors are sparse: dicts ``{index: coefficient}`` holding only nonzero
 entries.  A matrix is given by its columns, and one elimination,
 :func:`column_kernel`, takes them one at a time; kernels, linear systems
-and span tests all come from it.  A symmetric matrix, given by its
-sparse rows, is diagonalized by :func:`congruence_diagonal`, whose
+and span tests all come from it (a column is in the span of the columns
+before it exactly when it is not a pivot).  A symmetric matrix, given by
+its sparse rows, is diagonalized by :func:`congruence_diagonal`, whose
 diagonal gives its rank over either field and its inertia over the
 rationals.
 """
@@ -117,13 +118,6 @@ def combine(combo, vectors):
     for i, c in combo.items():
         _add_scaled(out, c, vectors[i])
     return out
-
-
-def in_span(vectors, vector, one) -> bool:
-    """Whether the sparse ``vector`` is a combination of ``vectors``:
-    whether it depends on them when appended as a last column."""
-    kernel = column_kernel(list(vectors) + [vector], one)
-    return bool(kernel) and len(vectors) in kernel[-1]
 
 
 def congruence_diagonal(rows):

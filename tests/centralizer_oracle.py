@@ -140,9 +140,11 @@ def dense_nullspace(rows, field):
     return basis
 
 
-def dense_centralizer(a, elements, check_closure=True):
+def dense_centralizer(a, elements):
     """Supercommutant of the homogeneous ``(vector, parity)`` pairs, degree
-    0 first, intersected one constraint at a time on dense vectors."""
+    0 first, intersected one constraint at a time on dense vectors; each
+    product of two result vectors is tested against the span's echelon
+    form."""
     constraints = []
     for vec, par in elements:
         if par not in (0, 1):
@@ -178,7 +180,7 @@ def dense_centralizer(a, elements, check_closure=True):
                 new_kernel.append(vec)
             kernel = new_kernel
         result.extend((v, deg) for v in kernel)
-    if check_closure and len(result) < a.dim:
+    if len(result) < a.dim:
         echelon, pivots = row_echelon([list(v) for v, _ in result])
         for u, _ in result:
             for v, _ in result:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gradedbrauer import linalg
 from gradedbrauer.algebra import (AlgebraError, GradedAlgebra,
                                   NotAzumayaError, end_graded,
                                   graded_centralizer, graded_tensor,
@@ -12,6 +13,7 @@ from gradedbrauer.clifford import clifford, signature_form
 from gradedbrauer.invariants import bw_class
 from gradedbrauer.scalars import COMPLEX, REAL
 from centralizer_oracle import m11
+from test_azumaya_oracle import product
 
 F = Fraction
 
@@ -216,6 +218,36 @@ def test_graded_centralizer_does_not_trust_the_declared_unit():
     assert graded_centralizer(wrong, [(e12, 0)]) == want
     with pytest.raises(AlgebraError, match="unit fails"):
         wrong.validate()
+
+
+def test_closure_is_checked_in_one_elimination(monkeypatch):
+    """The supercommutant of ``e_1`` in ``Cl(6,0)`` has 32 vectors: one
+    elimination per degree, then one of the 32 vectors and their 1,024
+    products, instead of one elimination per product."""
+    calls = []
+    column_kernel = linalg.column_kernel
+
+    def counted(columns, one):
+        calls.append(columns)
+        return column_kernel(columns, one)
+
+    monkeypatch.setattr(linalg, "column_kernel", counted)
+    a = cl(6, 0)
+    assert len(graded_centralizer(a, [(a.basis_vector(1), 1)])) == 32
+    assert len(calls) <= 3
+
+
+def test_hat_center_refuses_a_large_closed_center():
+    """The product of 16 copies of ``M_2``, dim 64: its center ``k^16``
+    passes the closure check with 16 vectors and 256 products, and the
+    dimension check refuses it."""
+    a = end_graded(2, 0)
+    for _ in range(15):
+        a = product(a, end_graded(2, 0))
+    assert a.dim == 64
+    with pytest.raises(NotAzumayaError) as exc:
+        hat_center(a)
+    assert str(exc.value) == "graded center has dimension 32, expected 2"
 
 
 def test_hat_center_normal_forms():

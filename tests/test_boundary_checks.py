@@ -25,6 +25,11 @@ def generator():
     return clifford(signature_form(1, 0))
 
 
+def cl2():
+    """``Cl(2,0)``, of dimension 4."""
+    return clifford(signature_form(2, 0))
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: GradedAlgebra(REAL, (0,), {(0, 0): {0: 1}}, unit=(1, 0)),
      AlgebraError, "unit vector has the wrong length"),
@@ -44,9 +49,28 @@ def generator():
     (lambda: AbGroup(free_rank=-1), ValueError, "ranks must be nonnegative"),
     (lambda: AbGroup(divisible_rank=-1), ValueError, "ranks must be nonnegative"),
     (lambda: parse_gaussian(" "), ValueError, "empty scalar string"),
+    (lambda: cl2().mul([0, 0, 0, 0, 1], [1, 0, 0, 0]),
+     AlgebraError, "mul takes vectors of length 4, not 5 and 4"),
+    (lambda: cl2().mul([1], [0, 1]),
+     AlgebraError, "mul takes vectors of length 4, not 1 and 2"),
+    (lambda: graded_centralizer(cl2(), [([0, 1, 0, 0, 0], 1)]),
+     AlgebraError, "constraint element has length 5, expected 4"),
+    (lambda: graded_centralizer(cl2(), [([0, 1, 0, 0, 5], 1)]),
+     AlgebraError, "constraint element has length 5, expected 4"),
+    (lambda: cl2().basis_vector(-1),
+     AlgebraError, "basis index -1 is out of range for dimension 4"),
+    (lambda: cl2().basis_vector(4),
+     AlgebraError, "basis index 4 is out of range for dimension 4"),
+    (lambda: cl2().basis_product(9, 9),
+     AlgebraError, "basis index 9 is out of range for dimension 4"),
+    (lambda: cl2().basis_product(0, -1),
+     AlgebraError, "basis index -1 is out of range for dimension 4"),
 ], ids=["unit-length", "structure-entry", "end-0-0", "constraint-parity",
         "relabel", "hyperbolic", "form-sum-fields", "free-rank",
-        "divisible-rank", "empty-gaussian"])
+        "divisible-rank", "empty-gaussian", "mul-long-vector",
+        "mul-short-vectors", "constraint-trailing-zero", "constraint-past-dim",
+        "basis-vector-negative", "basis-vector-past-dim",
+        "basis-product-past-dim", "basis-product-negative"])
 def test_library_refusal(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()

@@ -205,6 +205,16 @@ def test_double_dash_as_an_option_value_exits_two(capsys, argv):
         "type": "ValueError", "message": "an option's value cannot be '--'"}
 
 
+@pytest.mark.parametrize("command", ["invariants", "azumaya", "centralizer"])
+def test_form_and_algebra_together_exit_two(capsys, command):
+    """``--form 1 --algebra ground`` names two algebras: the command refuses
+    it instead of using the form and dropping ``--algebra``."""
+    code, out, _ = run_cli(capsys, command, "--form", "1", "--algebra", "ground")
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ValueError", "message": "pass --form or --algebra, not both"}
+
+
 def test_ambiguous_abbreviation_is_still_a_usage_error(capsys):
     """``--f`` could be ``--form`` or ``--field``: argparse refuses it."""
     with pytest.raises(SystemExit) as exc:

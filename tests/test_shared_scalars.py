@@ -157,13 +157,12 @@ def test_mul_into_is_the_same_for_any_unit_object(case, data):
     y = {k: data.draw(coordinate) for k in data.draw(
         st.lists(st.integers(0, n - 1), max_size=n, unique=True))}
     acc = sparse(data.draw, entry, n)
-    negate = data.draw(st.booleans())
     results = []
     for unit in units(field):
         xs = {k: unit if v is None else v for k, v in x.items()}
         ys = {k: unit if v is None else v for k, v in y.items()}
         out = dict(acc)
-        _mul_into(out, table, xs, ys, negate)
+        _mul_into(out, table, xs, ys)
         results.append(entries(out))
     assert results[0] == results[1]
     want = dict(acc)
@@ -171,7 +170,7 @@ def test_mul_into_is_the_same_for_any_unit_object(case, data):
         for j, yj in y.items():
             f = (shared if xi is None else xi) * (shared if yj is None else yj)
             for k, v in table.get((i, j), {}).items():
-                want[k] = want.get(k, field.zero()) + (-f if negate else f) * v
+                want[k] = want.get(k, field.zero()) + f * v
     assert {k: v for k, _, v in results[0]} == {k: v for k, v in want.items() if v}
 
 
