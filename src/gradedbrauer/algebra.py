@@ -22,7 +22,7 @@ Elements are sparse too: on the classification path (:func:`hat_center`,
 :func:`is_azumaya`, the trace form) a vector is a dict ``{index: coeff}``
 of its nonzero coordinates and a matrix a dict of such rows, products
 (:func:`_mul_into`) visit only nonzero terms, and kernels come from the
-sparse column elimination of :func:`gradedbrauer.linalg.column_kernel`.
+sparse column elimination of :class:`gradedbrauer.linalg.Elimination`.
 On Clifford and graded matrix algebras, where every cell holds one term,
 a product of basis vectors is one dict entry instead of a ``dim``-long
 list.  The public interface stays dense: :meth:`GradedAlgebra.mul` and
@@ -249,10 +249,10 @@ class GradedAlgebra:
         Column ``i`` of that system holds the cells ``(i, j)`` on rows
         ``(0, j, k)`` and the cells ``(j, i)`` on rows ``(1, j, k)``, so
         the columns carry the table's nonzeros and nothing else.  The
-        right-hand side is appended as a last column: the system is
-        consistent exactly when :func:`gradedbrauer.linalg.column_kernel`
-        finds that column dependent, and its kernel vector carries the
-        solution.  A two-sided unit is unique, so any solution is the unit.
+        right-hand side is the last column of a :class:`linalg.Elimination`:
+        the system is consistent exactly when that column is no pivot, and
+        its kernel vector carries the solution.  A two-sided unit is
+        unique, so any solution is the unit.
         """
         n, one = self.dim, self.field.one()
         columns: list[SparseVector] = [{} for _ in range(n)]
@@ -261,14 +261,10 @@ class GradedAlgebra:
                 columns[i][(0, j, k)] = v
                 columns[j][(1, i, k)] = v
         columns.append({(side, j, j): one for side in (0, 1) for j in range(n)})
-        kernel = linalg.column_kernel(columns, one)
-        if not kernel or n not in kernel[-1]:
+        *_, combo = map(linalg.Elimination(one).add, columns)
+        if combo is None:
             return None  # the constants column is independent: inconsistent
-        unit = [self.field.zero()] * n
-        for c, v in kernel[-1].items():
-            if c != n:
-                unit[c] = -v
-        return unit
+        return [-combo[c] if c in combo else self.field.zero() for c in range(n)]
 
     # ------------------------------------------------------------ validation
 
@@ -389,49 +385,33 @@ class GradedAlgebra:
         found so far is skipped, any other becomes a generator, and the
         span is closed again under right multiplication by every
         generator.  Each word is the product, in this table
-        (:func:`_mul_into`), of a word and a generator, and membership is
-        an incremental sparse elimination as in
-        :func:`gradedbrauer.linalg.column_kernel`.  The unit must already
-        be checked.
+        (:func:`_mul_into`), of a word and a generator; a candidate extends
+        the span exactly when it is a pivot of one :class:`linalg.Elimination`.
+        The unit must already be checked.
         """
         n, table, one = self.dim, self.table, self.field.one()
-        pivots: list[tuple[int, SparseVector]] = []  # (pivot index, reduced)
-
-        def extends_span(vec: SparseVector) -> bool:
-            reduced = dict(vec)
-            for row, pivot in pivots:
-                f = reduced.get(row)
-                if f is not None:
-                    linalg._add_scaled(reduced, -f, pivot)
-            if not reduced:
-                return False
-            row, inv = next(iter(reduced.items()))
-            pivots.append((row, {r: v / inv for r, v in reduced.items()}))
-            return True
-
-        unit = _sparse(self.unit)
-        extends_span(unit)
-        words = [unit]
-        done = [0]  # done[w]: how many generators words[w] was multiplied by
+        elimination = linalg.Elimination(one)
+        pivots, add = elimination.pivots, elimination.add  # None: a new pivot
+        words = [_sparse(self.unit)]
+        add(words[0])
         generators: list[int] = []
         for j in range(n):
-            if len(pivots) == n:
-                break
-            if not extends_span({j: one}):
-                continue
+            word = {j: one}
+            if len(pivots) == n or add(word) is not None:
+                continue  # e_j is in the span already
             generators.append(j)
-            words.append({j: one})
-            done.append(0)
-            w = 0
-            while w < len(words) and len(pivots) < n:
-                while done[w] < len(generators) and len(pivots) < n:
-                    product: SparseVector = {}
-                    _mul_into(product, table, words[w], {generators[done[w]]: one})
-                    done[w] += 1
-                    if product and extends_span(product):
-                        words.append(product)
-                        done.append(0)
-                w += 1
+            # the products not taken yet: each word times e_j, e_j times each
+            # generator, and each word found later times each generator
+            pending = [(w, j) for w in words] + [(word, g) for g in generators]
+            words.append(word)
+            for w, g in pending:  # in order, as pending grows
+                if len(pivots) == n:
+                    break
+                product: SparseVector = {}
+                _mul_into(product, table, w, {g: one})
+                if add(product) is None:
+                    words.append(product)
+                    pending += [(product, h) for h in generators]
         return generators
 
     def check_unit_and_grading(self) -> None:
@@ -633,13 +613,16 @@ def graded_tensor(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
     by the ids of the interned objects, which ``canon`` keeps alive.  So
     it holds at most ``2 x`` (distinct values of ``a``) ``x`` (distinct
     values of ``b``) entries, whether or not the factors share objects.
+    ``canon`` starts with the field's unit: an entry equal to 1 is the
+    shared one, which :func:`_mul_into` does not multiply by.
     """
     if a.field.label != b.field.label:
         raise AlgebraError("tensor factors live over different fields")
     nb = b.dim
     _check_budget(a.dim * nb, f"graded tensor product of dimensions {a.dim} and {nb}")
     parity = tuple(pa ^ pb for pa in a.parity for pb in b.parity)
-    canon: dict[Scalar, Scalar] = {}  # each value's one object
+    one = a.field.one()
+    canon: dict[Scalar, Scalar] = {one: one}  # each value's one object
     products: dict[tuple[int, int, int], Scalar] = {}
     table: dict[tuple[int, int], dict[int, Scalar]] = {}
 
@@ -660,11 +643,11 @@ def graded_tensor(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
                     key = (id_a, id_b, flip)
                     v = products.get(key)
                     if v is None:
-                        v = ca * cb
-                        v = products[key] = -v if flip else v
+                        v = -(ca * cb) if flip else ca * cb
+                        v = products[key] = canon.setdefault(v, v)
                     cell[k + r] = v
             table[(i * nb + p, j * nb + q)] = cell
-    unit = tuple(ua * ub for ua in a.unit for ub in b.unit)
+    unit = tuple(canon.setdefault(u := ua * ub, u) for ua in a.unit for ub in b.unit)
     return GradedAlgebra._trusted(a.field, parity, table, unit)
 
 
@@ -673,12 +656,14 @@ def opposite(a: GradedAlgebra) -> GradedAlgebra:
 
     A cell that keeps its sign is ``a``'s own dict, shared (an algebra is
     never mutated after construction), and each distinct scalar object
-    is negated once."""
+    is negated once; a negated -1 is the field's shared unit."""
+    one = a.field.one()
     negated: dict[int, Scalar] = {}  # id(v) -> -v, for v alive in a.table
     table: dict[tuple[int, int], dict[int, Scalar]] = {}
     for (i, j), cell in a.table.items():
         if a.parity[i] and a.parity[j]:  # entries are nonzero: `or` means a miss
-            cell = {k: negated.get(id(v)) or negated.setdefault(id(v), -v)
+            cell = {k: negated.get(id(v)) or negated.setdefault(
+                        id(v), one if (m := -v) == one else m)
                     for k, v in cell.items()}
         table[(j, i)] = cell
     return GradedAlgebra._trusted(a.field, a.parity, table, a.unit)
@@ -733,10 +718,10 @@ def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]
     matrix algebras) a column is a single term, so the cost follows the
     nonzeros instead of ``dim`` times the kernel size.  The basis is the
     one dense elimination gives, so the result does not depend on the
-    representation.  Closure is one more elimination, of that basis and
-    its pairwise products: the span is closed exactly when every product
-    gives a kernel vector (one outside it would be a pivot), and
-    :class:`AlgebraError` is raised when it is not.
+    representation.  Closure is one more
+    :class:`gradedbrauer.linalg.Elimination`, of the basis and then of each
+    pairwise product as it is made: :class:`AlgebraError` is raised at the
+    first product that is a pivot, outside the span.
     """
     one = a.field.one()
     result: list[tuple[SparseVector, int]] = []
@@ -759,13 +744,15 @@ def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]
         result.extend((v, deg) for v in kernel)
     if len(result) < a.dim:
         span = [v for v, _ in result]
-        products = []
+        add = linalg.Elimination(one).add
+        for v in span:
+            add(v)
         for u in span:
             for v in span:
-                products.append({})
-                _mul_into(products[-1], a.table, u, v)
-        if len(linalg.column_kernel(span + products, one)) < len(products):
-            raise AlgebraError("centralizer failed to close under product")
+                product: SparseVector = {}
+                _mul_into(product, a.table, u, v)
+                if add(product) is None:
+                    raise AlgebraError("centralizer failed to close under product")
     return result
 
 

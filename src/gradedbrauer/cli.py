@@ -55,10 +55,15 @@ def _load_algebra(source: str, field: Field) -> GradedAlgebra:
         return end_graded(int(even), int(odd or 0), field)
     if source == "ground":
         return ground_algebra(field)
-    if source == "-":
-        return GradedAlgebra.from_json(json.load(sys.stdin))
-    with open(source, encoding="utf-8") as handle:
-        return GradedAlgebra.from_json(json.load(handle))
+    try:  # json.load recurses once per level of nesting
+        if source == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(source, encoding="utf-8") as handle:
+                data = json.load(handle)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+    return GradedAlgebra.from_json(data)
 
 
 def _algebra_from_args(args) -> GradedAlgebra:

@@ -6,12 +6,13 @@ here is fraction-exact; nothing is numerically approximate.
 
 Vectors are sparse: dicts ``{index: coefficient}`` holding only nonzero
 entries.  A matrix is given by its columns, and one elimination,
-:func:`column_kernel`, takes them one at a time; kernels, linear systems
-and span tests all come from it (a column is in the span of the columns
-before it exactly when it is not a pivot).  A symmetric matrix, given by
-its sparse rows, is diagonalized by :func:`congruence_diagonal`, whose
-diagonal gives its rank over either field and its inertia over the
-rationals.
+:class:`Elimination`, takes them one at a time; kernels
+(:func:`column_kernel`), linear systems and span tests all come from it
+(a column is in the span of the columns before it exactly when it is
+not a pivot, and its kernel vector then says how).  A symmetric matrix,
+given by its sparse rows, is diagonalized by :func:`congruence_diagonal`,
+whose diagonal gives its rank over either field and its inertia over
+the rationals.
 """
 
 from __future__ import annotations
@@ -46,37 +47,36 @@ def _add_scaled(target, factor, source):
                 del target[k]
 
 
-def column_kernel(columns, one):
-    """A basis of the kernel of the matrix with the given sparse columns.
+class Elimination:
+    """Sparse columns eliminated one at a time, left to right.
 
-    The columns are eliminated one at a time, left to right.  Each new
-    column is reduced against the pivot columns kept so far, in the order
-    they were kept, while its combination of the original columns is
-    tracked.  A column that stays nonzero is kept as a pivot column,
-    scaled to 1 at one of its nonzero rows; a column ``j`` that reduces to
-    zero yields the kernel vector ``e_j - (combination of earlier pivot
-    columns)``.  That is the basis back-substitution on a row-echelon form
-    gives: pivots chosen greedily from the left (a column is a pivot
-    exactly when it is independent of the columns before it), a 1 at the
-    free column and 0 at every other free column.  A kernel vector with
-    those properties is unique, so the basis does not depend on which row
-    each pivot is scaled at.  It is returned in column order, as sparse
-    vectors over the column indices.  ``one`` is the field's unit, the
-    coefficient of each free column in its own kernel vector.
+    :meth:`add` reduces column ``j`` against the pivot columns kept so
+    far, in kept order, tracking its combination of the columns added.
+    A column that stays nonzero is kept as a pivot, scaled to 1 at one of
+    its rows, and ``add`` returns ``None``; one that reduces to zero gives
+    its kernel vector ``e_j - (combination of earlier pivots)``.  So a
+    column is a pivot exactly when it is independent of the columns
+    before it, and the kernel vectors are the ones back-substitution on a
+    row-echelon form gives, whichever row each pivot is scaled at.
 
-    Only the pivots whose row occurs in the column are visited: a map
-    from pivot rows to positions seeds a sorted queue of positions, and
-    reducing against a pivot inserts the position of every pivot row it
-    brings in.  A pivot is zero at the rows of the pivots kept before it,
-    so those positions all come later, and taking them in order applies
+    Only the pivots whose row occurs in the column are visited, through
+    a sorted queue of positions seeded from a map of pivot rows; a pivot
+    queues the pivot rows it brings in.  A pivot is zero at the rows of
+    the pivots kept before it, so those come later, and the queue applies
     the same pivots in the same order as a scan of every pivot would.
     """
-    pivots = []  # (pivot row, reduced column, combination)
-    position = {}  # pivot row -> index in pivots
-    kernel = []
-    for j, column in enumerate(columns):
+
+    def __init__(self, one):
+        self.one, self.added = one, 0  # the field's unit; the next column's index
+        self.pivots = []  # (pivot row, reduced column, combination)
+        self.position = {}  # pivot row -> index in pivots
+
+    def add(self, column):
+        """The kernel vector of ``column``, or ``None`` if it is a pivot."""
+        pivots, position = self.pivots, self.position
         reduced = {r: v for r, v in column.items() if v}
-        combo = {j: one}
+        combo = {self.added: self.one}
+        self.added += 1
         # negated positions, ascending, so that pop() gives the earliest
         queue = [-position[r] for r in reduced if r in position] if position else None
         if queue:
@@ -101,15 +101,22 @@ def column_kernel(columns, one):
                             del reduced[k]
                 _add_scaled(combo, f, pivot_combo)
         if not reduced:
-            kernel.append(combo)
-            continue
+            return combo
         row, inv = next(iter(reduced.items()))
         if inv != 1:
             reduced = {r: v / inv for r, v in reduced.items()}
             combo = {c: v / inv for c, v in combo.items()}
         position[row] = len(pivots)
         pivots.append((row, reduced, combo))
-    return kernel
+        return None
+
+
+def column_kernel(columns, one):
+    """A basis of the kernel of the matrix with the given sparse columns:
+    the kernel vectors one :class:`Elimination` of them returns, in column
+    order, as sparse vectors over the column indices."""
+    add = Elimination(one).add
+    return [combo for combo in map(add, columns) if combo is not None]
 
 
 def combine(combo, vectors):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -224,17 +225,40 @@ def test_closure_is_checked_in_one_elimination(monkeypatch):
     """The supercommutant of ``e_1`` in ``Cl(6,0)`` has 32 vectors: one
     elimination per degree, then one of the 32 vectors and their 1,024
     products, instead of one elimination per product."""
-    calls = []
-    column_kernel = linalg.column_kernel
+    made = []
 
-    def counted(columns, one):
-        calls.append(columns)
-        return column_kernel(columns, one)
+    class Counted(linalg.Elimination):
+        def __init__(self, one):
+            made.append(self)
+            super().__init__(one)
 
-    monkeypatch.setattr(linalg, "column_kernel", counted)
+    monkeypatch.setattr(linalg, "Elimination", Counted)
     a = cl(6, 0)
     assert len(graded_centralizer(a, [(a.basis_vector(1), 1)])) == 32
-    assert len(calls) <= 3
+    assert len(made) <= 3
+
+
+def test_closure_check_keeps_no_products():
+    """``M_2^64`` read from JSON, dim 256: its center ``k^64`` is closed,
+    so the closure check eliminates 4,096 products.  Each is dropped once
+    it is eliminated, so the peak of ``hat_center`` stays far below what
+    a list of the products and their kernel vectors takes (about 1.5 MB
+    traced)."""
+    n = 64
+    a = GradedAlgebra.from_json({
+        "field": "R", "parity": [0] * 4 * n, "unit": ["1", "0", "0", "1"] * n,
+        "structure": [[4 * c + 2 * i + j, 4 * c + 2 * j + k, 4 * c + 2 * i + k, "1"]
+                      for c in range(n) for i in range(2) for j in range(2)
+                      for k in range(2)]})
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotAzumayaError) as exc:
+            hat_center(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "graded center has dimension 128, expected 2"
+    assert peak < 600 * 1024, peak
 
 
 def test_hat_center_refuses_a_large_closed_center():

@@ -197,6 +197,40 @@ def test_non_object_json_file_exits_two(capsys, tmp_path):
     assert doc["error"]["type"] == "AlgebraError"
 
 
+DEEP = "[" * 100000 + "]" * 100000
+
+
+def test_deeply_nested_json_on_stdin_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(DEEP))
+    code, doc = run(capsys, "invariants", "--algebra", "-")
+    assert code == 2
+    assert doc["error"] == {"type": "ValueError",
+                            "message": "JSON input is nested too deeply"}
+
+
+def test_deeply_nested_json_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    code, doc = run(capsys, "invariants", "--algebra", str(path))
+    assert code == 2
+    assert doc["error"] == {"type": "ValueError",
+                            "message": "JSON input is nested too deeply"}
+
+
+def test_recursion_error_past_the_json_parser_exits_one(capsys, monkeypatch):
+    """Only the parser's RecursionError is bad input; one raised while
+    building the algebra is a bug in this package."""
+    def broken(data):
+        raise RecursionError("deep")
+
+    monkeypatch.setattr(cli.GradedAlgebra, "from_json", broken)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("{}"))
+    code, doc = run(capsys, "invariants", "--algebra", "-")
+    assert code == 1
+    assert doc["error"] == {"type": "RecursionError", "message": "deep",
+                            "internal": True}
+
+
 def test_import_loads_no_numpy():
     """Start-up cost: the package itself needs no numpy."""
     import gradedbrauer

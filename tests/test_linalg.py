@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedbrauer.linalg import column_kernel, combine, congruence_diagonal
+from gradedbrauer.linalg import (Elimination, column_kernel, combine,
+                                congruence_diagonal)
 from gradedbrauer.scalars import COMPLEX, REAL, GaussianRational
 from centralizer_oracle import (dense_nullspace, dense_rank, dense_solve,
                                 in_row_span, row_echelon)
@@ -156,6 +157,28 @@ def test_column_kernel_equals_the_scan_of_every_pivot(case):
     want = scan_column_kernel(columns, field.one())
     assert [[(k, type(v), v) for k, v in combo.items()] for combo in got] == \
         [[(k, type(v), v) for k, v in combo.items()] for combo in want]
+
+
+@given(sparse_columns())
+@settings(max_examples=300, deadline=None)
+def test_elimination_adds_one_column_at_a_time(case):
+    """The kernel vectors ``add`` returns are the basis of
+    :func:`column_kernel` and of the scan of every pivot, entry for entry,
+    and ``add`` returns ``None`` exactly on the pivot columns of the dense
+    row echelon form."""
+    field, columns = case
+    elimination = Elimination(field.one())
+    returned = [elimination.add(column) for column in columns]
+    got = [combo for combo in returned if combo is not None]
+    for want in (column_kernel(columns, field.one()),
+                 scan_column_kernel(columns, field.one())):
+        assert [[(k, type(v), v) for k, v in combo.items()] for combo in got] == \
+            [[(k, type(v), v) for k, v in combo.items()] for combo in want]
+    nrows = 1 + max((r for column in columns for r in column), default=-1)
+    rows = [[column.get(i, field.zero()) for column in columns] for i in range(nrows)]
+    pivots = row_echelon(rows)[1] if rows and columns else []
+    assert [j for j, combo in enumerate(returned) if combo is None] == pivots
+    assert len(elimination.pivots) == len(pivots)
 
 
 def test_last_column_depends():

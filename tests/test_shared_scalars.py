@@ -246,6 +246,32 @@ def test_tensor_of_factors_that_share_no_scalars():
         assert len(objects) <= 2 * len(set(values[0])) * len(set(values[1]))
 
 
+def test_every_one_is_the_shared_unit():
+    """Every entry equal to 1 in a tensor product or an opposite, unit
+    included, *is* the field's shared unit, which products skip; also for
+    factors read from JSON, whose entries are all new objects."""
+    def ones(a):
+        values = [v for cell in a.table.values() for v in cell.values()]
+        return [v for v in values + list(a.unit) if v == 1]
+
+    def shared(a):
+        found = ones(a)
+        assert found and all(v is a.field.one() for v in found), repr(a)
+
+    pairs = [(cl(3, 0), cl(0, 4)), (cl(2, 1), cl(1, 1)),
+             (clifford(DiagonalForm((F(1, 2), -3, 2), REAL)), cl(0, 2)),
+             (cl(1, 2, COMPLEX), end_graded(1, 1, COMPLEX))]
+    for a, b in pairs:
+        read = [GradedAlgebra.from_json(x.to_json()) for x in (a, b)]
+        assert not any(v is x.field.one() for x in read for v in ones(x))
+        for left, right in [(a, b), (read[0], b), (a, read[1]), tuple(read)]:
+            product = graded_tensor(left, right)
+            shared(product)
+            shared(opposite(product))
+    for a in [cl(2, 1), cl(0, 3), cl(1, 2, COMPLEX), end_graded(2, 1)]:
+        shared(opposite(a))
+
+
 def test_opposite_equals_the_naive_construction():
     for a in inputs():
         before = snapshot(a)
