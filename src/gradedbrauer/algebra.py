@@ -2,9 +2,9 @@
 
 An algebra lives over one of the two ground-field contexts from
 :mod:`gradedbrauer.scalars` and is described by a homogeneous basis:
-a parity bit per basis index, a sparse table of structure constants,
-and the coordinates of the unit.  All graded constructions follow the
-Koszul sign rule; the conventions are spelled out where they matter:
+a parity bit per basis index, a table of structure constants, and the
+coordinates of the unit.  All graded constructions follow the Koszul
+sign rule; the conventions are spelled out where they matter:
 
 * graded tensor product:  ``(a (x) b)(a' (x) b') = (-1)^{|a'||b|} (aa' (x) bb')``
 * graded opposite:        ``a * b = (-1)^{|a||b|} b a``
@@ -12,28 +12,28 @@ Koszul sign rule; the conventions are spelled out where they matter:
   :func:`is_azumaya`: ``phi(a (x) b)(c) = (-1)^{|b||c|} a c b``
 * graded commutation (supercommutant): ``c s = (-1)^{|c||s|} s c``
 
-The structure table is sparse — ``table[(i, j)]`` maps result index
-``k`` to the coefficient of ``e_k`` in ``e_i e_j`` and absent cells are
-zero — because dense ``dim**3`` tensors stop being practical right
-where the interesting examples start (dim 256 means 16.7 million
-entries).
+The table is stored by row, sized to its data: row ``i`` holds the
+products ``e_i e_j``.  When every cell holds one term and one cell in
+eight at least is nonzero (Clifford algebras, graded matrix algebras up
+to ``8 x 8``, and their tensors, opposites and relabelings), row ``i``
+is a pair of lists indexed by ``j``: the target ``k`` of ``e_i e_j = c
+e_k`` (``-1`` for a zero product, whose coefficient is never read) and
+the coefficient ``c``.  Any other table keeps one dict ``{j: {k: c}}``
+per row.  The kind is read from the rows; :func:`_cell` reads either.
+``GradedAlgebra.table`` is the read-only ``{(i, j): {k: c}}`` view of
+the rows; it builds each cell when it is read.
 
-Elements are sparse too: on the classification path (:func:`hat_center`,
-:func:`is_azumaya`, the trace form) a vector is a dict ``{index: coeff}``
-of its nonzero coordinates and a matrix a dict of such rows, products
-(:func:`_mul_into`) visit only nonzero terms, and kernels come from the
-sparse column elimination of :class:`gradedbrauer.linalg.Elimination`.
-On Clifford and graded matrix algebras, where every cell holds one term,
-a product of basis vectors is one dict entry instead of a ``dim``-long
-list.  The public interface stays dense: :meth:`GradedAlgebra.mul` and
-:func:`graded_centralizer` take and return coordinate lists.
+Elements are sparse dicts ``{index: coeff}``, and kernels come from the
+sparse elimination of :class:`gradedbrauer.linalg.Elimination`; only
+:meth:`GradedAlgebra.mul` and :func:`graded_centralizer` take and return
+coordinate lists.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from operator import mul, truediv
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from . import linalg
 from .scalars import (_GAUSSIAN_ONE, _ONE, COMPLEX, Field, GaussianRational,
@@ -47,9 +47,14 @@ SparseVector = dict[int, Scalar]
 # :func:`end_graded` and :func:`graded_tensor` build, and the largest
 # algebra :meth:`GradedAlgebra.from_json` reads.  Measured with CLI
 # ``invariants`` on one CPU: the rank-10 Clifford algebra (dim 1024, a
-# million structure cells) takes about 3.5 s and 395 MB peak RSS, and
-# each step in rank quadruples the table.
+# million structure cells in monomial rows) takes about 0.4-0.7 s and
+# 34 MB peak RSS, and each step in rank quadruples the table.
 MAX_DIM = 1024
+
+# The most structure constants ``(i, j, k)`` that :func:`graded_tensor`
+# builds and :meth:`GradedAlgebra.from_json` reads: the 2**20 one-term
+# cells of Cl(10), the largest supported input.
+MAX_TERMS = 1 << 20
 
 
 def _sparse(vec: Vector) -> SparseVector:
@@ -64,26 +69,96 @@ def _dense(vec: SparseVector, dim: int, zero: Scalar) -> list[Scalar]:
     return out
 
 
-def _mul_into(acc: SparseVector, table, x: SparseVector, y: SparseVector) -> None:
+def _mul_into(acc: SparseVector, rows, x: SparseVector, y: SparseVector) -> None:
     """Add ``x y`` into ``acc``, in place.
 
-    ``x`` and ``y`` are sparse vectors without zeros and ``table`` a
-    structure table (whose cells hold no zeros); entries of ``acc`` that
-    cancel are removed, so the work is proportional to the nonzero
-    terms, not to ``dim``.  A coordinate that *is* the field's shared
-    unit (:meth:`~gradedbrauer.scalars.Field.one`; an identity test,
-    never ``==``) is not multiplied: ``x_i y_j`` is then the other
-    coordinate itself, and :func:`gradedbrauer.linalg._add_scaled` skips
-    a unit factor the same way.
+    ``x`` and ``y`` are sparse vectors without zeros; entries of ``acc``
+    that cancel are removed.  A factor that *is* the field's shared unit
+    (:meth:`~gradedbrauer.scalars.Field.one`; an identity test, never
+    ``==``) is not multiplied, as in :func:`gradedbrauer.linalg._add_scaled`.
     """
+    monomial = type(rows[0]) is tuple
     for i, xi in x.items():
         x_unit = xi is _ONE or xi is _GAUSSIAN_ONE
+        row = rows[i]
         for j, yj in y.items():
-            cell = table.get((i, j))
-            if cell:
-                f = yj if x_unit else (
-                    xi if yj is _ONE or yj is _GAUSSIAN_ONE else xi * yj)
+            if (k := row[0][j]) < 0 if monomial else not (cell := row.get(j)):
+                continue
+            f = yj if x_unit else (
+                xi if yj is _ONE or yj is _GAUSSIAN_ONE else xi * yj)
+            if not monomial:
                 linalg._add_scaled(acc, f, cell)
+                continue
+            v = row[1][j]
+            if f is not _ONE and f is not _GAUSSIAN_ONE:
+                v = f * v
+            t = acc.get(k)
+            if t is None:
+                acc[k] = v
+            elif t := t + v:
+                acc[k] = t
+            else:
+                del acc[k]
+
+
+def _cell(row, j: int) -> Optional[dict[int, Scalar]]:
+    """Cell ``j`` of a row of either kind as ``{k: c}``, or ``None`` when
+    it is zero.  A row dict's own cell is returned: it must not be written."""
+    if type(row) is dict:
+        return row.get(j)
+    k = row[0][j]
+    return {k: row[1][j]} if k >= 0 else None
+
+
+def _terms(rows):
+    """Every structure constant ``(i, j, k, c)``, in ``(i, j, k)`` order."""
+    for i, row in enumerate(rows):
+        if type(row) is dict:
+            yield from ((i, j, k, cell[k]) for j, cell in sorted(row.items())
+                        for k in sorted(cell))
+        else:
+            yield from ((i, j, k, c) for j, (k, c) in enumerate(zip(*row)) if k >= 0)
+
+
+def _rows(dim: int, cells, zero: Scalar) -> list:
+    """The rows of the table with the nonzero ``((i, j), {k: c})`` cells:
+    monomial when every cell holds one term and one in eight at least is
+    nonzero; row dicts, cheaper for a sparser table, otherwise."""
+    cells = list(cells)
+    monomial = all(len(cell) == 1 for _, cell in cells) and 8 * len(cells) >= dim * dim
+    rows: list = [([-1] * dim, [zero] * dim) if monomial else {} for _ in range(dim)]
+    for (i, j), cell in cells:
+        if monomial:
+            (rows[i][0][j], rows[i][1][j]), = cell.items()
+        else:
+            rows[i][j] = cell
+    return rows
+
+
+class _Table(Mapping):
+    """The read-only ``{(i, j): {k: c}}`` view of a table's rows, in
+    row-major order; :func:`_cell` reads each cell when it is asked for."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows) -> None:
+        self.rows = rows
+
+    def __getitem__(self, key):
+        n = len(self.rows)
+        try:
+            i, j = key
+            if 0 <= i < n and 0 <= j < n and (cell := _cell(self.rows[i], j)):
+                return cell
+        except (TypeError, ValueError):  # not a pair of indices
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(dict.fromkeys((i, j) for i, j, _, _ in _terms(self.rows)))
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 class AlgebraError(ValueError):
@@ -91,20 +166,19 @@ class AlgebraError(ValueError):
 
 
 class NotAzumayaError(AlgebraError):
-    """The graded center did not come out rank-two etale.
-
-    Raised by :func:`hat_center` when the supercommutant it extracts is
-    not two-dimensional with an invertible quadratic generator — the
-    signature of an input outside the graded Azumaya class this package
-    classifies.
-    """
+    """The graded center did not come out rank-two etale: raised by
+    :func:`hat_center` on an input outside the graded Azumaya class."""
 
 
-def _check_budget(dim: int, what: str) -> None:
-    """Refuse, before any table is built, an algebra above :data:`MAX_DIM`."""
+def _check_budget(dim: int, what: str, terms: int = 0) -> None:
+    """Refuse, before any table is built, an algebra above :data:`MAX_DIM`
+    or with more than :data:`MAX_TERMS` structure constants."""
     if dim > MAX_DIM:
         raise AlgebraError(f"{what} has dimension {dim}, above the size "
                            f"budget MAX_DIM = {MAX_DIM}")
+    if terms > MAX_TERMS:
+        raise AlgebraError(f"{what} has {terms} structure constants, above "
+                           f"the term budget MAX_TERMS = {MAX_TERMS}")
 
 
 class GradedAlgebra:
@@ -124,24 +198,23 @@ class GradedAlgebra:
         Coordinates of the multiplicative unit.  When omitted, the unit
         is solved for from the table (and its absence is an error).
 
-    Construction normalizes scalars into the field, drops zeros and runs
-    :meth:`check_unit_and_grading`, so every algebra built here has a
-    true, even unit and a table that respects the grading.  It does
-    *not* verify associativity — call :meth:`validate` for the full
-    audit, which checks associativity on ``dim**2 * r`` basis triples
-    for ``r`` generators of the algebra (Light's test).
-    The library's own constructors
+    Construction normalizes scalars into the field, keeping one object
+    per value (1 is the field's shared unit, which products skip), drops
+    zeros, stores the rows (:attr:`rows`, read as a mapping through
+    :attr:`table`) and runs :meth:`check_unit_and_grading`: every algebra
+    built here has a true, even unit and a table that respects the
+    grading.  Associativity is :meth:`validate`'s to check (Light's
+    test).  The library's own constructors
     (:func:`gradedbrauer.clifford.clifford`, :func:`end_graded`,
-    :func:`graded_tensor`, :func:`opposite`, ...) build normalized tables
+    :func:`graded_tensor`, :func:`opposite`, ...) build normalized rows
     and skip this pass through :meth:`_trusted`.
 
     An algebra must not be mutated after construction: its classification
-    (the graded-center descriptor and the division type read by
-    :mod:`gradedbrauer.invariants`) is computed at most once per instance
-    and kept in the ``_descriptor`` and ``_ungraded`` slots.
+    (read by :mod:`gradedbrauer.invariants`) is computed at most once and
+    kept in the ``_descriptor`` and ``_ungraded`` slots.
     """
 
-    __slots__ = ("field", "dim", "parity", "unit", "table",
+    __slots__ = ("field", "dim", "parity", "unit", "rows",
                  "_descriptor", "_ungraded")
 
     def __init__(self, field: Field, parity: Sequence[int],
@@ -154,8 +227,17 @@ class GradedAlgebra:
             raise AlgebraError("algebra needs at least one basis element")
         if any(p not in (0, 1) for p in self.parity):
             raise AlgebraError("parity bits must be 0 or 1")
-        dim, coerce = self.dim, field.coerce
-        norm: dict[tuple[int, int], dict[int, Scalar]] = {}
+        dim, coerce, one, zero = self.dim, field.coerce, field.one(), field.zero()
+        shared = {one: one, zero: zero}  # each value's (and string's) object
+
+        def scalar(value: object) -> Scalar:  # a string is parsed once
+            v = shared.get(value) if type(value) is str else None
+            if v is None:
+                v = coerce(value)
+                v = shared[value] = shared.setdefault(v, v)
+            return v
+
+        cells = []
         for (i, j), cell in table.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise AlgebraError(f"structure index ({i}, {j}) out of range")
@@ -163,40 +245,38 @@ class GradedAlgebra:
             for k, value in cell.items():
                 if not 0 <= k < dim:
                     raise AlgebraError(f"structure index {k} out of range")
-                v = coerce(value)
-                if v:
+                if v := scalar(value):
                     clean[k] = v
             if clean:
-                norm[(i, j)] = clean
-        self.table = norm
+                cells.append(((i, j), clean))
+        self.rows = _rows(dim, cells, zero)
         if unit is None:
-            solved = self._solve_unit()
-            if solved is None:
+            unit = self._solve_unit()
+            if unit is None:
                 raise AlgebraError("structure table admits no two-sided unit")
-            self.unit = tuple(solved)
-        else:
-            if len(unit) != self.dim:
-                raise AlgebraError("unit vector has the wrong length")
-            self.unit = tuple(field.coerce(v) for v in unit)
+        elif len(unit) != self.dim:
+            raise AlgebraError("unit vector has the wrong length")
+        self.unit = tuple(map(scalar, unit))
         self._descriptor = self._ungraded = None
         self.check_unit_and_grading()
 
     @classmethod
-    def _trusted(cls, field: Field, parity: tuple[int, ...],
-                 table: dict[tuple[int, int], dict[int, Scalar]],
+    def _trusted(cls, field: Field, parity: tuple[int, ...], rows: list,
                  unit: tuple[Scalar, ...]) -> "GradedAlgebra":
-        """An algebra on data the library built already normalized.
-
-        ``parity`` and ``unit`` are tuples, and every cell of ``table`` is
-        a nonempty dict of nonzero values of the field's own type: exactly
-        what ``__init__`` would store.  They are stored as given, without
-        its checks.
-        """
+        """An algebra on data the library built already normalized:
+        tuples ``parity`` and ``unit``, and rows of one kind whose cells
+        hold nonzero values of the field's own type, exactly what
+        ``__init__`` would store.  They are stored without its checks."""
         a = cls.__new__(cls)
-        a.field, a.parity, a.table, a.unit = field, parity, table, unit
+        a.field, a.parity, a.rows, a.unit = field, parity, rows, unit
         a.dim = len(parity)
         a._descriptor = a._ungraded = None
         return a
+
+    @property
+    def table(self) -> Mapping[tuple[int, int], dict[int, Scalar]]:
+        """The read-only ``{(i, j): {k: c}}`` view of :attr:`rows`."""
+        return _Table(self.rows)
 
     # ---------------------------------------------------------------- basics
 
@@ -219,7 +299,7 @@ class GradedAlgebra:
         """The product ``e_i e_j`` as a sparse ``{index: coefficient}``."""
         self._check_index(i)
         self._check_index(j)
-        return dict(self.table.get((i, j), {}))
+        return dict(_cell(self.rows[i], j) or {})
 
     def basis_vector(self, i: int) -> list[Scalar]:
         self._check_index(i)
@@ -228,38 +308,30 @@ class GradedAlgebra:
         return v
 
     def mul(self, x: Vector, y: Vector) -> list[Scalar]:
-        """Multiply two coordinate vectors through the structure table.
-
-        Only the nonzero coordinates of ``x`` and ``y`` are visited: the
-        product is :func:`_mul_into` on their sparse forms.  Both must have
-        length ``dim``.
-        """
+        """Multiply two coordinate vectors of length ``dim``: :func:`_mul_into`
+        on their sparse forms."""
         if len(x) != self.dim or len(y) != self.dim:
             raise AlgebraError(f"mul takes vectors of length {self.dim}, "
                                f"not {len(x)} and {len(y)}")
         product: SparseVector = {}
-        _mul_into(product, self.table, _sparse(x), _sparse(y))
+        _mul_into(product, self.rows, _sparse(x), _sparse(y))
         return _dense(product, self.dim, self.field.zero())
 
     def _solve_unit(self) -> Optional[list[Scalar]]:
         """The two-sided unit solved from the table, or ``None``.
 
-        ``u`` is a two-sided unit iff ``u e_j = e_j`` and ``e_j u = e_j``
-        for every ``j``; both families are linear in ``u``'s coordinates.
-        Column ``i`` of that system holds the cells ``(i, j)`` on rows
-        ``(0, j, k)`` and the cells ``(j, i)`` on rows ``(1, j, k)``, so
-        the columns carry the table's nonzeros and nothing else.  The
+        ``u`` is a two-sided unit iff ``u e_j = e_j = e_j u`` for every
+        ``j``: a linear system whose column ``i`` holds the cells ``(i, j)``
+        on rows ``(0, j, k)`` and ``(j, i)`` on rows ``(1, j, k)``.  Its
         right-hand side is the last column of a :class:`linalg.Elimination`:
         the system is consistent exactly when that column is no pivot, and
-        its kernel vector carries the solution.  A two-sided unit is
-        unique, so any solution is the unit.
+        its kernel vector carries the solution, which is unique.
         """
         n, one = self.dim, self.field.one()
         columns: list[SparseVector] = [{} for _ in range(n)]
-        for (i, j), cell in self.table.items():
-            for k, v in cell.items():
-                columns[i][(0, j, k)] = v
-                columns[j][(1, i, k)] = v
+        for i, j, k, v in _terms(self.rows):
+            columns[i][(0, j, k)] = v
+            columns[j][(1, i, k)] = v
         columns.append({(side, j, j): one for side in (0, 1) for j in range(n)})
         *_, combo = map(linalg.Elimination(one).add, columns)
         if combo is None:
@@ -288,95 +360,57 @@ class GradedAlgebra:
         * r`` triples instead of ``dim**3``.  The proof uses bilinearity
         alone and every word is a product in this table, so the verdict is
         exact on non-associative input too.  ``r`` is the rank for a
-        Clifford algebra and ``2m - 1`` for graded ``m x m`` matrices; at
-        worst it is the whole basis.  For each pair ``i, j`` both sides are
-        compared as whole rows ``k -> e_i e_j e_k``; when ``e_i e_j = c e_t``
-        the left row is the table's row ``t`` and only the right one is
-        divided by ``c``, so a table with one term per cell costs one dict
-        entry per triple.
+        Clifford algebra and ``2m - 1`` for graded ``m x m`` matrices.  On a
+        monomial table, with ``e_i e_j = c e_t``, both sides for ``i, j``
+        are rows, ``k -> c e_t e_k`` and ``k -> e_i (e_j e_k)``: targets are
+        compared, and coefficients as codes (one per distinct value, each
+        pair of codes multiplied once).  Row dicts compare both rows as dicts.
         """
         self.check_unit_and_grading()
-        n = self.dim
-        # Every scalar in ``rows`` is interned: equal values are one object,
-        # so equal cells compare by identity rather than through the scalar
-        # type's __eq__, and products and quotients are memoized on the ids
-        # of their operands.  Only objects alive until return (table values,
-        # ``one`` and the members of ``canon``) are keyed by id.
-        canon: dict[Scalar, Scalar] = {}
-        by_id: dict[int, Scalar] = {}
-        results: dict[tuple[object, int, int], Scalar] = {}
+        rows, n, one = self.rows, self.dim, self.field.one()
 
-        def interned(v: Scalar) -> Scalar:
-            c = by_id.get(id(v))
-            if c is None:
-                c = by_id[id(v)] = canon.setdefault(v, v)
-            return c
+        def row_dict(i: int) -> dict[int, SparseVector]:
+            row = rows[i]
+            return row if type(row) is dict else {j: c for j in range(n) if (c := _cell(row, j))}
 
-        def apply(op, c: Scalar, v: Scalar) -> Scalar:
-            # op(c, v), interned, for interned c and v
-            key = (op, id(c), id(v))
-            p = results.get(key)
-            if p is None:
-                p = op(c, v)
-                p = results[key] = canon.setdefault(p, p)
-            return p
+        def check(i: int, j: int) -> None:  # rows k -> (e_i e_j) e_k, e_i (e_j e_k)
+            row, lhs, rhs = row_dict(i), {}, {}
+            for t, b in row.get(j, {}).items():
+                for k, cell in row_dict(t).items():
+                    linalg._add_scaled(lhs.setdefault(k, {}), b, cell)
+            for k, cell in row_dict(j).items():
+                for s, d in cell.items():
+                    if s in row:
+                        linalg._add_scaled(rhs.setdefault(k, {}), d, row[s])
+            if bad := [k for k in lhs.keys() | rhs.keys() if lhs.get(k, {}) != rhs.get(k, {})]:
+                raise AlgebraError(f"associativity fails on basis triple ({i}, {j}, {min(bad)})")
 
-        one = interned(self.field.one())
-        rows: list[dict[int, dict[int, Scalar]]] = [{} for _ in range(n)]
-        for (i, k), cell in self.table.items():
-            # a cell whose scalars are interned already is used as it is
-            rows[i][k] = cell if all(interned(v) is v for v in cell.values()) \
-                else {m: interned(v) for m, v in cell.items()}
+        if type(rows[0]) is dict:
+            for j in self._light_generators():
+                for i in range(n):
+                    check(i, j)
+            return
+        values, codes = _values(rows)
+        code = {v: x for x, v in enumerate(values)}
 
+        class Products(dict):  # [x, y]: a code of values[x] * values[y]
+            def __missing__(self, xy: tuple[int, int]) -> int:
+                z = self[xy] = code.setdefault(values[xy[0]] * values[xy[1]], len(code))
+                return z
+
+        products = Products()
+
+        size = [n - targets.count(-1) for targets, _ in rows]
         for j in self._light_generators():
-            # e_j e_k = d e_s for the one-term cells, grouped by d
-            monomial: dict[int, tuple[Scalar, list[tuple[int, int]]]] = {}
-            general = []
-            for k, cell in rows[j].items():
-                if len(cell) == 1:
-                    (s, d), = cell.items()
-                    monomial.setdefault(id(d), (d, []))[1].append((k, s))
-                else:
-                    general.append((k, cell))
-            for i in range(n):
-                # lhs: k -> (e_i e_j) e_k / c, where c is the coefficient
-                # of a one-term e_i e_j, so that lhs is a row of the table
-                left = rows[i].get(j)
-                c = one
-                if not left:
-                    lhs: dict[int, dict[int, Scalar]] = {}
-                elif len(left) == 1:
-                    (t, c), = left.items()
-                    lhs = rows[t]
-                else:
-                    lhs = {}
-                    for t, b in left.items():
-                        for k, cell in rows[t].items():
-                            linalg._add_scaled(lhs.setdefault(k, {}), b, cell)
-                    lhs = {k: acc for k, acc in lhs.items() if acc}
-                # rhs: k -> e_i (e_j e_k) / c
-                row, rhs = rows[i], {}
-                for d, pairs in monomial.values():
-                    e = d if c is one else apply(truediv, d, c)
-                    if e is one:
-                        rhs.update({k: row[s] for k, s in pairs if s in row})
-                    else:
-                        rhs.update({k: {m: apply(mul, e, v) for m, v in row[s].items()}
-                                    for k, s in pairs if s in row})
-                for k, cell in general:
-                    acc = {}
-                    for s, d in cell.items():
-                        if s in row:
-                            e = d if c is one else apply(truediv, d, c)
-                            linalg._add_scaled(acc, e, row[s])
-                    if acc:
-                        rhs[k] = acc
-                if lhs != rhs:
-                    k = min(k for k in lhs.keys() | rhs.keys()
-                            if lhs.get(k) != rhs.get(k))
-                    raise AlgebraError(
-                        f"associativity fails on basis triple ({i}, {j}, {k})"
-                    )
+            cells = [(k, s, codes[j][k]) for k, s in enumerate(rows[j][0]) if s >= 0]
+            for i, ((ti, _), ci) in enumerate(zip(rows, codes)):
+                t, c = ti[j], ci[j]
+                hits = [(k, s, d) for k, s, d in cells if ti[s] >= 0]  # e_i e_j e_k != 0
+                if t < 0 and not hits or t >= 0 and len(hits) == size[t] and all(
+                        rows[t][0][k] == ti[s] and products[c, codes[t][k]] == products[d, ci[s]]
+                        for k, s, d in hits):
+                    continue
+                check(i, j)  # the rows differ: find where
 
     def _light_generators(self) -> list[int]:
         """Basis indices whose words, with the unit, span the algebra.
@@ -389,8 +423,8 @@ class GradedAlgebra:
         the span exactly when it is a pivot of one :class:`linalg.Elimination`.
         The unit must already be checked.
         """
-        n, table, one = self.dim, self.table, self.field.one()
-        elimination = linalg.Elimination(one)
+        n, rows, one = self.dim, self.rows, self.field.one()
+        elimination = linalg.Elimination(one, kernel=False)
         pivots, add = elimination.pivots, elimination.add  # None: a new pivot
         words = [_sparse(self.unit)]
         add(words[0])
@@ -408,7 +442,7 @@ class GradedAlgebra:
                 if len(pivots) == n:
                     break
                 product: SparseVector = {}
-                _mul_into(product, table, w, {g: one})
+                _mul_into(product, rows, w, {g: one})
                 if add(product) is None:
                     words.append(product)
                     pending += [(product, h) for h in generators]
@@ -417,10 +451,8 @@ class GradedAlgebra:
     def check_unit_and_grading(self) -> None:
         """The cheap part of :meth:`validate`, run by the constructor: the
         unit is even and two-sided, and every product lands in the parity
-        forced by the grading.  Raises :class:`AlgebraError`.
-
-        The products ``u e_j`` and ``e_j u`` visit only the unit's
-        nonzero coordinates (:func:`_mul_into`)."""
+        forced by the grading.  Raises :class:`AlgebraError`.  The products
+        ``u e_j`` and ``e_j u`` visit only the unit's nonzero coordinates."""
         for i, u in enumerate(self.unit):
             if u and self.parity[i] == 1:
                 raise AlgebraError("unit has a component in odd degree")
@@ -429,17 +461,14 @@ class GradedAlgebra:
             ej = {j: one}
             left: SparseVector = {}
             right: SparseVector = {}
-            _mul_into(left, self.table, unit, ej)
-            _mul_into(right, self.table, ej, unit)
+            _mul_into(left, self.rows, unit, ej)
+            _mul_into(right, self.rows, ej, unit)
             if left != ej or right != ej:
                 raise AlgebraError(f"unit fails on basis element {j}")
-        for (i, j), cell in self.table.items():
-            want = self.parity[i] ^ self.parity[j]
-            for k in cell:
-                if self.parity[k] != want:
-                    raise AlgebraError(
-                        f"product e_{i} e_{j} has a component of wrong parity at {k}"
-                    )
+        for i, j, k, _ in _terms(self.rows):
+            if self.parity[k] != self.parity[i] ^ self.parity[j]:
+                raise AlgebraError(
+                    f"product e_{i} e_{j} has a component of wrong parity at {k}")
 
     # ------------------------------------------------------------- subparts
 
@@ -449,15 +478,11 @@ class GradedAlgebra:
         if not keep:
             raise AlgebraError("algebra needs at least one basis element")
         pos = {old: new for new, old in enumerate(keep)}
-        table: dict[tuple[int, int], dict[int, Scalar]] = {}
-        for a, i in enumerate(keep):
-            for b, j in enumerate(keep):
-                cell = self.table.get((i, j))
-                if not cell:
-                    continue
-                table[(a, b)] = {pos[k]: v for k, v in cell.items()}
+        cells = [((pos[i], pos[j]), {pos[k]: v for k, v in cell.items()})
+                 for i in keep for j in keep if (cell := _cell(self.rows[i], j))]
+        rows = _rows(len(keep), cells, self.field.zero())
         unit = tuple(self.unit[i] for i in keep)
-        return GradedAlgebra._trusted(self.field, (0,) * len(keep), table, unit)
+        return GradedAlgebra._trusted(self.field, (0,) * len(keep), rows, unit)
 
     # ----------------------------------------------------------------- dunder
 
@@ -479,11 +504,8 @@ class GradedAlgebra:
 
     def to_json(self) -> dict:
         """Serialize with exact scalar strings and sorted sparse triples."""
-        structure = []
-        for (i, j) in sorted(self.table):
-            cell = self.table[(i, j)]
-            for k in sorted(cell):
-                structure.append([i, j, k, self.field.render(cell[k])])
+        render = self.field.render
+        structure = [[i, j, k, render(c)] for i, j, k, c in _terms(self.rows)]
         return {
             "field": self.field.label,
             "dim": self.dim,
@@ -499,9 +521,11 @@ class GradedAlgebra:
         ``structure`` may be the sparse triple list this class emits or
         a dense ``dim x dim x dim`` nested list.  ``unit`` may be
         omitted, in which case it is solved for.  Scalars are strings or
-        integers.  An algebra above :data:`MAX_DIM` is refused before its
-        table is built.  The constructor checks the unit and the grading
-        (:meth:`check_unit_and_grading`); associativity is not checked.
+        integers.  An algebra above :data:`MAX_DIM`, or a ``structure`` of
+        more than :data:`MAX_TERMS` triples (``dim**3`` entries for a dense
+        table), is refused before its table is built.  The constructor
+        checks the unit and the grading (:meth:`check_unit_and_grading`);
+        associativity is not checked.
         """
         if not isinstance(data, Mapping):
             raise AlgebraError("algebra JSON must be an object, not "
@@ -527,13 +551,13 @@ class GradedAlgebra:
         dim = _json_int(data.get("dim", len(parity)), "dim")
         if dim != len(parity):
             raise AlgebraError("dim does not match the length of parity")
-        _check_budget(dim, "algebra read from JSON")
-        table: dict[tuple[int, int], dict[int, object]] = {}
         # Sparse entries are flat [i, j, k, value] rows; a dense table nests
         # lists two deep before reaching scalars.  structure[0][0] separates
         # the two shapes unambiguously.
         dense = bool(structure) and isinstance(structure[0], list) \
             and bool(structure[0]) and isinstance(structure[0][0], list)
+        _check_budget(dim, "algebra read from JSON", dim ** 3 if dense else len(structure))
+        table: dict[tuple[int, int], dict[int, object]] = {}
         if dense:
             # every plane and every fiber a list of dim entries (not a string)
             if not (len(structure) == dim and all(
@@ -571,7 +595,7 @@ def _json_int(value: object, what: str) -> int:
 def ground_algebra(field: Field) -> GradedAlgebra:
     """The ground field itself, as a one-dimensional even algebra."""
     one = field.one()
-    return GradedAlgebra._trusted(field, (0,), {(0, 0): {0: one}}, (one,))
+    return GradedAlgebra._trusted(field, (0,), [([0], [one])], (one,))
 
 
 def end_graded(dim_even: int, dim_odd: int, field: Field = REAL) -> GradedAlgebra:
@@ -589,15 +613,21 @@ def end_graded(dim_even: int, dim_odd: int, field: Field = REAL) -> GradedAlgebr
     _check_budget(n * n, f"graded endomorphism algebra of k^{{{dim_even}|{dim_odd}}}")
     deg = [0] * dim_even + [1] * dim_odd
     parity = tuple(deg[r] ^ deg[c] for r in range(n) for c in range(n))
-    one = field.one()
-    table: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for r in range(n):
-        for c in range(n):
-            for c2 in range(n):
-                table[(r * n + c, c * n + c2)] = {r * n + c2: one}
-    zero = field.zero()
+    one, zero = field.one(), field.zero()
+    rows = _rows(n * n, (((r * n + c, c * n + c2), {r * n + c2: one})
+                         for r in range(n) for c in range(n) for c2 in range(n)), zero)
     unit = tuple(one if r == c else zero for r in range(n) for c in range(n))
-    return GradedAlgebra._trusted(field, parity, table, unit)
+    return GradedAlgebra._trusted(field, parity, rows, unit)
+
+
+def _values(rows) -> tuple[list, list]:
+    """The distinct coefficient values of monomial rows, and each row's
+    coefficients as positions in that list."""
+    every = [c for _, coeffs in rows for c in coeffs]
+    objects = dict(zip(map(id, every), every))
+    position: dict[Scalar, int] = {}
+    of = {key: position.setdefault(c, len(position)) for key, c in objects.items()}.__getitem__
+    return list(position), [list(map(of, map(id, coeffs))) for _, coeffs in rows]
 
 
 def graded_tensor(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
@@ -605,68 +635,72 @@ def graded_tensor(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
 
     Basis element ``(i, p)`` (meaning ``x_i (x) y_p``) gets index
     ``i * b.dim + p``; the product carries the sign
-    ``(-1)^{|x_j| |y_p|}`` from moving ``x_j`` past ``y_p``.
-
-    Each ``±ca cb`` is computed once per pair of distinct values and
-    shared by every cell that needs it: the factors' scalars are first
-    interned by value (one hash per factor entry), and the memo is keyed
-    by the ids of the interned objects, which ``canon`` keeps alive.  So
-    it holds at most ``2 x`` (distinct values of ``a``) ``x`` (distinct
-    values of ``b``) entries, whether or not the factors share objects.
-    ``canon`` starts with the field's unit: an entry equal to 1 is the
-    shared one, which :func:`_mul_into` does not multiply by.
+    ``(-1)^{|x_j| |y_p|}`` from moving ``x_j`` past ``y_p``.  A product of
+    more than :data:`MAX_TERMS` structure constants (the product of the
+    factors' counts) is refused before it is built.  For two monomial
+    tables the list of ``a``'s distinct values is multiplied once by
+    ``b``'s, with either sign, and row ``(i, p)`` is built one block of
+    ``b.dim`` columns at a time; other pairs multiply term by term.
     """
     if a.field.label != b.field.label:
         raise AlgebraError("tensor factors live over different fields")
     nb = b.dim
-    _check_budget(a.dim * nb, f"graded tensor product of dimensions {a.dim} and {nb}")
+    terms = [sum(1 for _ in _terms(x.rows)) for x in (a, b)]
+    _check_budget(a.dim * nb, f"graded tensor product of dimensions {a.dim} and {nb}",
+                  terms[0] * terms[1])
     parity = tuple(pa ^ pb for pa in a.parity for pb in b.parity)
-    one = a.field.one()
-    canon: dict[Scalar, Scalar] = {one: one}  # each value's one object
-    products: dict[tuple[int, int, int], Scalar] = {}
-    table: dict[tuple[int, int], dict[int, Scalar]] = {}
-
-    def interned(cell, scale):  # (scale k, the value's one object, its id)
-        return [(k * scale, (c := canon.setdefault(v, v)), id(c))
-                for k, v in cell.items()]
-
-    cells_b = [(p, q, b.parity[p], interned(cell_b, 1))
-               for (p, q), cell_b in b.table.items()]
-    for (i, j), cell_a in a.table.items():
-        sign_needed = a.parity[j]
-        items_a = interned(cell_a, nb)
-        for p, q, parity_p, items_b in cells_b:
-            flip = sign_needed & parity_p
-            cell: dict[int, Scalar] = {}
-            for k, ca, id_a in items_a:
-                for r, cb, id_b in items_b:
-                    key = (id_a, id_b, flip)
-                    v = products.get(key)
-                    if v is None:
-                        v = -(ca * cb) if flip else ca * cb
-                        v = products[key] = canon.setdefault(v, v)
-                    cell[k + r] = v
-            table[(i * nb + p, j * nb + q)] = cell
-    unit = tuple(canon.setdefault(u := ua * ub, u) for ua in a.unit for ub in b.unit)
-    return GradedAlgebra._trusted(a.field, parity, table, unit)
+    one, zero = a.field.one(), a.field.zero()
+    if type(a.rows[0]) is dict or type(b.rows[0]) is dict \
+            or 8 * terms[0] * terms[1] < (a.dim * nb) ** 2:  # as _rows decides
+        cells: dict[tuple[int, int], SparseVector] = {}
+        for i, j, k, x in _terms(a.rows):
+            for p, q, r, y in _terms(b.rows):
+                v = -x * y if a.parity[j] & b.parity[p] else x * y
+                cells.setdefault((i * nb + p, j * nb + q), {})[k * nb + r] = \
+                    one if v == one else v
+        rows = _rows(a.dim * nb, cells.items(), zero)
+    else:
+        values_a, codes_a = _values(a.rows)
+        values_b, codes_b = _values(b.rows)
+        plus = [[one if (v := x * y) == one else v for y in values_b] for x in values_a]
+        signed = (plus, [[one if (w := -v) == one else w for v in row] for row in plus])
+        rows = []
+        for (targets_a, _), row_codes in zip(a.rows, codes_a):
+            for p, (targets_b, _) in enumerate(b.rows):
+                targets: list[int] = []
+                coeffs: list[Scalar] = []
+                for j, k in enumerate(targets_a):  # the block of columns (j, q)
+                    targets += [k * nb + r if k >= 0 and r >= 0 else -1 for r in targets_b]
+                    products = signed[a.parity[j] & b.parity[p]][row_codes[j]]
+                    coeffs += map(products.__getitem__, codes_b[p])
+                rows.append((targets, coeffs))
+    unit = tuple((one if (u := ua * ub) == one else u) if ua and ub else zero
+                 for ua in a.unit for ub in b.unit)
+    return GradedAlgebra._trusted(a.field, parity, rows, unit)
 
 
 def opposite(a: GradedAlgebra) -> GradedAlgebra:
     """The graded opposite: ``a * b = (-1)^{|a||b|} b a`` on the same basis.
 
-    A cell that keeps its sign is ``a``'s own dict, shared (an algebra is
-    never mutated after construction), and each distinct scalar object
-    is negated once; a negated -1 is the field's shared unit."""
-    one = a.field.one()
-    negated: dict[int, Scalar] = {}  # id(v) -> -v, for v alive in a.table
-    table: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for (i, j), cell in a.table.items():
-        if a.parity[i] and a.parity[j]:  # entries are nonzero: `or` means a miss
-            cell = {k: negated.get(id(v)) or negated.setdefault(
-                        id(v), one if (m := -v) == one else m)
-                    for k, v in cell.items()}
-        table[(j, i)] = cell
-    return GradedAlgebra._trusted(a.field, a.parity, table, a.unit)
+    A monomial table is transposed, and the distinct values of its odd x
+    odd block negated once each."""
+    one, odd = a.field.one(), [i for i, p in enumerate(a.parity) if p]
+    if type(a.rows[0]) is dict:
+        cells: dict[tuple[int, int], SparseVector] = {}
+        for i, j, k, c in _terms(a.rows):
+            if a.parity[i] and a.parity[j]:
+                c = one if (c := -c) == one else c
+            cells.setdefault((j, i), {})[k] = c
+        rows = _rows(a.dim, cells.items(), a.field.zero())
+    else:
+        coeffs = [list(column) for column in zip(*(c for _, c in a.rows))]
+        values, codes = _values([(odd, [coeffs[i][j] for j in odd]) for i in odd])
+        negated = [one if (w := -v) == one else w for v in values]
+        for i, row_codes in zip(odd, codes):
+            for j, x in zip(odd, row_codes):
+                coeffs[i][j] = negated[x]
+        rows = [(list(t), c) for t, c in zip(zip(*(t for t, _ in a.rows)), coeffs)]
+    return GradedAlgebra._trusted(a.field, a.parity, rows, a.unit)
 
 
 def graded_centralizer(a: GradedAlgebra, elements: Iterable[tuple[Vector, int]]
@@ -674,13 +708,11 @@ def graded_centralizer(a: GradedAlgebra, elements: Iterable[tuple[Vector, int]]
     """Basis of the supercommutant of ``elements`` inside ``a``.
 
     ``elements`` are homogeneous ``(vector, parity)`` pairs.  The result
-    lists homogeneous ``(vector, parity)`` pairs ``c`` with
-    ``c s = (-1)^{|c||s|} s c`` for every given ``s``, degree-0 vectors
-    first; a span not closed under the product raises AlgebraError.
-    This is the dense front end of :func:`_supercommutant`: it checks
-    that each element has length ``dim`` and is homogeneous of its
-    parity, coerces its coordinates into the field, and returns
-    coordinate lists.
+    lists homogeneous ``(vector, parity)`` pairs ``c`` with ``c s =
+    (-1)^{|c||s|} s c`` for every given ``s``, degree-0 vectors first; a
+    span not closed under the product raises AlgebraError.  This is the
+    dense front end of :func:`_supercommutant`, which checks and coerces
+    each element and returns coordinate lists.
     """
     constraints = []
     for vec, par in elements:
@@ -706,22 +738,17 @@ def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]
     coordinates already in the field; the result lists sparse ``(vector,
     parity)`` pairs, degree-0 vectors first.
 
-    The kernel is intersected one constraint at a time: each constraint
-    matrix has only as many columns as the *current* kernel dimension,
-    which collapses quickly for the algebras that matter here — that is
-    the difference between seconds and hours at dimension 256.  The
-    column of a kernel vector ``v`` is ``v s - (-1)^{|v||s|} s v``: the
-    sparse ``s v``, negated as a whole unless both are odd, plus ``v s``,
-    so neither product multiplies by a shared unit (:func:`_mul_into`).
-    :func:`gradedbrauer.linalg.column_kernel` eliminates the columns one
-    at a time.  On a table with one term per cell (Clifford and graded
-    matrix algebras) a column is a single term, so the cost follows the
-    nonzeros instead of ``dim`` times the kernel size.  The basis is the
-    one dense elimination gives, so the result does not depend on the
-    representation.  Closure is one more
-    :class:`gradedbrauer.linalg.Elimination`, of the basis and then of each
-    pairwise product as it is made: :class:`AlgebraError` is raised at the
-    first product that is a pivot, outside the span.
+    The kernel is intersected one constraint at a time, so each
+    constraint matrix has only as many columns as the *current* kernel,
+    which collapses quickly: seconds instead of hours at dimension 256.
+    The column of a kernel vector ``v`` is ``v s - (-1)^{|v||s|} s v``:
+    the sparse ``s v``, negated as a whole unless both are odd, plus ``v
+    s``.  When every column is zero the kernel stays; otherwise
+    :func:`gradedbrauer.linalg.column_kernel` gives the basis dense
+    elimination gives.  Closure is one more
+    :class:`gradedbrauer.linalg.Elimination`, of the basis and then of
+    each pairwise product as it is made: :class:`AlgebraError` is raised
+    at the first product that is a pivot, outside the span.
     """
     one = a.field.one()
     result: list[tuple[SparseVector, int]] = []
@@ -734,23 +761,24 @@ def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]
             columns = []
             for v in kernel:
                 column: SparseVector = {}
-                _mul_into(column, a.table, s_vec, v)
+                _mul_into(column, a.rows, s_vec, v)
                 if not flip:
                     column = {k: -c for k, c in column.items()}
-                _mul_into(column, a.table, v, s_vec)
+                _mul_into(column, a.rows, v, s_vec)
                 columns.append(column)
-            kernel = [linalg.combine(combo, kernel)
-                      for combo in linalg.column_kernel(columns, one)]
+            if any(columns):  # else every kernel vector supercommutes with s
+                kernel = [linalg.combine(combo, kernel)
+                          for combo in linalg.column_kernel(columns, one)]
         result.extend((v, deg) for v in kernel)
     if len(result) < a.dim:
         span = [v for v, _ in result]
-        add = linalg.Elimination(one).add
+        add = linalg.Elimination(one, kernel=False).add
         for v in span:
             add(v)
         for u in span:
             for v in span:
                 product: SparseVector = {}
-                _mul_into(product, a.table, u, v)
+                _mul_into(product, a.rows, u, v)
                 if add(product) is None:
                     raise AlgebraError("centralizer failed to close under product")
     return result
@@ -768,30 +796,22 @@ def hat_center(a: GradedAlgebra) -> GradedAlgebra:
 
     For an input with nonzero odd part this is the supercommutant of the
     degree-0 part inside the algebra itself.  For a purely even input
-    ``A`` the graded center is defined through the (1|1)-stabilization
-    ``M = End(k^{1|1}) (x) A``, which has the Brauer-Wall class of ``A``
-    (Wall, *Graded Brauer groups*, J. reine angew. Math. 213, 1964), but
-    ``M`` is never built.  With ``A`` purely even no Koszul sign arises,
-    so ``M`` is the ``2 x 2`` matrices over ``A`` with the checkerboard
-    grading: the even part is the diagonal ``A x A`` and the odd part
-    the off-diagonal.  An element ``y = (y_rc)`` that commutes with
-    ``diag(x, 0)`` and ``diag(0, x)`` for all ``x`` in ``A`` has
-    ``x y_12 = 0 = y_21 x`` (so, at ``x = 1``, no odd part) and diagonal
-    entries in the center ``Z(A)``.  The graded center is therefore
-    ``Z(A) x Z(A)``, purely even of dimension ``2 dim Z(A)``.  It is
-    rank two exactly when ``Z(A)`` is the ground field, and then it is
-    ``k x k``, generated by the even ``diag(1, -1)`` of square ``+1``:
-    the split normal form over both points.  So only ``Z(A)``, the
-    commutant of ``A``'s basis, is computed (with the closure check),
-    and a failure reports the dimension ``2 dim Z(A)``.
+    ``A`` it is that of the (1|1)-stabilization ``M = End(k^{1|1}) (x)
+    A``, which has the Brauer-Wall class of ``A`` (Wall, *Graded Brauer
+    groups*, J. reine angew. Math. 213, 1964) and is the ``2 x 2``
+    matrices over ``A``, checkerboard graded.  An element ``(y_rc)``
+    commuting with ``diag(x, 0)`` and ``diag(0, x)`` for all ``x`` in
+    ``A`` has ``x y_12 = 0 = y_21 x`` (at ``x = 1``: no odd part) and
+    diagonal entries in the center ``Z(A)``.  So the graded center is
+    ``Z(A) x Z(A)``, of rank two exactly when ``Z(A)`` is the ground field,
+    and then ``k x k``, generated by the even ``diag(1, -1)`` of square
+    ``+1``.  Only ``Z(A)`` is computed, and ``M`` is never built.
 
-    With an odd part, the generator is read one way for both parities.
-    The unit (checked by the constructor) is even and commutes with
-    everything, so it lies in the span of the two centralizer vectors,
-    and one of them, ``z``, is not proportional to it.  The closure check
-    puts ``z^2`` in that span: ``z^2 = alpha + beta z``, read off the one
-    kernel vector ``(-alpha, -beta, 1)`` of the columns ``(1, z, z^2)``.
-    For an odd ``z`` the even ``z^2`` forces ``beta = 0``.
+    With an odd part, the even unit lies in the span of the two
+    centralizer vectors, and one of them, ``z``, is not proportional to
+    it.  The closure check puts ``z^2 = alpha + beta z`` in that span, read
+    off the kernel vector ``(-alpha, -beta, 1)`` of the columns ``(1, z,
+    z^2)``; for an odd ``z``, ``beta = 0``.
     """
     field = a.field
     one = field.one()
@@ -809,7 +829,7 @@ def hat_center(a: GradedAlgebra) -> GradedAlgebra:
     unit = _sparse(a.unit)
     z, z_parity = next((v, p) for v, p in cent if not linalg.column_kernel([unit, v], one))
     z_sq: SparseVector = {}
-    _mul_into(z_sq, a.table, z, z)
+    _mul_into(z_sq, a.rows, z, z)
     (combo,) = linalg.column_kernel([unit, z, z_sq], one)
     alpha = -combo.get(0, field.zero())
     beta = -combo.get(1, field.zero())
@@ -824,13 +844,8 @@ def hat_center(a: GradedAlgebra) -> GradedAlgebra:
 def _quadratic(field: Field, z_parity: int, square: Scalar) -> GradedAlgebra:
     """``k[z]/(z^2 - square)`` on basis ``(1, z)``, ``z`` of parity ``z_parity``."""
     one = field.one()
-    table = {
-        (0, 0): {0: one},
-        (0, 1): {1: one},
-        (1, 0): {1: one},
-        (1, 1): {0: square},
-    }
-    return GradedAlgebra._trusted(field, (0, z_parity), table, (one, field.zero()))
+    rows = [([0, 1], [one, one]), ([1, 0], [one, square])]
+    return GradedAlgebra._trusted(field, (0, z_parity), rows, (one, field.zero()))
 
 
 def is_azumaya(a: GradedAlgebra) -> bool:
@@ -844,16 +859,14 @@ def is_azumaya(a: GradedAlgebra) -> bool:
       Jacobson radical (Dieudonné), so this means ``a`` is semisimple; and
     * the supercenter, the supercommutant of the whole basis, is the
       ground field.  A semisimple graded algebra is a product of graded
-      simple factors, each contributing an even central idempotent, and
-      it is graded central simple exactly when its supercenter is the
-      ground field (Wall, *Graded Brauer groups*, J. reine angew. Math.
-      213, 1964).
+      simple factors, and it is graded central simple exactly when its
+      supercenter is the ground field (Wall, *Graded Brauer groups*, J.
+      reine angew. Math. 213, 1964).
 
     Together they say that the sandwich map ``a (x) a^op -> End(a)``,
-    ``x (x) y -> (c -> (-1)^{|y||c|} x c y)``, is bijective, without
-    building its ``dim**2 x dim**2`` matrix.  Only a non-associative table
-    fails a check: an asymmetric trace form raises ValueError at either
-    point, and a supercenter not closed under the product AlgebraError.
+    ``x (x) y -> (c -> (-1)^{|y||c|} x c y)``, is bijective.  Only a
+    non-associative table fails a check: an asymmetric trace form raises
+    ValueError, and a supercenter not closed under the product AlgebraError.
     """
     if len(linalg.congruence_diagonal(trace_gram(a))) < a.dim:
         return False
@@ -869,41 +882,39 @@ def trace_gram(a: GradedAlgebra, indices: Optional[Sequence[int]] = None
     Returned as sparse rows ``{i: {j: tr(L_{e_i e_j})}}`` holding only
     the nonzero entries (a zero row is absent); it is symmetric when
     ``a`` is associative.  Uses ``tr(L_{e_i e_j}) = sum_m c_{ij}^m
-    tr(L_{e_m})``: one pass over the table takes the traces of the basis
-    left-multiplications, and a second reads, in each cell, only the
-    result indices whose trace is nonzero (on a Clifford algebra, the
-    unit alone).
+    tr(L_{e_m})``: one pass takes the traces of the basis
+    left-multiplications, a second the cells whose targets have one.
 
     With ``indices``, basis indices whose span is a subalgebra ``B``
-    (such as ``a.degree_indices(0)``, the even part), it is the regular
-    trace form of ``B``, read in place: both passes visit only the cells
-    ``(i, j)`` with ``i`` and ``j`` in ``indices``, ``tr(L_{e_m})`` is
-    taken on ``B``, and rows and columns keep ``a``'s indices.  Reindexed,
-    that is the Gram matrix of the subalgebra built on its own.
+    (such as ``a.degree_indices(0)``, the even part), it is the trace form
+    of ``B``, read in place: both passes visit only the rows and columns
+    in ``indices``, which rows and columns keep.
     """
-    zero, table = a.field.zero(), a.table
-    if indices is None:
-        cells = table.items()
-    else:
-        keep = set(indices)
-        cells = [(ij, cell) for ij, cell in table.items()
-                 if ij[0] in keep and ij[1] in keep]
+    rows = a.rows
+    keep = range(a.dim) if indices is None else indices
+    inside = keep if indices is None else set(indices)
+    monomial = type(rows[0]) is tuple
     traces: dict[int, Scalar] = {}
-    for (m, c), cell in cells:
-        v = cell.get(c)
-        if v:
-            traces[m] = traces.get(m, zero) + v
-    traces = {m: t for m, t in traces.items() if t}
-    rows: dict[int, dict[int, Scalar]] = {}
-    for (i, j), cell in cells:
-        acc = None  # a cell that meets no nonzero trace costs no scalar work
-        for m, c in cell.items():
-            t = traces.get(m)
-            if t is not None:
-                acc = c * t if acc is None else acc + c * t
-        if acc:
-            rows.setdefault(i, {})[j] = acc
-    return rows
+    for m in keep:
+        row = rows[m]
+        if monomial:
+            terms = [row[1][c] for c in keep if row[0][c] == c]
+        else:
+            terms = [cell[c] for c, cell in row.items() if c in inside and c in cell]
+        if terms and (t := sum(terms[1:], terms[0])):  # nothing added to zero
+            traces[m] = t
+    gram: dict[int, dict[int, Scalar]] = {}
+    for i in keep:
+        row = rows[i]
+        if monomial:  # a cell that meets no nonzero trace costs no scalar work
+            entries = {j: row[1][j] * traces[k] for j in keep if (k := row[0][j]) in traces}
+        else:
+            entries = {j: acc for j, cell in row.items() if j in inside and (
+                p := [c * traces[m] for m, c in cell.items() if m in traces])
+                and (acc := sum(p[1:], p[0]))}
+        if entries:
+            gram[i] = entries
+    return gram
 
 
 def trace_signature(a: GradedAlgebra) -> int:

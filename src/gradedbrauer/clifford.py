@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import AlgebraError, GradedAlgebra, Scalar, _check_budget
+from .algebra import (AlgebraError, GradedAlgebra, Scalar, _check_budget, _rows,
+                      _terms)
 from .scalars import Field, REAL
 
 
@@ -98,17 +99,12 @@ def clifford(form: DiagonalForm) -> GradedAlgebra:
     is the unit.  ``e_S e_T = sign * (prod of a_i for i in S & T) *
     e_{S xor T}``.
 
-    The ``2^n`` products of form entries are computed once, one per
-    bitmask, and shared by the ``4^n`` cells.  They are interned by
-    value, and each distinct value is negated once, so the table holds
-    one scalar object per value (the field's shared unit among them),
-    which consumers can compare and memoize by identity.  The sign is
-    ``-1`` when sorting the word ``e_S e_T`` takes an odd number of
-    transpositions, i.e. when an odd number of pairs ``s in S, t in T``
-    have ``s > t``.
-    Along a row ``S`` it is built up over ``T``: dropping the lowest
-    generator ``b`` of ``T`` removes the pairs with ``t = b``, one for
-    each generator of ``S`` above ``b``.
+    The ``2^n`` products of form entries are computed and negated once,
+    one per bitmask, and shared by the ``4^n`` cells; an entry equal to 1
+    is the field's shared unit.  The sign is ``-1`` when an odd number of
+    pairs ``s in S, t in T`` have ``s > t`` (sorting the word ``e_S e_T``),
+    that is, when ``popcount(T & mask_S)`` is odd, where bit ``t`` of
+    ``mask_S`` is the parity of the number of generators of ``S`` above it.
 
     >>> from gradedbrauer.scalars import REAL
     >>> quat = clifford(DiagonalForm((-1, -1), REAL))
@@ -121,25 +117,18 @@ def clifford(form: DiagonalForm) -> GradedAlgebra:
     field = form.field
     one = field.one()
     parity = tuple(s.bit_count() & 1 for s in range(dim))
-    lowest = [(t & -t).bit_length() - 1 for t in range(dim)]
-    canon = {one: one}  # each value's one object
-    products = [one] * dim  # products[m]: the a_i for i in m, multiplied
+    products, masks = [one] * dim, [0] * dim  # the a_i for i in m, multiplied; mask_m
     for m in range(1, dim):
-        v = products[m & (m - 1)] * form.entries[lowest[m]]
-        products[m] = canon.setdefault(v, v)
-    negation = {id(v): canon.setdefault(-v, -v) for v in list(canon.values())}
-    negated = [negation[id(c)] for c in products]
-    table: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for s in range(dim):
-        above = [(s >> (b + 1)).bit_count() & 1 for b in range(n)]
-        odd = [0] * dim  # odd[t]: whether the sign of e_s e_t is -1
-        table[(s, 0)] = {s: one}
-        for t in range(1, dim):
-            odd[t] = odd[t & (t - 1)] ^ above[lowest[t]]
-            common = s & t
-            table[(s, t)] = {s ^ t: negated[common] if odd[t] else products[common]}
+        low = m & -m  # the lowest generator of m, as a bit
+        v = products[m & (m - 1)] * form.entries[low.bit_length() - 1]
+        products[m] = one if v == one else v
+        masks[m] = masks[m & (m - 1)] ^ (low - 1)
+    signed = (products, [one if (v := -c) == one else v for c in products])
+    index = list(range(dim))  # one int object per basis index, shared by every row
+    rows = [([index[s ^ t] for t in index],
+             [signed[(t & masks[s]).bit_count() & 1][s & t] for t in index]) for s in index]
     unit = (one,) + (field.zero(),) * (dim - 1)
-    return GradedAlgebra._trusted(field, parity, table, unit)
+    return GradedAlgebra._trusted(field, parity, rows, unit)
 
 
 def tensor_index_pairing(rank_left: int, rank_right: int) -> list[int]:
@@ -152,12 +141,9 @@ def tensor_index_pairing(rank_left: int, rank_right: int) -> list[int]:
     already sorted with the left block first, so the map is an honest
     isomorphism of graded algebras, not just a vector-space relabeling.
     """
-    dim_right = 1 << rank_right
-    low_mask = (1 << rank_left) - 1
-    out = []
-    for s in range(1 << (rank_left + rank_right)):
-        out.append((s & low_mask) * dim_right + (s >> rank_left))
-    return out
+    dim_right, low_mask = 1 << rank_right, (1 << rank_left) - 1
+    return [(s & low_mask) * dim_right + (s >> rank_left)
+            for s in range(1 << (rank_left + rank_right))]
 
 
 def relabel(a: GradedAlgebra, perm: Sequence[int]) -> GradedAlgebra:
@@ -165,13 +151,11 @@ def relabel(a: GradedAlgebra, perm: Sequence[int]) -> GradedAlgebra:
     ``perm[i]``), preserving products and grading."""
     if sorted(perm) != list(range(a.dim)):
         raise AlgebraError("relabeling must be a permutation of the basis")
-    parity = [0] * a.dim
-    for i, p in enumerate(a.parity):
-        parity[perm[i]] = p
-    unit = [a.field.zero()] * a.dim
-    for i, u in enumerate(a.unit):
-        unit[perm[i]] = u
-    table: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for (i, j), cell in a.table.items():
-        table[(perm[i], perm[j])] = {perm[k]: v for k, v in cell.items()}
-    return GradedAlgebra._trusted(a.field, tuple(parity), table, tuple(unit))
+    parity, unit = [0] * a.dim, [a.field.zero()] * a.dim
+    for i, (p, u) in enumerate(zip(a.parity, a.unit)):
+        parity[perm[i]], unit[perm[i]] = p, u
+    cells: dict[tuple[int, int], dict[int, Scalar]] = {}
+    for i, j, k, v in _terms(a.rows):
+        cells.setdefault((perm[i], perm[j]), {})[perm[k]] = v
+    rows = _rows(a.dim, cells.items(), a.field.zero())
+    return GradedAlgebra._trusted(a.field, tuple(parity), rows, tuple(unit))

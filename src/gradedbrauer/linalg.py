@@ -59,6 +59,9 @@ class Elimination:
     before it, and the kernel vectors are the ones back-substitution on a
     row-echelon form gives, whichever row each pivot is scaled at.
 
+    With ``kernel=False`` no combination is tracked (for callers that ask
+    only whether a column is a pivot), and a dependent column gives ``{}``.
+
     Only the pivots whose row occurs in the column are visited, through
     a sorted queue of positions seeded from a map of pivot rows; a pivot
     queues the pivot rows it brings in.  A pivot is zero at the rows of
@@ -66,8 +69,9 @@ class Elimination:
     the same pivots in the same order as a scan of every pivot would.
     """
 
-    def __init__(self, one):
-        self.one, self.added = one, 0  # the field's unit; the next column's index
+    def __init__(self, one, kernel=True):
+        # the field's unit; whether to track kernels; the next column's index
+        self.one, self.kernel, self.added = one, kernel, 0
         self.pivots = []  # (pivot row, reduced column, combination)
         self.position = {}  # pivot row -> index in pivots
 
@@ -75,7 +79,7 @@ class Elimination:
         """The kernel vector of ``column``, or ``None`` if it is a pivot."""
         pivots, position = self.pivots, self.position
         reduced = {r: v for r, v in column.items() if v}
-        combo = {self.added: self.one}
+        combo = {self.added: self.one} if self.kernel else {}
         self.added += 1
         # negated positions, ascending, so that pop() gives the earliest
         queue = [-position[r] for r in reduced if r in position] if position else None
@@ -99,7 +103,8 @@ class Elimination:
                             reduced[k] = t
                         else:
                             del reduced[k]
-                _add_scaled(combo, f, pivot_combo)
+                if pivot_combo:
+                    _add_scaled(combo, f, pivot_combo)
         if not reduced:
             return combo
         row, inv = next(iter(reduced.items()))

@@ -6,7 +6,7 @@ import pytest
 
 from gradedbrauer import linalg
 from gradedbrauer.algebra import (AlgebraError, GradedAlgebra,
-                                  NotAzumayaError, end_graded,
+                                  NotAzumayaError, _rows, end_graded,
                                   graded_centralizer, graded_tensor,
                                   ground_algebra, hat_center, is_azumaya,
                                   opposite, trace_gram, trace_signature)
@@ -104,7 +104,7 @@ def test_validate_catches_grading_violations():
              (1, 1): {1: one}}  # odd*odd landing in odd degree
     with pytest.raises(AlgebraError, match="parity"):
         GradedAlgebra(REAL, (0, 1), table, unit=(1, 0))
-    bad = GradedAlgebra._trusted(REAL, (0, 1), table, (one, F(0)))
+    bad = GradedAlgebra._trusted(REAL, (0, 1), _rows(2, table.items(), F(0)), (one, F(0)))
     with pytest.raises(AlgebraError, match="parity"):
         bad.validate()
 
@@ -114,7 +114,7 @@ def test_validate_catches_fake_unit():
                       unit=(1, 1))
     with pytest.raises(AlgebraError, match="unit fails"):
         GradedAlgebra(a.field, a.parity, a.table, unit=(1, 0))
-    doctored = GradedAlgebra._trusted(a.field, a.parity, a.table, (F(1), F(0)))
+    doctored = GradedAlgebra._trusted(a.field, a.parity, a.rows, (F(1), F(0)))
     with pytest.raises(AlgebraError, match="unit"):
         doctored.validate()
 
@@ -213,7 +213,7 @@ def test_graded_centralizer_does_not_trust_the_declared_unit():
     e12 = a.basis_vector(3)  # anticommutes with e_1 and e_2
     with pytest.raises(AlgebraError, match="unit fails on basis element 0"):
         GradedAlgebra(a.field, a.parity, a.table, unit=e12)
-    wrong = GradedAlgebra._trusted(a.field, a.parity, a.table, tuple(e12))
+    wrong = GradedAlgebra._trusted(a.field, a.parity, a.rows, tuple(e12))
     want = graded_centralizer(a, [(e12, 0)])
     assert [deg for _, deg in want] == [0, 0]
     assert graded_centralizer(wrong, [(e12, 0)]) == want
@@ -228,9 +228,9 @@ def test_closure_is_checked_in_one_elimination(monkeypatch):
     made = []
 
     class Counted(linalg.Elimination):
-        def __init__(self, one):
+        def __init__(self, one, **options):
             made.append(self)
-            super().__init__(one)
+            super().__init__(one, **options)
 
     monkeypatch.setattr(linalg, "Elimination", Counted)
     a = cl(6, 0)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedbrauer.algebra import AlgebraError, GradedAlgebra, end_graded
+from gradedbrauer.algebra import AlgebraError, GradedAlgebra, _rows, end_graded
 from gradedbrauer.clifford import DiagonalForm, clifford, relabel, signature_form
 from gradedbrauer.scalars import COMPLEX, REAL
 from associativity_oracle import associator, dense_unit, first_failing_triple
@@ -214,6 +214,7 @@ def test_tables_without_a_unit(table):
         GradedAlgebra(REAL, parity, table, (0, 0))
     trusted = {ij: {k: REAL.coerce(v) for k, v in cell.items()}
                for ij, cell in table.items()}
-    assert dense_unit(GradedAlgebra._trusted(REAL, parity, trusted, (zero, zero))) is None
+    rows = _rows(2, trusted.items(), zero)
+    assert dense_unit(GradedAlgebra._trusted(REAL, parity, rows, (zero, zero))) is None
     with pytest.raises(AlgebraError, match="admits no two-sided unit"):
         GradedAlgebra(REAL, parity, table)

@@ -7,10 +7,10 @@
 * ``linalg._add_scaled`` and ``algebra._mul_into`` skip a factor that is
   the field's shared unit; the result equals the one an equal but
   distinct ``1`` gives, entry for entry and in the same key order.
-* ``graded_tensor`` and ``opposite`` share scalar objects and cells;
-  they equal the naive constructions below, and never write to their
-  inputs.
-* ``clifford`` holds one scalar object per value.
+* ``graded_tensor`` and ``opposite`` share scalar objects; they equal
+  the naive constructions below, and never write to their inputs.
+* ``clifford`` shares one product object per bitmask and sign across its
+  rows, and an algebra read from JSON holds one object per value.
 """
 
 import random
@@ -143,12 +143,12 @@ def test_add_scaled_is_the_same_for_any_unit_object(case, data):
 def test_mul_into_is_the_same_for_any_unit_object(case, data):
     field, entry = case
     n = 4
-    table = {}
+    rows = [{} for _ in range(n)]  # a table of row dicts
     for i in range(n):
         for j in range(n):
             cell = sparse(data.draw, entry, n)
             if cell:
-                table[(i, j)] = cell
+                rows[i][j] = cell
     shared, _ = units(field)
     # coordinates are the shared unit, marked None, or other values
     coordinate = st.none() | entry
@@ -162,14 +162,14 @@ def test_mul_into_is_the_same_for_any_unit_object(case, data):
         xs = {k: unit if v is None else v for k, v in x.items()}
         ys = {k: unit if v is None else v for k, v in y.items()}
         out = dict(acc)
-        _mul_into(out, table, xs, ys)
+        _mul_into(out, rows, xs, ys)
         results.append(entries(out))
     assert results[0] == results[1]
     want = dict(acc)
     for i, xi in x.items():
         for j, yj in y.items():
             f = (shared if xi is None else xi) * (shared if yj is None else yj)
-            for k, v in table.get((i, j), {}).items():
+            for k, v in rows[i].get(j, {}).items():
                 want[k] = want.get(k, field.zero()) + f * v
     assert {k: v for k, _, v in results[0]} == {k: v for k, v in want.items() if v}
 
@@ -230,13 +230,26 @@ def test_graded_tensor_equals_the_naive_construction():
         assert (snapshot(a), snapshot(b)) == before
 
 
+def unshared(a):
+    """``a`` rebuilt by hand with a new scalar object for every entry of
+    its rows and its unit, stored without the constructor's checks."""
+    def fresh(v):
+        return F(v.numerator, v.denominator) if a.field is REAL \
+            else GaussianRational(v.re, v.im)
+
+    rows = [{j: {k: fresh(v) for k, v in cell.items()} for j, cell in row.items()}
+            if type(row) is dict else (list(row[0]), [fresh(c) for c in row[1]])
+            for row in a.rows]
+    return GradedAlgebra._trusted(a.field, a.parity, rows, tuple(map(fresh, a.unit)))
+
+
 def test_tensor_of_factors_that_share_no_scalars():
-    """Factors read from JSON hold a new object per entry; the product
+    """Factors that hold a new object per entry give a product that
     still holds at most one object per (value of a, value of b, sign)."""
     for a, b in [(clifford(DiagonalForm((F(1, 2), -3, 2), REAL)),
                   clifford(DiagonalForm((1, -2), REAL))),
                  (cl(1, 2, COMPLEX), end_graded(1, 1, COMPLEX))]:
-        a, b = (GradedAlgebra.from_json(x.to_json()) for x in (a, b))
+        a, b = unshared(a), unshared(b)
         values = [[v for cell in x.table.values() for v in cell.values()]
                   for x in (a, b)]
         assert all(len({id(v) for v in vs}) == len(vs) for vs in values)
@@ -249,7 +262,8 @@ def test_tensor_of_factors_that_share_no_scalars():
 def test_every_one_is_the_shared_unit():
     """Every entry equal to 1 in a tensor product or an opposite, unit
     included, *is* the field's shared unit, which products skip; also for
-    factors read from JSON, whose entries are all new objects."""
+    factors whose entries are all new objects.  An algebra read from JSON
+    holds the shared unit too."""
     def ones(a):
         values = [v for cell in a.table.values() for v in cell.values()]
         return [v for v in values + list(a.unit) if v == 1]
@@ -262,9 +276,11 @@ def test_every_one_is_the_shared_unit():
              (clifford(DiagonalForm((F(1, 2), -3, 2), REAL)), cl(0, 2)),
              (cl(1, 2, COMPLEX), end_graded(1, 1, COMPLEX))]
     for a, b in pairs:
-        read = [GradedAlgebra.from_json(x.to_json()) for x in (a, b)]
-        assert not any(v is x.field.one() for x in read for v in ones(x))
-        for left, right in [(a, b), (read[0], b), (a, read[1]), tuple(read)]:
+        for x in (a, b):
+            shared(GradedAlgebra.from_json(x.to_json()))
+        fresh = [unshared(x) for x in (a, b)]
+        assert not any(v is x.field.one() for x in fresh for v in ones(x))
+        for left, right in [(a, b), (fresh[0], b), (a, fresh[1]), tuple(fresh)]:
             product = graded_tensor(left, right)
             shared(product)
             shared(opposite(product))
@@ -294,14 +310,26 @@ def test_shared_cells_are_never_written():
         assert snapshot(a) == before
 
 
-def test_clifford_holds_one_scalar_object_per_value():
+def test_clifford_shares_one_product_per_bitmask_and_sign():
     for form in (DiagonalForm((F(1, 2), -3, 2, -1, 3), REAL),
                  DiagonalForm((1,) * 6, REAL),
                  DiagonalForm((GaussianRational(0, 1), 2, -1), COMPLEX)):
         a = clifford(form)
         scalars = [v for cell in a.table.values() for v in cell.values()]
-        assert len({id(v) for v in scalars}) == len(set(scalars))
+        assert len({id(v) for v in scalars}) <= 2 * a.dim
         assert any(v is form.field.one() for v in scalars)
+        assert all(v is form.field.one() for v in scalars if v == 1)
+
+
+def test_an_algebra_read_from_json_holds_one_object_per_value():
+    for a in (clifford(DiagonalForm((F(1, 2), -3, 2, -1), REAL)),
+              end_graded(2, 1), cl(1, 2, COMPLEX)):
+        read = GradedAlgebra.from_json(a.to_json())
+        scalars = [v for cell in read.table.values() for v in cell.values()]
+        scalars += [u for u in read.unit if u]
+        assert read == a
+        assert len({id(v) for v in scalars}) == len(set(scalars))
+        assert all(v is a.field.one() for v in scalars if v == 1)
 
 
 def test_seeded_products_equal_the_naive_construction():
