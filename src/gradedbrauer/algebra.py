@@ -27,17 +27,25 @@ Elements are sparse dicts ``{index: coeff}``, and kernels come from the
 sparse elimination of :class:`gradedbrauer.linalg.Elimination`; only
 :meth:`GradedAlgebra.mul` and :func:`graded_centralizer` take and return
 coordinate lists.
+
+The classification and the certificates (:func:`hat_center`,
+:func:`graded_centralizer`, :func:`is_azumaya`, the trace forms of
+:mod:`gradedbrauer.invariants` and :meth:`GradedAlgebra.validate`) are
+decided on the integral image of an algebra (:func:`_integral`): the
+same table on a basis scaled by the common denominator, an isomorphic
+algebra with integer structure constants, built once per algebra.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from . import linalg
 from .scalars import (_GAUSSIAN_ONE, _ONE, COMPLEX, Field, GaussianRational,
-                      REAL, field_from_label)
+                      REAL, _div, _make, field_from_label)
 
 Scalar = Union[Fraction, GaussianRational]
 Vector = Sequence[Scalar]
@@ -121,18 +129,29 @@ def _terms(rows):
 
 
 def _rows(dim: int, cells, zero: Scalar) -> list:
-    """The rows of the table with the nonzero ``((i, j), {k: c})`` cells:
-    monomial when every cell holds one term and one in eight at least is
-    nonzero; row dicts, cheaper for a sparser table, otherwise."""
-    cells = list(cells)
-    monomial = all(len(cell) == 1 for _, cell in cells) and 8 * len(cells) >= dim * dim
-    rows: list = [([-1] * dim, [zero] * dim) if monomial else {} for _ in range(dim)]
+    """The rows of the table with the nonzero ``((i, j), {k: c})`` cells,
+    as :func:`_packed` stores them."""
+    rows: list = [{} for _ in range(dim)]
     for (i, j), cell in cells:
-        if monomial:
-            (rows[i][0][j], rows[i][1][j]), = cell.items()
-        else:
-            rows[i][j] = cell
-    return rows
+        rows[i][j] = cell
+    return _packed(rows, zero)
+
+
+def _packed(rows: list, zero: Scalar) -> list:
+    """Row dicts ``{j: {k: c}}`` of nonzero cells as stored: monomial rows
+    when every cell holds one term and one in eight at least is nonzero;
+    the row dicts themselves, cheaper for a sparser table, otherwise."""
+    dim = len(rows)
+    if 8 * sum(map(len, rows)) < dim * dim or any(
+            len(cell) != 1 for row in rows for cell in row.values()):
+        return rows
+    packed = []
+    for row in rows:
+        targets, coeffs = [-1] * dim, [zero] * dim
+        for j, cell in row.items():
+            (targets[j], coeffs[j]), = cell.items()
+        packed.append((targets, coeffs))
+    return packed
 
 
 class _Table(Mapping):
@@ -211,33 +230,19 @@ class GradedAlgebra:
 
     An algebra must not be mutated after construction: its classification
     (read by :mod:`gradedbrauer.invariants`) is computed at most once and
-    kept in the ``_descriptor`` and ``_ungraded`` slots.
+    kept in the ``_descriptor`` and ``_ungraded`` slots, and its integral
+    image (:func:`_integral`) in the ``_image`` slot.
     """
 
     __slots__ = ("field", "dim", "parity", "unit", "rows",
-                 "_descriptor", "_ungraded")
+                 "_descriptor", "_ungraded", "_image")
 
     def __init__(self, field: Field, parity: Sequence[int],
                  table: Mapping[tuple[int, int], Mapping[int, object]],
                  unit: Optional[Sequence[object]] = None) -> None:
-        self.field = field
-        self.parity = tuple(int(p) for p in parity)
-        self.dim = len(self.parity)
-        if self.dim == 0:
-            raise AlgebraError("algebra needs at least one basis element")
-        if any(p not in (0, 1) for p in self.parity):
-            raise AlgebraError("parity bits must be 0 or 1")
-        dim, coerce, one, zero = self.dim, field.coerce, field.one(), field.zero()
-        shared = {one: one, zero: zero}  # each value's (and string's) object
-
-        def scalar(value: object) -> Scalar:  # a string is parsed once
-            v = shared.get(value) if type(value) is str else None
-            if v is None:
-                v = coerce(value)
-                v = shared[value] = shared.setdefault(v, v)
-            return v
-
-        cells = []
+        scalar = self._start(field, parity)
+        dim = self.dim
+        rows: list[dict[int, dict[int, Scalar]]] = [{} for _ in range(dim)]
         for (i, j), cell in table.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise AlgebraError(f"structure index ({i}, {j}) out of range")
@@ -248,8 +253,36 @@ class GradedAlgebra:
                 if v := scalar(value):
                     clean[k] = v
             if clean:
-                cells.append(((i, j), clean))
-        self.rows = _rows(dim, cells, zero)
+                rows[i][j] = clean
+        self._finish(rows, unit, scalar)
+
+    def _start(self, field: Field, parity: Sequence[int]):
+        """Set and check the field and the parity bits; return the function
+        that brings a value into the field, keeping one object per value (1
+        is the field's shared unit) and parsing each distinct string once."""
+        self.field = field
+        self.parity = tuple(int(p) for p in parity)
+        self.dim = len(self.parity)
+        if self.dim == 0:
+            raise AlgebraError("algebra needs at least one basis element")
+        if any(p not in (0, 1) for p in self.parity):
+            raise AlgebraError("parity bits must be 0 or 1")
+        coerce, one, zero = field.coerce, field.one(), field.zero()
+        shared = {one: one, zero: zero}  # each value's (and string's) object
+
+        def scalar(value: object) -> Scalar:  # a string is parsed once
+            v = shared.get(value) if type(value) is str else None
+            if v is None:
+                v = coerce(value)
+                v = shared[value] = shared.setdefault(v, v)
+            return v
+
+        return scalar
+
+    def _finish(self, rows: list, unit: Optional[Sequence[object]], scalar) -> None:
+        """Store row dicts of nonzero cells (:func:`_packed`), set the unit,
+        solved for when ``None``, and check it and the grading."""
+        self.rows = _packed(rows, self.field.zero())
         if unit is None:
             unit = self._solve_unit()
             if unit is None:
@@ -257,7 +290,7 @@ class GradedAlgebra:
         elif len(unit) != self.dim:
             raise AlgebraError("unit vector has the wrong length")
         self.unit = tuple(map(scalar, unit))
-        self._descriptor = self._ungraded = None
+        self._descriptor = self._ungraded = self._image = None
         self.check_unit_and_grading()
 
     @classmethod
@@ -270,7 +303,7 @@ class GradedAlgebra:
         a = cls.__new__(cls)
         a.field, a.parity, a.rows, a.unit = field, parity, rows, unit
         a.dim = len(parity)
-        a._descriptor = a._ungraded = None
+        a._descriptor = a._ungraded = a._image = None
         return a
 
     @property
@@ -333,21 +366,30 @@ class GradedAlgebra:
             columns[i][(0, j, k)] = v
             columns[j][(1, i, k)] = v
         columns.append({(side, j, j): one for side in (0, 1) for j in range(n)})
-        *_, combo = map(linalg.Elimination(one).add, columns)
+        *_, combo = map(linalg.Elimination(one)._add, columns)
         if combo is None:
             return None  # the constants column is independent: inconsistent
-        return [-combo[c] if c in combo else self.field.zero() for c in range(n)]
+        own = -combo[n]
+        return [_div(combo[c], own) if c in combo else self.field.zero() for c in range(n)]
 
     # ------------------------------------------------------------ validation
 
     def validate(self) -> None:
         """Full structural audit; raises :class:`AlgebraError` on failure.
 
-        Runs :meth:`check_unit_and_grading`, then Light's associativity
-        test (Clifford & Preston, *The Algebraic Theory of Semigroups* I,
-        AMS 1961, section 1.2).  The elements ``y`` with ``(x y) z =
-        x (y z)`` for all ``x, z`` form a subspace ``S`` that holds the
-        unit and is closed under the product: for ``y, w`` in ``S``,
+        Runs :meth:`check_unit_and_grading`, then :meth:`_check_associative`
+        on the integral image (:func:`_integral`), which is associative
+        exactly when this algebra is, with the same failing triples.
+        """
+        self.check_unit_and_grading()
+        _integral(self)._check_associative()
+
+    def _check_associative(self) -> None:
+        """Light's associativity test (Clifford & Preston, *The Algebraic
+        Theory of Semigroups* I, AMS 1961, section 1.2).  The elements ``y``
+        with ``(x y) z = x (y z)`` for all ``x, z`` form a subspace ``S``
+        that holds the unit and is closed under the product: for ``y, w``
+        in ``S``,
 
             (x (y w)) z = ((x y) w) z    as y is in S
                         = (x y) (w z)    as w is in S
@@ -366,8 +408,7 @@ class GradedAlgebra:
         compared, and coefficients as codes (one per distinct value, each
         pair of codes multiplied once).  Row dicts compare both rows as dicts.
         """
-        self.check_unit_and_grading()
-        rows, n, one = self.rows, self.dim, self.field.one()
+        rows, n = self.rows, self.dim
 
         def row_dict(i: int) -> dict[int, SparseVector]:
             row = rows[i]
@@ -423,7 +464,7 @@ class GradedAlgebra:
         the span exactly when it is a pivot of one :class:`linalg.Elimination`.
         The unit must already be checked.
         """
-        n, rows, one = self.dim, self.rows, self.field.one()
+        n, rows, one = self.dim, self.rows, _IMAGE_ONE[self.field]
         elimination = linalg.Elimination(one, kernel=False)
         pivots, add = elimination.pivots, elimination.add  # None: a new pivot
         words = [_sparse(self.unit)]
@@ -523,9 +564,9 @@ class GradedAlgebra:
         omitted, in which case it is solved for.  Scalars are strings or
         integers.  An algebra above :data:`MAX_DIM`, or a ``structure`` of
         more than :data:`MAX_TERMS` triples (``dim**3`` entries for a dense
-        table), is refused before its table is built.  The constructor
-        checks the unit and the grading (:meth:`check_unit_and_grading`);
-        associativity is not checked.
+        table), is refused before its table is built.  The constructor's
+        checks run (:meth:`check_unit_and_grading` among them) on rows built
+        straight from the entries; associativity is not checked.
         """
         if not isinstance(data, Mapping):
             raise AlgebraError("algebra JSON must be an object, not "
@@ -557,7 +598,6 @@ class GradedAlgebra:
         dense = bool(structure) and isinstance(structure[0], list) \
             and bool(structure[0]) and isinstance(structure[0][0], list)
         _check_budget(dim, "algebra read from JSON", dim ** 3 if dense else len(structure))
-        table: dict[tuple[int, int], dict[int, object]] = {}
         if dense:
             # every plane and every fiber a list of dim entries (not a string)
             if not (len(structure) == dim and all(
@@ -566,21 +606,38 @@ class GradedAlgebra:
                             for fiber in plane)
                     for plane in structure)):
                 raise AlgebraError("dense structure table has the wrong shape")
-            for i, plane in enumerate(structure):
-                for j, fiber in enumerate(plane):
-                    table[(i, j)] = dict(enumerate(fiber))
         else:
             for entry in structure:
                 if not isinstance(entry, (list, tuple)) or len(entry) != 4:
                     raise AlgebraError(f"bad structure triple {entry!r}")
-                i, j, k, value = entry
-                for index in (i, j, k):
+                for index in entry[:3]:
                     _json_int(index, "structure index")
-                cell = table.setdefault((i, j), {})
+        a = cls.__new__(cls)
+        scalar = a._start(field, parity)
+        rows: list[dict[int, dict[int, Scalar]]] = [{} for _ in range(dim)]
+        if dense:
+            for row, plane in zip(rows, structure):
+                for j, fiber in enumerate(plane):
+                    if cell := {k: v for k, value in enumerate(fiber) if (v := scalar(value))}:
+                        row[j] = cell
+        else:
+            for i, j, k, value in structure:
+                if not (0 <= i < dim and 0 <= j < dim):
+                    raise AlgebraError(f"structure index ({i}, {j}) out of range")
+                if not 0 <= k < dim:
+                    raise AlgebraError(f"structure index {k} out of range")
+                cell = rows[i].setdefault(j, {})
                 if k in cell:
                     raise AlgebraError(f"duplicate structure triple ({i}, {j}, {k})")
-                cell[k] = value
-        return cls(field, parity, table, unit)
+                cell[k] = scalar(value)  # a zero is dropped once no duplicate can follow
+            for row in rows:
+                for j, cell in list(row.items()):
+                    for k in [k for k, v in cell.items() if not v]:
+                        del cell[k]
+                    if not cell:
+                        del row[j]
+        a._finish(rows, unit, scalar)
+        return a
 
 
 def _json_int(value: object, what: str) -> int:
@@ -628,6 +685,60 @@ def _values(rows) -> tuple[list, list]:
     position: dict[Scalar, int] = {}
     of = {key: position.setdefault(c, len(position)) for key, c in objects.items()}.__getitem__
     return list(position), [list(map(of, map(id, coeffs))) for _, coeffs in rows]
+
+
+# The unit scalar of an integral image: 1, or the Gaussian integer 1 for an
+# image with a non-real entry (see :func:`_integral`).
+_IMAGE_ONE = {REAL: 1, COMPLEX: _make(1, 0)}
+
+
+def _integral(a: GradedAlgebra) -> GradedAlgebra:
+    """The integral image of ``a``: its table on the basis ``D e_i``, with
+    ``D`` the least common denominator of the structure constants.
+
+    ``(D e_i)(D e_j) = sum_k (D c_ij^k)(D e_k)``, so every constant ``c``
+    becomes the integer ``D c``: an ``int``, or a ``GaussianRational`` with
+    ``int`` parts when a constant or the unit has an imaginary part (the
+    image's field is then ``COMPLEX``, and ``REAL`` otherwise).  The unit
+    is ``u / D``.  Rescaling the basis is an isomorphism: the image has the
+    same graded center up to scale, the same associativity failures and
+    the trace form times ``D**2``, and a rational matrix has the same rank
+    over the rationals and the Gaussian rationals.  So the classification
+    and the certificates are decided on the image, in integer arithmetic
+    with :class:`linalg.Elimination` and :func:`linalg.congruence_diagonal`.
+    Each distinct scalar object is converted once, as ``numerator * (D //
+    denominator)``.  Built on first use and kept in the ``_image`` slot of
+    ``a`` (not of the image), so it dies with ``a``; image scalars are
+    never returned to a caller.
+    """
+    if a._image is None:
+        rows, real = a.rows, a.field.is_real
+        monomial = type(rows[0]) is tuple
+        if monomial:  # few distinct objects: each is converted once
+            objects: dict[int, Scalar] = {}
+            for _, coeffs in rows:
+                objects.update(zip(map(id, coeffs), coeffs))
+            every = list(objects.values())
+        else:
+            every = [c for row in rows for cell in row.values() for c in cell.values()]
+        gaussian = not real and any(v.im for v in [*every, *a.unit])
+        parts = every if real else [c.re for c in every] + [c.im for c in every if gaussian]
+        den = lcm(*{x.denominator for x in parts})
+
+        def integer(x: Fraction) -> int:
+            return x.numerator * (den // x.denominator)
+
+        convert = integer if real else (lambda c: _make(integer(c.re), integer(c.im))) \
+            if gaussian else (lambda c: integer(c.re))
+        if monomial:
+            value = {key: convert(c) for key, c in objects.items()}.__getitem__
+            rows = [(targets, list(map(value, map(id, coeffs)))) for targets, coeffs in rows]
+        else:
+            rows = [{j: {k: convert(c) for k, c in cell.items()} for j, cell in row.items()}
+                    for row in rows]
+        unit = tuple(_div(u if real or gaussian else u.re, den) for u in a.unit)
+        a._image = GradedAlgebra._trusted(COMPLEX if gaussian else REAL, a.parity, rows, unit)
+    return a._image
 
 
 def graded_tensor(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
@@ -711,8 +822,10 @@ def graded_centralizer(a: GradedAlgebra, elements: Iterable[tuple[Vector, int]]
     lists homogeneous ``(vector, parity)`` pairs ``c`` with ``c s =
     (-1)^{|c||s|} s c`` for every given ``s``, degree-0 vectors first; a
     span not closed under the product raises AlgebraError.  This is the
-    dense front end of :func:`_supercommutant`, which checks and coerces
-    each element and returns coordinate lists.
+    dense front end of :func:`_supercommutant` on the integral image
+    (:func:`_integral`): it checks and coerces each element, and returns
+    coordinate lists, each vector divided by its entry at its last
+    nonzero coordinate, the basis index it started from.
     """
     constraints = []
     for vec, par in elements:
@@ -724,33 +837,42 @@ def graded_centralizer(a: GradedAlgebra, elements: Iterable[tuple[Vector, int]]
         for idx, v in enumerate(vec):
             if v and a.parity[idx] != par:
                 raise AlgebraError("constraint element is not homogeneous")
-        constraints.append((_sparse([a.field.coerce(v) for v in vec]), par))
-    zero = a.field.zero()
-    return [(_dense(v, a.dim, zero), deg)
-            for v, deg in _supercommutant(a, constraints)]
+        constraint = _sparse([a.field.coerce(v) for v in vec])
+        linalg._primitive(constraint)
+        constraints.append((constraint, par))
+    coerce, zero = a.field.coerce, a.field.zero()
+    result = []
+    for v, deg in _supercommutant(_integral(a), constraints):
+        start = v[max(v)]  # the entry at the basis index v started from
+        result.append((_dense({i: coerce(_div(x, start)) for i, x in v.items()}, a.dim, zero),
+                       deg))
+    return result
 
 
 def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]]
                     ) -> list[tuple[SparseVector, int]]:
-    """:func:`graded_centralizer` on sparse vectors.
+    """:func:`graded_centralizer` on sparse vectors, over an integral image
+    (:func:`_integral`).
 
     ``constraints`` are homogeneous ``(sparse vector, parity)`` pairs with
-    coordinates already in the field; the result lists sparse ``(vector,
-    parity)`` pairs, degree-0 vectors first.
+    coordinates in the image's scalars; the result lists sparse
+    primitive ``(vector, parity)`` pairs, degree-0 vectors first.
 
     The kernel is intersected one constraint at a time, so each
     constraint matrix has only as many columns as the *current* kernel,
     which collapses quickly: seconds instead of hours at dimension 256.
     The column of a kernel vector ``v`` is ``v s - (-1)^{|v||s|} s v``:
     the sparse ``s v``, negated as a whole unless both are odd, plus ``v
-    s``.  When every column is zero the kernel stays; otherwise
-    :func:`gradedbrauer.linalg.column_kernel` gives the basis dense
-    elimination gives.  Closure is one more
+    s``.  When every column is zero the kernel stays; otherwise the
+    primitive kernel vectors of :func:`gradedbrauer.linalg.column_kernel`
+    give the basis dense elimination gives, up to scale: each vector's
+    last nonzero coordinate is the basis index it started from, where
+    no other vector of its degree is nonzero.  Closure is one more
     :class:`gradedbrauer.linalg.Elimination`, of the basis and then of
     each pairwise product as it is made: :class:`AlgebraError` is raised
     at the first product that is a pivot, outside the span.
     """
-    one = a.field.one()
+    one = _IMAGE_ONE[a.field]
     result: list[tuple[SparseVector, int]] = []
     for deg in (0, 1):
         kernel: list[SparseVector] = [{i: one} for i in a.degree_indices(deg)]
@@ -767,8 +889,7 @@ def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]
                 _mul_into(column, a.rows, v, s_vec)
                 columns.append(column)
             if any(columns):  # else every kernel vector supercommutes with s
-                kernel = [linalg.combine(combo, kernel)
-                          for combo in linalg.column_kernel(columns, one)]
+                kernel = [_combine(combo, kernel) for combo in linalg._column_kernel(columns, one)]
         result.extend((v, deg) for v in kernel)
     if len(result) < a.dim:
         span = [v for v, _ in result]
@@ -782,6 +903,17 @@ def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]
                 if add(product) is None:
                     raise AlgebraError("centralizer failed to close under product")
     return result
+
+
+def _combine(combo: SparseVector, kernel: list[SparseVector]) -> SparseVector:
+    """The primitive combination of kernel vectors, or the one vector
+    ``combo`` names when it has one term (a basis vector is needed only
+    up to a nonzero factor)."""
+    if len(combo) == 1:
+        return kernel[next(iter(combo))]
+    v = linalg.combine(combo, kernel)
+    linalg._primitive(v)
+    return v
 
 
 def hat_center(a: GradedAlgebra) -> GradedAlgebra:
@@ -810,35 +942,37 @@ def hat_center(a: GradedAlgebra) -> GradedAlgebra:
     With an odd part, the even unit lies in the span of the two
     centralizer vectors, and one of them, ``z``, is not proportional to
     it.  The closure check puts ``z^2 = alpha + beta z`` in that span, read
-    off the kernel vector ``(-alpha, -beta, 1)`` of the columns ``(1, z,
-    z^2)``; for an odd ``z``, ``beta = 0``.
+    off a kernel vector ``(c0, c1, c2)`` of the columns ``(1, z, z^2)`` as
+    ``alpha = -c0 / c2`` and ``beta = -c1 / c2``; for an odd ``z``, ``beta =
+    0``.  Completing the square, ``(z - beta/2)^2 = (c1^2 - 4 c0 c2) / (4
+    c2^2)``, whose sign is that of ``c1^2 - 4 c0 c2``.  All of it runs on
+    the integral image (:func:`_integral`), whose ``z`` is a multiple of
+    this one: the square changes by a square, so its sign stays.
     """
-    field = a.field
-    one = field.one()
-    cent = _supercommutant(a, [({i: one}, 0) for i in a.degree_indices(0)])
+    field, image = a.field, _integral(a)
+    one = _IMAGE_ONE[image.field]
+    cent = _supercommutant(image, [({i: one}, 0) for i in a.degree_indices(0)])
     if not a.dim_odd:  # cent is Z(A), and the graded center Z(A) x Z(A)
         if len(cent) != 1:
             raise NotAzumayaError(
                 f"graded center has dimension {2 * len(cent)}, expected 2"
             )
-        return _quadratic(field, 0, one)
+        return _quadratic(field, 0, field.one())
     if len(cent) != 2:
         raise NotAzumayaError(
             f"graded center has dimension {len(cent)}, expected 2"
         )
-    unit = _sparse(a.unit)
-    z, z_parity = next((v, p) for v, p in cent if not linalg.column_kernel([unit, v], one))
+    unit = _sparse(image.unit)
+    z, z_parity = next((v, p) for v, p in cent if not linalg._column_kernel([unit, v], one))
     z_sq: SparseVector = {}
-    _mul_into(z_sq, a.rows, z, z)
-    (combo,) = linalg.column_kernel([unit, z, z_sq], one)
-    alpha = -combo.get(0, field.zero())
-    beta = -combo.get(1, field.zero())
-    # Complete the square: (z - beta/2)^2 = alpha + beta^2/4.
-    lam = alpha + beta * beta * Fraction(1, 4)
-    if not lam:
+    _mul_into(z_sq, image.rows, z, z)
+    (combo,) = linalg._column_kernel([unit, z, z_sq], one)
+    c0, c1, c2 = (combo.get(c, 0) for c in range(3))
+    square = c1 * c1 - 4 * c0 * c2
+    if not square:
         raise NotAzumayaError("graded center generator squares to a non-unit")
     return _quadratic(field, z_parity,
-                      field.coerce(field.sign(lam)) if field.is_real else one)
+                      field.coerce(1 if square > 0 else -1) if field.is_real else field.one())
 
 
 def _quadratic(field: Field, z_parity: int, square: Scalar) -> GradedAlgebra:
@@ -867,12 +1001,14 @@ def is_azumaya(a: GradedAlgebra) -> bool:
     ``x (x) y -> (c -> (-1)^{|y||c|} x c y)``, is bijective.  Only a
     non-associative table fails a check: an asymmetric trace form raises
     ValueError, and a supercenter not closed under the product AlgebraError.
+    Both are decided on the integral image (:func:`_integral`).
     """
-    if len(linalg.congruence_diagonal(trace_gram(a))) < a.dim:
+    image = _integral(a)
+    if len(linalg.congruence_diagonal(trace_gram(image))) < a.dim:
         return False
-    one = a.field.one()
+    one = _IMAGE_ONE[image.field]
     basis = [({i: one}, p) for i, p in enumerate(a.parity)]
-    return len(_supercommutant(a, basis)) == 1
+    return len(_supercommutant(image, basis)) == 1
 
 
 def trace_gram(a: GradedAlgebra, indices: Optional[Sequence[int]] = None
@@ -924,4 +1060,5 @@ def trace_signature(a: GradedAlgebra) -> int:
     """
     if not a.field.is_real:
         raise AlgebraError("trace signature is only defined over the real point")
-    return sum(1 if d > 0 else -1 for d in linalg.congruence_diagonal(trace_gram(a)))
+    diagonal = linalg.congruence_diagonal(trace_gram(_integral(a)))
+    return sum(1 if d > 0 else -1 for d in diagonal)

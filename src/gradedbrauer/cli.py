@@ -20,8 +20,9 @@ import re
 import sys
 from dataclasses import MISSING, fields
 
-from .algebra import (AlgebraError, GradedAlgebra, end_graded, graded_tensor,
-                      ground_algebra, hat_center, is_azumaya, opposite)
+from .algebra import (MAX_TERMS, AlgebraError, GradedAlgebra, end_graded,
+                      graded_tensor, ground_algebra, hat_center, is_azumaya,
+                      opposite)
 from .clifford import DiagonalForm, clifford
 from .groups import AbGroup
 from .invariants import bw_class, invariant_triple
@@ -47,6 +48,12 @@ def _parse_group(text: str) -> AbGroup:
     return AbGroup.from_cyclics([int(part) for part in text.split(",")])
 
 
+# Characters of algebra JSON read per structure constant of the term budget
+# MAX_TERMS.  The largest document this CLI writes, the rank-10 Clifford
+# table at indent 2, takes 56 per triple (61 with ten-digit fractions).
+_JSON_CHARS_PER_TERM = 128
+
+
 def _load_algebra(source: str, field: Field) -> GradedAlgebra:
     if source.startswith("form:"):
         return clifford(_parse_form(source[5:], field))
@@ -55,12 +62,18 @@ def _load_algebra(source: str, field: Field) -> GradedAlgebra:
         return end_graded(int(even), int(odd or 0), field)
     if source == "ground":
         return ground_algebra(field)
-    try:  # json.load recurses once per level of nesting
-        if source == "-":
-            data = json.load(sys.stdin)
-        else:
-            with open(source, encoding="utf-8") as handle:
-                data = json.load(handle)
+    budget = _JSON_CHARS_PER_TERM * MAX_TERMS
+    if source == "-":
+        text = sys.stdin.read(budget + 1)
+    else:
+        with open(source, encoding="utf-8") as handle:
+            text = handle.read(budget + 1)
+    if len(text) > budget:
+        raise ValueError(f"JSON input is longer than {budget} characters, the budget "
+                         f"of {_JSON_CHARS_PER_TERM} per structure constant for "
+                         f"MAX_TERMS = {MAX_TERMS}")
+    try:  # json.loads recurses once per level of nesting
+        data = json.loads(text)
     except RecursionError:
         raise ValueError("JSON input is nested too deeply") from None
     return GradedAlgebra.from_json(data)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import (GradedAlgebra, NotAzumayaError, graded_tensor,
+from .algebra import (GradedAlgebra, NotAzumayaError, _integral, graded_tensor,
                       ground_algebra, hat_center, opposite, trace_gram)
 from .clifford import DiagonalForm, clifford
 from .linalg import congruence_diagonal
@@ -103,12 +103,15 @@ def ungraded_class(a: GradedAlgebra) -> int:
     form) refuses the input at either point, and over the real point
     the signs of its entries give the signature, where a zero
     signature, which leaves no division-type anchor, refuses it too.
-    Over the complex point the invariant is identically 0.  Computed
-    once per algebra and kept on it, like :func:`quadratic_descriptor`.
+    Over the complex point the invariant is identically 0.  The form is
+    taken on the integral image (:func:`~gradedbrauer.algebra._integral`),
+    where it is ``D**2 > 0`` times this one: the same rank and inertia.
+    Computed once per algebra and kept on it, like
+    :func:`quadratic_descriptor`.
     """
     if a._ungraded is None:
         even = None if parity_class(a) == 0 else a.degree_indices(0)
-        diagonal = congruence_diagonal(trace_gram(a, even))
+        diagonal = congruence_diagonal(trace_gram(_integral(a), even))
         nullity = (a.dim if even is None else len(even)) - len(diagonal)
         if nullity:
             raise NotAzumayaError(

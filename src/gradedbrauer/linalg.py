@@ -1,8 +1,18 @@
-"""Exact linear algebra over the rationals and Gaussian rationals.
+"""Exact linear algebra over the rationals and Gaussian rationals, free
+of fractions.
 
-Entries must support field arithmetic and truthiness (zero is falsy),
-which both scalar types in :mod:`gradedbrauer.scalars` do.  Everything
-here is fraction-exact; nothing is numerically approximate.
+Entries may mix ``int``, ``Fraction`` and
+:class:`~gradedbrauer.scalars.GaussianRational` (with ``int`` or
+``Fraction`` parts); zero is falsy.  No step divides: each scales by a
+nonzero number instead, as fraction-free elimination does (Bareiss,
+*Sylvester's identity and multistep integer-preserving Gaussian
+elimination*, Math. Comp. 22, 1968), and :func:`_primitive` divides
+common factors out exactly (where Bareiss divides by the previous
+pivot), turning any ``Fraction`` into integers.  So on an algebra's
+integral image (:func:`gradedbrauer.algebra._integral`) all arithmetic
+is on integers.  Public vectors of the field (:func:`column_kernel`,
+:meth:`Elimination.add`) are scaled back with
+:func:`~gradedbrauer.scalars._div` to those that division gives.
 
 Vectors are sparse: dicts ``{index: coefficient}`` holding only nonzero
 entries.  A matrix is given by its columns, and one elimination,
@@ -10,16 +20,18 @@ entries.  A matrix is given by its columns, and one elimination,
 (:func:`column_kernel`), linear systems and span tests all come from it
 (a column is in the span of the columns before it exactly when it is
 not a pivot, and its kernel vector then says how).  A symmetric matrix,
-given by its sparse rows, is diagonalized by :func:`congruence_diagonal`,
-whose diagonal gives its rank over either field and its inertia over
-the rationals.
+given by its sparse rows, is diagonalized by :func:`congruence_diagonal`
+up to positive factors, whose diagonal gives its rank over either field
+and its inertia over the rationals.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from math import gcd, lcm
 
-from .scalars import _GAUSSIAN_ONE, _ONE  # what Field.one() returns
+from .scalars import (_GAUSSIAN_ONE, _ONE,  # what Field.one() returns
+                      GaussianRational, _div, _make)
 
 
 def _add_scaled(target, factor, source):
@@ -47,17 +59,69 @@ def _add_scaled(target, factor, source):
                 del target[k]
 
 
+def _primitive(*vectors) -> None:
+    """Scale sparse vectors, in place and all by one positive rational, to
+    integer entries with no common factor: one gcd/lcm pass.
+
+    An ``int`` or ``Fraction`` entry becomes an ``int``, and a
+    ``GaussianRational`` one with ``int`` parts (the common factor is the
+    gcd of all the parts, so this clears denominators but need not be
+    primitive over the Gaussian integers).  Keys keep their order.
+    """
+    try:
+        g = 0
+        for vector in vectors:
+            g = gcd(g, *vector.values())
+    except TypeError:  # a Fraction or GaussianRational entry: clear denominators
+        parts = [x for vector in vectors for v in vector.values()
+                 for x in ((v.re, v.im) if type(v) is GaussianRational else (v,))]
+        den = lcm(*(x.denominator for x in parts))
+        g = gcd(*(x.numerator * (den // x.denominator) for x in parts))
+
+        def scaled(x):
+            return x.numerator * (den // x.denominator) // g
+
+        for vector in vectors:
+            for k, v in vector.items():
+                vector[k] = _make(scaled(v.re), scaled(v.im)) \
+                    if type(v) is GaussianRational else scaled(v)
+        return
+    if g > 1:
+        for vector in vectors:
+            for k, v in vector.items():
+                vector[k] = v // g
+
+
+def _cofactors(p, f):
+    """``(a, b)`` with ``a f = b p`` and ``a`` nonzero, ``a > 0`` over the
+    integers, and common factors divided out where ``p`` and ``f`` are
+    integers (Gaussian integers with zero imaginary parts count)."""
+    if type(p) is GaussianRational and not p.im and type(f) is GaussianRational \
+            and not f.im:
+        p, f = p.re, f.re
+    if type(p) is int and type(f) is int:
+        g = gcd(p, f)
+        return (p // g, f // g) if p > 0 else (-p // g, -f // g)
+    return p, f
+
+
 class Elimination:
-    """Sparse columns eliminated one at a time, left to right.
+    """Sparse columns eliminated one at a time, left to right, free of
+    fractions.
 
     :meth:`add` reduces column ``j`` against the pivot columns kept so
     far, in kept order, tracking its combination of the columns added.
-    A column that stays nonzero is kept as a pivot, scaled to 1 at one of
-    its rows, and ``add`` returns ``None``; one that reduces to zero gives
-    its kernel vector ``e_j - (combination of earlier pivots)``.  So a
-    column is a pivot exactly when it is independent of the columns
-    before it, and the kernel vectors are the ones back-substitution on a
-    row-echelon form gives, whichever row each pivot is scaled at.
+    Against a pivot ``q`` with entry ``p`` at its row, where the column
+    ``c`` has ``f``, ``c`` becomes ``a c - b q`` with ``a / b = p / f`` in
+    lowest terms (:func:`_cofactors`).  A column that stays nonzero is
+    kept as a pivot, made :func:`_primitive` with its combination, and
+    ``add`` returns ``None``; one that reduces to zero gives its kernel
+    vector ``e_j - (combination of earlier pivots)``.  Each step only
+    scales the column, so its nonzero entries, their order, the pivot rows
+    and the kernel vectors are those of the elimination that scales every
+    pivot to 1: a column is a pivot exactly when it is independent of the
+    columns before it, and the kernel vectors are the ones
+    back-substitution on a row-echelon form gives.
 
     With ``kernel=False`` no combination is tracked (for callers that ask
     only whether a column is a pivot), and a dependent column gives ``{}``.
@@ -72,11 +136,20 @@ class Elimination:
     def __init__(self, one, kernel=True):
         # the field's unit; whether to track kernels; the next column's index
         self.one, self.kernel, self.added = one, kernel, 0
-        self.pivots = []  # (pivot row, reduced column, combination)
+        self.pivots = []  # (pivot row, primitive reduced column, combination)
         self.position = {}  # pivot row -> index in pivots
 
     def add(self, column):
-        """The kernel vector of ``column``, or ``None`` if it is a pivot."""
+        """The kernel vector of ``column``, 1 at its own index, or ``None``
+        if it is a pivot."""
+        combo = self._add(column)
+        if not combo:
+            return combo
+        own = combo[self.added - 1]
+        return {c: _div(v, own) for c, v in combo.items()}
+
+    def _add(self, column):
+        """:meth:`add` with the kernel vector left primitive, not scaled."""
         pivots, position = self.pivots, self.position
         reduced = {r: v for r, v in column.items() if v}
         combo = {self.added: self.one} if self.kernel else {}
@@ -90,6 +163,12 @@ class Elimination:
                 f = reduced.get(row)
                 if f is None:  # cancelled since it was queued
                     continue
+                a, f = _cofactors(pivot[row], f)
+                if a != 1:
+                    for k, v in reduced.items():
+                        reduced[k] = a * v
+                    for k, v in combo.items():
+                        combo[k] = a * v
                 f = -f
                 for k, v in pivot.items():
                     t = reduced.get(k)
@@ -105,22 +184,29 @@ class Elimination:
                             del reduced[k]
                 if pivot_combo:
                     _add_scaled(combo, f, pivot_combo)
-        if not reduced:
-            return combo
-        row, inv = next(iter(reduced.items()))
-        if inv != 1:
-            reduced = {r: v / inv for r, v in reduced.items()}
-            combo = {c: v / inv for c, v in combo.items()}
-        position[row] = len(pivots)
-        pivots.append((row, reduced, combo))
-        return None
+        if reduced:
+            _primitive(reduced, combo)
+            row = next(iter(reduced))
+            position[row] = len(pivots)
+            pivots.append((row, reduced, combo))
+            return None
+        _primitive(combo)
+        return combo
 
 
 def column_kernel(columns, one):
     """A basis of the kernel of the matrix with the given sparse columns:
     the kernel vectors one :class:`Elimination` of them returns, in column
-    order, as sparse vectors over the column indices."""
+    order, as sparse vectors over the column indices, each 1 at its own
+    column."""
     add = Elimination(one).add
+    return [combo for combo in map(add, columns) if combo is not None]
+
+
+def _column_kernel(columns, one):
+    """:func:`column_kernel` with each vector primitive instead, for
+    integral callers: the same vectors up to scale."""
+    add = Elimination(one)._add
     return [combo for combo in map(add, columns) if combo is not None]
 
 
@@ -134,52 +220,72 @@ def combine(combo, vectors):
 
 def congruence_diagonal(rows):
     """The nonzero diagonal of a diagonal matrix congruent to the
-    symmetric matrix given by its sparse rows ``{i: {j: m_ij}}``.
+    symmetric matrix given by its sparse rows ``{i: {j: m_ij}}``, up to
+    positive factors.
 
     Only nonzero entries are stored and a zero row may be absent.  The
     reduction is by symmetric congruence: pick a row ``p`` with a nonzero
-    diagonal entry ``d``, keep ``d``, and subtract ``m_ip m_pk / d`` from
-    every ``m_ik`` with ``i, k`` in the support of row ``p``, which clears
-    row and column ``p``.  When no diagonal entry is nonzero but some
-    ``m_ij`` is, replacing ``e_i`` by ``e_i + e_j`` makes the ``(i, i)``
-    entry ``2 m_ij`` nonzero (characteristic 0), so the loop always makes
-    progress.  The work follows the nonzeros: on a diagonal matrix it is
-    one step per row.  Congruence keeps the rank, so the length of the
-    list is the rank over the rationals and the Gaussian rationals alike;
-    over the rationals the signs of its entries are the inertia
-    (Sylvester's law).  A matrix that is not symmetric raises ValueError.
+    diagonal entry ``d``, keep ``d``, and clear row and column ``p`` from
+    every row ``i`` in the support of row ``p``.  When no diagonal entry
+    is nonzero but some ``m_ij`` is, replacing ``e_i`` by ``e_i + e_j``
+    makes the ``(i, i)`` entry ``2 m_ij`` nonzero (characteristic 0), so
+    the loop always makes progress.  The work follows the nonzeros: on a
+    diagonal matrix it is one step per row.
+
+    No entry is divided.  Row ``i`` is stored as ``n_i = l_i m_i``, times
+    a factor ``l_i`` positive over the rationals, and made
+    :func:`_primitive` whenever it changes.  Clearing it takes ``|d| n_i -
+    sign(d) n_ip n_p``, which is ``l_i l_p |m_pp|`` times the row ``m_i -
+    m_ip m_p / m_pp`` of the congruent matrix (over the Gaussian
+    rationals, where only the rank is read, ``d n_i - n_ip n_p``).  So
+    every kept ``d`` is a positive multiple of the pivot of the symmetric
+    reduction.  Congruence keeps the rank, so the length of the list is
+    the rank over the rationals and the Gaussian rationals alike; over
+    the rationals the signs of its entries are the inertia (Sylvester's
+    law).  A matrix that is not symmetric raises ValueError.
     """
     m = {i: dict(row) for i, row in rows.items() if row}
     if any(m.get(j, {}).get(i) != v for i, row in m.items() for j, v in row.items()):
         raise ValueError("congruence diagonal needs a symmetric matrix")
+    for row in m.values():
+        _primitive(row)
     diagonal = []
     while m:
         p = next((i for i, row in m.items() if i in row), None)
         if p is None:
-            # e_i <- e_i + e_j, applied symmetrically: row and column i
-            # gain row and column j, and the new (i, i) entry is 2 m_ij.
+            # e_i <- e_i + e_j: row i becomes s (n_ji n_i + n_ij n_j), whose
+            # factor l_i l_j |m_ij| is positive for s = sign(m_ij), with the
+            # new (i, i) entry 2 m_ij; column i gains column j.
             i, row = next(iter(m.items()))
-            j, mij = next(iter(row.items()))
-            new = dict(row)
-            _add_scaled(new, 1, m[j])
-            new[i] = mij + mij
+            j, nij = next(iter(row.items()))
+            nji = m[j][i]
+            s = -1 if type(nij) is not GaussianRational and nij < 0 else 1
+            new = {k: s * nji * v for k, v in row.items()}
+            _add_scaled(new, s * nij, m[j])
+            new[i] = 2 * s * nij * nji
             for k in row.keys() | new.keys():
-                if k == i:
-                    continue
-                if k in new:
-                    m[k][i] = new[k]
-                else:
-                    del m[k][i]
+                if k != i:
+                    column = m[k]
+                    if t := column.get(i, 0) + column.get(j, 0):
+                        column[i] = t
+                    else:
+                        del column[i]
+            _primitive(new)
             m[i] = new
             continue
         row = m.pop(p)
         d = row.pop(p)
         diagonal.append(d)
+        scale, s = (d, 1) if type(d) is GaussianRational else (abs(d), 1 if d > 0 else -1)
         for i in row:
-            del m[i][p]
-        for i, v in row.items():
-            _add_scaled(m[i], -(v / d), row)
-        for i in row:
-            if not m[i]:
+            target = m[i]
+            f = -s * target.pop(p)
+            if scale != 1:
+                for k, v in target.items():
+                    target[k] = scale * v
+            _add_scaled(target, f, row)
+            if target:
+                _primitive(target)
+            else:
                 del m[i]
     return diagonal

@@ -1,24 +1,29 @@
 """Exact scalars for the two ground-field contexts.
 
-Every number in this package is either a :class:`fractions.Fraction`
+Every number this package returns is either a :class:`fractions.Fraction`
 (real-point context, label ``"R"``) or a :class:`GaussianRational`
-(complex-point context, label ``"C"``).  No floating point, ever.
+(complex-point context, label ``"C"``) with ``Fraction`` parts.  No
+floating point, ever.
 
 Scalars serialize to short strings: ``"3"``, ``"-5/2"``, ``"1/2+3/4i"``,
 ``"-2i"``.  Parsing accepts anything :meth:`Field.render` emits, plus
 obvious variants (``"i"``, ``"-i"``, embedded spaces).
 
-Cost model.  A ``GaussianRational`` operation does only the ``Fraction``
-work its nonzero parts need, so an algebra over the complex point whose
-structure constants are real costs about what it costs over the real
-point.  Multiplication takes one ``Fraction`` product when both factors
-are real, two when one is, and four (plus two sums) only when neither
-is; ``+``, ``-`` and negation leave a zero imaginary part alone.
-Division by a real value divides the two parts; general division is
-``((ac + bd) + (bc - ad)i) / (c^2 + d^2)``.  Results are built by
-:func:`_make`, which skips the conversions of ``__init__`` because
-their parts are already ``Fraction``.  Both scalar types are immutable,
-so :meth:`Field.zero` and :meth:`Field.one` hand out shared constants.
+Cost model.  A ``Fraction`` operation runs Python code and a gcd: ``a *
+b + a`` takes about 3 us on ``Fraction`` operands against 50 ns on small
+``int`` ones (Python 3.11).  So the classification and the certificates
+compute on the integral image of an algebra
+(:func:`gradedbrauer.algebra._integral`), whose scalars are ``int`` (or
+``GaussianRational`` with ``int`` parts, made by :func:`_make`), with
+the fraction-free kernels of :mod:`gradedbrauer.linalg`; image scalars
+never leave the package.  A ``GaussianRational`` operation does only the
+work its nonzero parts need: a product takes one product of parts when
+both factors are real, two when one is, and four (plus two sums) only
+when neither is; ``+``, ``-`` and negation leave a zero imaginary part
+alone.  Every division is :func:`_div`, which returns a ``Fraction`` or a
+``GaussianRational`` with ``Fraction`` parts for any operands, so no
+``int / int`` (a float) is taken.  Both scalar types are immutable, so
+:meth:`Field.zero` and :meth:`Field.one` hand out shared constants.
 """
 
 from __future__ import annotations
@@ -125,27 +130,13 @@ class GaussianRational:
         return a * a + b * b if b else a * a
 
     def __truediv__(self, other: object) -> GaussianRational:
-        if type(other) is GaussianRational:
-            c, d = other.re, other.im
-            if d:
-                # (a + bi) / (c + di) = ((ac + bd) + (bc - ad)i) / (c^2 + d^2)
-                a, b = self.re, self.im
-                n = c * c + d * d
-                if not b:
-                    return _make(a * c / n, -(a * d) / n)
-                return _make((a * c + b * d) / n, (b * c - a * d) / n)
-        elif isinstance(other, (int, Fraction)):
-            c = other
-        else:
-            return NotImplemented
-        if not c:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        b = self.im
-        return _make(self.re / c, b / c if b else b)
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return _div(self, other)
+        return NotImplemented
 
     def __rtruediv__(self, other: object) -> GaussianRational:
         if isinstance(other, (int, Fraction)):
-            return _make(Fraction(other), _ZERO) / self
+            return _div(other, self)
         return NotImplemented
 
 
@@ -161,6 +152,25 @@ def _make(re: Fraction, im: Fraction) -> GaussianRational:
     _set_re(z, re)
     _set_im(z, im)
     return z
+
+
+def _div(x, y):
+    """``x / y`` exactly, the one division of the package: a ``Fraction``,
+    or a ``GaussianRational`` with ``Fraction`` parts when either operand
+    is one.  Operands may be ``int``, ``Fraction`` or ``GaussianRational``
+    with ``int`` or ``Fraction`` parts, so no ``int / int`` (a float) is
+    ever taken.  ``(a + bi) / (c + di)`` is ``(a + bi)(c - di) / (c^2 +
+    d^2)``."""
+    if type(y) is GaussianRational:
+        c, d = y.re, y.im
+        x, y = (x * _make(c, -d), c * c + d * d) if d else (x, c)
+        if type(x) is not GaussianRational:
+            x = _make(x, 0)
+    if not y:
+        raise ZeroDivisionError("division by zero")
+    if type(x) is GaussianRational:
+        return _make(Fraction(x.re, y), Fraction(x.im, y))
+    return Fraction(x, y)
 
 
 _ZERO = Fraction(0)

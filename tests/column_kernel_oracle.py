@@ -10,6 +10,12 @@ from gradedbrauer.linalg import _add_scaled
 
 
 def scan_column_kernel(columns, one):
+    return scan_elimination(columns, one)[1]
+
+
+def scan_elimination(columns, one):
+    """The pivots ``(row, column scaled to 1 at row, combination)`` and the
+    kernel vectors of the scan."""
     pivots = []  # (pivot row, reduced column, combination)
     kernel = []
     for j, column in enumerate(columns):
@@ -28,4 +34,4 @@ def scan_column_kernel(columns, one):
             reduced = {r: v / inv for r, v in reduced.items()}
             combo = {c: v / inv for c, v in combo.items()}
         pivots.append((row, reduced, combo))
-    return kernel
+    return pivots, kernel
