@@ -621,21 +621,21 @@ class GradedAlgebra:
                     if cell := {k: v for k, value in enumerate(fiber) if (v := scalar(value))}:
                         row[j] = cell
         else:
+            zeros: set[tuple[int, int, int]] = set()  # for the duplicate check
             for i, j, k, value in structure:
                 if not (0 <= i < dim and 0 <= j < dim):
                     raise AlgebraError(f"structure index ({i}, {j}) out of range")
                 if not 0 <= k < dim:
                     raise AlgebraError(f"structure index {k} out of range")
-                cell = rows[i].setdefault(j, {})
-                if k in cell:
+                cell = rows[i].get(j)
+                if cell is not None and k in cell or zeros and (i, j, k) in zeros:
                     raise AlgebraError(f"duplicate structure triple ({i}, {j}, {k})")
-                cell[k] = scalar(value)  # a zero is dropped once no duplicate can follow
-            for row in rows:
-                for j, cell in list(row.items()):
-                    for k in [k for k, v in cell.items() if not v]:
-                        del cell[k]
-                    if not cell:
-                        del row[j]
+                if not (v := scalar(value)):
+                    zeros.add((i, j, k))
+                elif cell is None:
+                    rows[i][j] = {k: v}
+                else:
+                    cell[k] = v
         a._finish(rows, unit, scalar)
         return a
 
