@@ -706,10 +706,11 @@ def _integral(a: GradedAlgebra) -> GradedAlgebra:
     over the rationals and the Gaussian rationals.  So the classification
     and the certificates are decided on the image, in integer arithmetic
     with :class:`linalg.Elimination` and :func:`linalg.congruence_diagonal`.
-    Each distinct scalar object is converted once, as ``numerator * (D //
-    denominator)``.  Built on first use and kept in the ``_image`` slot of
-    ``a`` (not of the image), so it dies with ``a``; image scalars are
-    never returned to a caller.
+    A constant becomes ``numerator * (D // denominator)``, computed once per
+    distinct scalar object on monomial rows (then an ``id`` lookup per
+    cell) and once per entry in row dicts.  Built on first use and kept in
+    the ``_image`` slot of ``a`` (not of the image), so it dies with
+    ``a``; image scalars are never returned to a caller.
     """
     if a._image is None:
         rows, real = a.rows, a.field.is_real
@@ -728,8 +729,14 @@ def _integral(a: GradedAlgebra) -> GradedAlgebra:
         def integer(x: Fraction) -> int:
             return x.numerator * (den // x.denominator)
 
-        convert = integer if real else (lambda c: _make(integer(c.re), integer(c.im))) \
-            if gaussian else (lambda c: integer(c.re))
+        if real:
+            convert = integer
+        elif gaussian:
+            def convert(c: GaussianRational) -> GaussianRational:
+                return _make(integer(c.re), integer(c.im))
+        else:  # a complex table with real constants gets an int image
+            def convert(c: GaussianRational) -> int:
+                return integer(c.re)
         if monomial:
             value = {key: convert(c) for key, c in objects.items()}.__getitem__
             rows = [(targets, list(map(value, map(id, coeffs)))) for targets, coeffs in rows]

@@ -30,7 +30,6 @@ from gradedbrauer import algebra, invariants
 from gradedbrauer.algebra import (AlgebraError, GradedAlgebra, _integral, _terms,
                                   end_graded, graded_centralizer, hat_center,
                                   is_azumaya, trace_gram)
-from gradedbrauer.clifford import clifford, signature_form
 from gradedbrauer.invariants import bw_class, invariant_triple
 from gradedbrauer.linalg import Elimination, column_kernel, congruence_diagonal
 from gradedbrauer.scalars import COMPLEX, REAL, GaussianRational
