@@ -16,10 +16,12 @@ The table is stored by row, sized to its data: row ``i`` holds the
 products ``e_i e_j``.  When every cell holds one term and one cell in
 eight at least is nonzero (Clifford algebras, graded matrix algebras up
 to ``8 x 8``, and their tensors, opposites and relabelings), row ``i``
-is a pair of lists indexed by ``j``: the target ``k`` of ``e_i e_j = c
-e_k`` (``-1`` for a zero product, whose coefficient is never read) and
-the coefficient ``c``.  Any other table keeps one dict ``{j: {k: c}}``
-per row.  The kind is read from the rows; :func:`_cell` reads either.
+is ``(targets, codes, values)``: ``e_i e_j = values[codes[j]] e_k`` for
+``k = targets[j]`` (``-1`` for a zero product, whose code is never read).
+``values``, one list shared by every row, holds each coefficient once (1
+as the field's shared unit) and perhaps the negation of one that no cell
+holds (:func:`_signed_codes`).  Any other table keeps one dict ``{j: {k:
+c}}`` per row.  The kind is read from the rows; :func:`_cell` reads either.
 ``GradedAlgebra.table`` is the read-only ``{(i, j): {k: c}}`` view of
 the rows; it builds each cell when it is read.
 
@@ -86,6 +88,7 @@ def _mul_into(acc: SparseVector, rows, x: SparseVector, y: SparseVector) -> None
     ``==``) is not multiplied, as in :func:`gradedbrauer.linalg._add_scaled`.
     """
     monomial = type(rows[0]) is tuple
+    values = rows[0][2] if monomial else None
     for i, xi in x.items():
         x_unit = xi is _ONE or xi is _GAUSSIAN_ONE
         row = rows[i]
@@ -97,7 +100,7 @@ def _mul_into(acc: SparseVector, rows, x: SparseVector, y: SparseVector) -> None
             if not monomial:
                 linalg._add_scaled(acc, f, cell)
                 continue
-            v = row[1][j]
+            v = values[row[1][j]]
             if f is not _ONE and f is not _GAUSSIAN_ONE:
                 v = f * v
             t = acc.get(k)
@@ -115,7 +118,7 @@ def _cell(row, j: int) -> Optional[dict[int, Scalar]]:
     if type(row) is dict:
         return row.get(j)
     k = row[0][j]
-    return {k: row[1][j]} if k >= 0 else None
+    return {k: row[2][row[1][j]]} if k >= 0 else None
 
 
 def _terms(rows):
@@ -125,33 +128,42 @@ def _terms(rows):
             yield from ((i, j, k, cell[k]) for j, cell in sorted(row.items())
                         for k in sorted(cell))
         else:
-            yield from ((i, j, k, c) for j, (k, c) in enumerate(zip(*row)) if k >= 0)
+            yield from ((i, j, k, row[2][c]) for j, (k, c) in enumerate(zip(*row[:2])) if k >= 0)
 
 
-def _rows(dim: int, cells, zero: Scalar) -> list:
-    """The rows of the table with the nonzero ``((i, j), {k: c})`` cells,
-    as :func:`_packed` stores them."""
-    rows: list = [{} for _ in range(dim)]
-    for (i, j), cell in cells:
-        rows[i][j] = cell
-    return _packed(rows, zero)
-
-
-def _packed(rows: list, zero: Scalar) -> list:
-    """Row dicts ``{j: {k: c}}`` of nonzero cells as stored: monomial rows
-    when every cell holds one term and one in eight at least is nonzero;
+def _packed(rows: list) -> list:
+    """Row dicts ``{j: {k: c}}`` of nonzero cells as stored: coded monomial
+    rows when every cell holds one term and one in eight at least is nonzero;
     the row dicts themselves, cheaper for a sparser table, otherwise."""
     dim = len(rows)
     if 8 * sum(map(len, rows)) < dim * dim or any(
             len(cell) != 1 for row in rows for cell in row.values()):
         return rows
+    position: dict[Scalar, int] = {}  # each distinct value's code
+    of_object: dict[int, int] = {}  # the code of each scalar object, by id
     packed = []
     for row in rows:
-        targets, coeffs = [-1] * dim, [zero] * dim
+        targets, codes = [-1] * dim, [0] * dim
         for j, cell in row.items():
-            (targets[j], coeffs[j]), = cell.items()
-        packed.append((targets, coeffs))
-    return packed
+            (targets[j], c), = cell.items()
+            if (x := of_object.get(id(c))) is None:
+                x = of_object[id(c)] = position.setdefault(c, len(position))
+            codes[j] = x
+        packed.append((targets, codes))
+    values = list(position)
+    return [(targets, codes, values) for targets, codes in packed]
+
+
+def _signed_codes(candidates: list, one: Scalar) -> tuple[list, list, list]:
+    """``(plus, minus, values)``: each distinct value of ``candidates`` and its
+    negation once in ``values`` (1 as ``one``), at ``plus[x]`` and ``minus[x]``."""
+    position: dict[Scalar, int] = {}  # each distinct value's code
+    plus = [position.setdefault(v, len(position)) for v in candidates]
+    negated = [position.setdefault(-v, len(position)) for v in list(position)]
+    values = list(position)
+    if (x := position.get(one)) is not None:
+        values[x] = one
+    return plus, [negated[x] for x in plus], values
 
 
 class _Table(Mapping):
@@ -282,7 +294,7 @@ class GradedAlgebra:
     def _finish(self, rows: list, unit: Optional[Sequence[object]], scalar) -> None:
         """Store row dicts of nonzero cells (:func:`_packed`), set the unit,
         solved for when ``None``, and check it and the grading."""
-        self.rows = _packed(rows, self.field.zero())
+        self.rows = _packed(rows)
         if unit is None:
             unit = self._solve_unit()
             if unit is None:
@@ -405,8 +417,8 @@ class GradedAlgebra:
         Clifford algebra and ``2m - 1`` for graded ``m x m`` matrices.  On a
         monomial table, with ``e_i e_j = c e_t``, both sides for ``i, j``
         are rows, ``k -> c e_t e_k`` and ``k -> e_i (e_j e_k)``: targets are
-        compared, and coefficients as codes (one per distinct value, each
-        pair of codes multiplied once).  Row dicts compare both rows as dicts.
+        compared, and coefficients as codes of the table's values, each pair
+        of codes multiplied once.  Row dicts compare both rows as dicts.
         """
         rows, n = self.rows, self.dim
 
@@ -431,7 +443,7 @@ class GradedAlgebra:
                 for i in range(n):
                     check(i, j)
             return
-        values, codes = _values(rows)
+        values = rows[0][2]
         code = {v: x for x, v in enumerate(values)}
 
         class Products(dict):  # [x, y]: a code of values[x] * values[y]
@@ -441,14 +453,14 @@ class GradedAlgebra:
 
         products = Products()
 
-        size = [n - targets.count(-1) for targets, _ in rows]
+        size = [n - targets.count(-1) for targets, _, _ in rows]
         for j in self._light_generators():
-            cells = [(k, s, codes[j][k]) for k, s in enumerate(rows[j][0]) if s >= 0]
-            for i, ((ti, _), ci) in enumerate(zip(rows, codes)):
+            cells = [(k, s, rows[j][1][k]) for k, s in enumerate(rows[j][0]) if s >= 0]
+            for i, (ti, ci, _) in enumerate(rows):
                 t, c = ti[j], ci[j]
                 hits = [(k, s, d) for k, s, d in cells if ti[s] >= 0]  # e_i e_j e_k != 0
                 if t < 0 and not hits or t >= 0 and len(hits) == size[t] and all(
-                        rows[t][0][k] == ti[s] and products[c, codes[t][k]] == products[d, ci[s]]
+                        rows[t][0][k] == ti[s] and products[c, rows[t][1][k]] == products[d, ci[s]]
                         for k, s, d in hits):
                     continue
                 check(i, j)  # the rows differ: find where
@@ -519,9 +531,8 @@ class GradedAlgebra:
         if not keep:
             raise AlgebraError("algebra needs at least one basis element")
         pos = {old: new for new, old in enumerate(keep)}
-        cells = [((pos[i], pos[j]), {pos[k]: v for k, v in cell.items()})
-                 for i in keep for j in keep if (cell := _cell(self.rows[i], j))]
-        rows = _rows(len(keep), cells, self.field.zero())
+        rows = _packed([{pos[j]: {pos[k]: v for k, v in cell.items()} for j in keep
+                         if (cell := _cell(self.rows[i], j))} for i in keep])
         unit = tuple(self.unit[i] for i in keep)
         return GradedAlgebra._trusted(self.field, (0,) * len(keep), rows, unit)
 
@@ -545,8 +556,11 @@ class GradedAlgebra:
 
     def to_json(self) -> dict:
         """Serialize with exact scalar strings and sorted sparse triples."""
-        render = self.field.render
-        structure = [[i, j, k, render(c)] for i, j, k, c in _terms(self.rows)]
+        rows, render = self.rows, self.field.render
+        if type(rows[0]) is tuple:  # the rows over their values rendered once each
+            shown = list(map(render, rows[0][2]))
+            rows, render = [(targets, codes, shown) for targets, codes, _ in rows], str
+        structure = [[i, j, k, render(c)] for i, j, k, c in _terms(rows)]
         return {
             "field": self.field.label,
             "dim": self.dim,
@@ -652,7 +666,7 @@ def _json_int(value: object, what: str) -> int:
 def ground_algebra(field: Field) -> GradedAlgebra:
     """The ground field itself, as a one-dimensional even algebra."""
     one = field.one()
-    return GradedAlgebra._trusted(field, (0,), [([0], [one])], (one,))
+    return GradedAlgebra._trusted(field, (0,), [([0], [0], [one])], (one,))
 
 
 def end_graded(dim_even: int, dim_odd: int, field: Field = REAL) -> GradedAlgebra:
@@ -671,20 +685,10 @@ def end_graded(dim_even: int, dim_odd: int, field: Field = REAL) -> GradedAlgebr
     deg = [0] * dim_even + [1] * dim_odd
     parity = tuple(deg[r] ^ deg[c] for r in range(n) for c in range(n))
     one, zero = field.one(), field.zero()
-    rows = _rows(n * n, (((r * n + c, c * n + c2), {r * n + c2: one})
-                         for r in range(n) for c in range(n) for c2 in range(n)), zero)
+    rows = _packed([{c * n + c2: {r * n + c2: one} for c2 in range(n)}
+                    for r in range(n) for c in range(n)])
     unit = tuple(one if r == c else zero for r in range(n) for c in range(n))
     return GradedAlgebra._trusted(field, parity, rows, unit)
-
-
-def _values(rows) -> tuple[list, list]:
-    """The distinct coefficient values of monomial rows, and each row's
-    coefficients as positions in that list."""
-    every = [c for _, coeffs in rows for c in coeffs]
-    objects = dict(zip(map(id, every), every))
-    position: dict[Scalar, int] = {}
-    of = {key: position.setdefault(c, len(position)) for key, c in objects.items()}.__getitem__
-    return list(position), [list(map(of, map(id, coeffs))) for _, coeffs in rows]
 
 
 # The unit scalar of an integral image: 1, or the Gaussian integer 1 for an
@@ -706,22 +710,18 @@ def _integral(a: GradedAlgebra) -> GradedAlgebra:
     over the rationals and the Gaussian rationals.  So the classification
     and the certificates are decided on the image, in integer arithmetic
     with :class:`linalg.Elimination` and :func:`linalg.congruence_diagonal`.
-    A constant becomes ``numerator * (D // denominator)``, computed once per
-    distinct scalar object on monomial rows (then an ``id`` lookup per
-    cell) and once per entry in row dicts.  Built on first use and kept in
-    the ``_image`` slot of ``a`` (not of the image), so it dies with
-    ``a``; image scalars are never returned to a caller.
+    A constant becomes ``numerator * (D // denominator)``: for monomial
+    rows each of ``values`` (coefficients up to sign, so the same ``D``),
+    and the image's rows share ``a``'s target and code lists; in row dicts
+    every entry.  Built on first use and kept in the ``_image`` slot of
+    ``a`` (not of the image), so it dies with ``a``; image scalars are
+    never returned to a caller.
     """
     if a._image is None:
         rows, real = a.rows, a.field.is_real
         monomial = type(rows[0]) is tuple
-        if monomial:  # few distinct objects: each is converted once
-            objects: dict[int, Scalar] = {}
-            for _, coeffs in rows:
-                objects.update(zip(map(id, coeffs), coeffs))
-            every = list(objects.values())
-        else:
-            every = [c for row in rows for cell in row.values() for c in cell.values()]
+        every = rows[0][2] if monomial else [
+            c for row in rows for cell in row.values() for c in cell.values()]
         gaussian = not real and any(v.im for v in [*every, *a.unit])
         parts = every if real else [c.re for c in every] + [c.im for c in every if gaussian]
         den = lcm(*{x.denominator for x in parts})
@@ -738,12 +738,13 @@ def _integral(a: GradedAlgebra) -> GradedAlgebra:
             def convert(c: GaussianRational) -> int:
                 return integer(c.re)
         if monomial:
-            value = {key: convert(c) for key, c in objects.items()}.__getitem__
-            rows = [(targets, list(map(value, map(id, coeffs)))) for targets, coeffs in rows]
+            values = list(map(convert, every))
+            rows = [(targets, codes, values) for targets, codes, _ in rows]
         else:
             rows = [{j: {k: convert(c) for k, c in cell.items()} for j, cell in row.items()}
                     for row in rows]
-        unit = tuple(_div(u if real or gaussian else u.re, den) for u in a.unit)
+        unit = tuple(_div(u, den) if u else u for u in (
+            a.unit if real or gaussian else (u.re for u in a.unit)))
         a._image = GradedAlgebra._trusted(COMPLEX if gaussian else REAL, a.parity, rows, unit)
     return a._image
 
@@ -756,9 +757,10 @@ def graded_tensor(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
     ``(-1)^{|x_j| |y_p|}`` from moving ``x_j`` past ``y_p``.  A product of
     more than :data:`MAX_TERMS` structure constants (the product of the
     factors' counts) is refused before it is built.  For two monomial
-    tables the list of ``a``'s distinct values is multiplied once by
-    ``b``'s, with either sign, and row ``(i, p)`` is built one block of
-    ``b.dim`` columns at a time; other pairs multiply term by term.
+    tables the list of ``a``'s values is multiplied once by ``b``'s, with
+    either sign, into a table of codes of the distinct products, and row
+    ``(i, p)`` is built one block of ``b.dim`` columns at a time; other
+    pairs multiply term by term.
     """
     if a.field.label != b.field.label:
         raise AlgebraError("tensor factors live over different fields")
@@ -769,29 +771,27 @@ def graded_tensor(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
     parity = tuple(pa ^ pb for pa in a.parity for pb in b.parity)
     one, zero = a.field.one(), a.field.zero()
     if type(a.rows[0]) is dict or type(b.rows[0]) is dict \
-            or 8 * terms[0] * terms[1] < (a.dim * nb) ** 2:  # as _rows decides
-        cells: dict[tuple[int, int], SparseVector] = {}
+            or 8 * terms[0] * terms[1] < (a.dim * nb) ** 2:  # as _packed decides
+        rows: list[dict[int, SparseVector]] = [{} for _ in range(a.dim * nb)]
         for i, j, k, x in _terms(a.rows):
             for p, q, r, y in _terms(b.rows):
                 v = -x * y if a.parity[j] & b.parity[p] else x * y
-                cells.setdefault((i * nb + p, j * nb + q), {})[k * nb + r] = \
-                    one if v == one else v
-        rows = _rows(a.dim * nb, cells.items(), zero)
+                rows[i * nb + p].setdefault(j * nb + q, {})[k * nb + r] = one if v == one else v
+        rows = _packed(rows)
     else:
-        values_a, codes_a = _values(a.rows)
-        values_b, codes_b = _values(b.rows)
-        plus = [[one if (v := x * y) == one else v for y in values_b] for x in values_a]
-        signed = (plus, [[one if (w := -v) == one else w for v in row] for row in plus])
+        nv = len(b.rows[0][2])  # signed[s][x][y]: the code of (-1)^s (a's value x)(b's value y)
+        *signs, values = _signed_codes([x * y for x in a.rows[0][2] for y in b.rows[0][2]], one)
+        signed = [[codes[x:x + nv] for x in range(0, len(codes), nv)] for codes in signs]
         rows = []
-        for (targets_a, _), row_codes in zip(a.rows, codes_a):
-            for p, (targets_b, _) in enumerate(b.rows):
+        for targets_a, codes_a, _ in a.rows:
+            for p, (targets_b, codes_b, _) in enumerate(b.rows):
                 targets: list[int] = []
-                coeffs: list[Scalar] = []
+                codes: list[int] = []
                 for j, k in enumerate(targets_a):  # the block of columns (j, q)
                     targets += [k * nb + r if k >= 0 and r >= 0 else -1 for r in targets_b]
-                    products = signed[a.parity[j] & b.parity[p]][row_codes[j]]
-                    coeffs += map(products.__getitem__, codes_b[p])
-                rows.append((targets, coeffs))
+                    products = signed[a.parity[j] & b.parity[p]][codes_a[j]]
+                    codes += map(products.__getitem__, codes_b)
+                rows.append((targets, codes, values))
     unit = tuple((one if (u := ua * ub) == one else u) if ua and ub else zero
                  for ua in a.unit for ub in b.unit)
     return GradedAlgebra._trusted(a.field, parity, rows, unit)
@@ -800,24 +800,24 @@ def graded_tensor(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
 def opposite(a: GradedAlgebra) -> GradedAlgebra:
     """The graded opposite: ``a * b = (-1)^{|a||b|} b a`` on the same basis.
 
-    A monomial table is transposed, and the distinct values of its odd x
-    odd block negated once each."""
+    A monomial table is transposed, with each of its values negated once
+    and the codes of its odd x odd block mapped to the negations."""
     one, odd = a.field.one(), [i for i, p in enumerate(a.parity) if p]
     if type(a.rows[0]) is dict:
-        cells: dict[tuple[int, int], SparseVector] = {}
+        rows: list[dict[int, SparseVector]] = [{} for _ in range(a.dim)]
         for i, j, k, c in _terms(a.rows):
             if a.parity[i] and a.parity[j]:
                 c = one if (c := -c) == one else c
-            cells.setdefault((j, i), {})[k] = c
-        rows = _rows(a.dim, cells.items(), a.field.zero())
+            rows[j].setdefault(i, {})[k] = c
+        rows = _packed(rows)
     else:
-        coeffs = [list(column) for column in zip(*(c for _, c in a.rows))]
-        values, codes = _values([(odd, [coeffs[i][j] for j in odd]) for i in odd])
-        negated = [one if (w := -v) == one else w for v in values]
-        for i, row_codes in zip(odd, codes):
-            for j, x in zip(odd, row_codes):
-                coeffs[i][j] = negated[x]
-        rows = [(list(t), c) for t, c in zip(zip(*(t for t, _ in a.rows)), coeffs)]
+        _, flip, values = _signed_codes(a.rows[0][2], one)
+        codes = [list(column) for column in zip(*(c for _, c, _ in a.rows))]
+        for i in odd:
+            row = codes[i]
+            for j in odd:
+                row[j] = flip[row[j]]
+        rows = [(list(t), c, values) for t, c in zip(zip(*(t for t, _, _ in a.rows)), codes)]
     return GradedAlgebra._trusted(a.field, a.parity, rows, a.unit)
 
 
@@ -985,7 +985,7 @@ def hat_center(a: GradedAlgebra) -> GradedAlgebra:
 def _quadratic(field: Field, z_parity: int, square: Scalar) -> GradedAlgebra:
     """``k[z]/(z^2 - square)`` on basis ``(1, z)``, ``z`` of parity ``z_parity``."""
     one = field.one()
-    rows = [([0, 1], [one, one]), ([1, 0], [one, square])]
+    rows = _packed([{0: {0: one}, 1: {1: one}}, {0: {1: one}, 1: {0: square}}])
     return GradedAlgebra._trusted(field, (0, z_parity), rows, (one, field.zero()))
 
 
@@ -1037,11 +1037,12 @@ def trace_gram(a: GradedAlgebra, indices: Optional[Sequence[int]] = None
     keep = range(a.dim) if indices is None else indices
     inside = keep if indices is None else set(indices)
     monomial = type(rows[0]) is tuple
+    values = rows[0][2] if monomial else None
     traces: dict[int, Scalar] = {}
     for m in keep:
         row = rows[m]
         if monomial:
-            terms = [row[1][c] for c in keep if row[0][c] == c]
+            terms = [values[row[1][c]] for c in keep if row[0][c] == c]
         else:
             terms = [cell[c] for c, cell in row.items() if c in inside and c in cell]
         if terms and (t := sum(terms[1:], terms[0])):  # nothing added to zero
@@ -1050,7 +1051,7 @@ def trace_gram(a: GradedAlgebra, indices: Optional[Sequence[int]] = None
     for i in keep:
         row = rows[i]
         if monomial:  # a cell that meets no nonzero trace costs no scalar work
-            entries = {j: row[1][j] * traces[k] for j in keep if (k := row[0][j]) in traces}
+            entries = {j: values[row[1][j]] * traces[k] for j in keep if (k := row[0][j]) in traces}
         else:
             entries = {j: acc for j, cell in row.items() if j in inside and (
                 p := [c * traces[m] for m, c in cell.items() if m in traces])

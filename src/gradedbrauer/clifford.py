@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import (AlgebraError, GradedAlgebra, Scalar, _check_budget, _rows,
-                      _terms)
+from .algebra import (AlgebraError, GradedAlgebra, Scalar, _check_budget, _packed,
+                      _signed_codes, _terms)
 from .scalars import Field, REAL
 
 
@@ -99,12 +99,12 @@ def clifford(form: DiagonalForm) -> GradedAlgebra:
     is the unit.  ``e_S e_T = sign * (prod of a_i for i in S & T) *
     e_{S xor T}``.
 
-    The ``2^n`` products of form entries are computed and negated once,
-    one per bitmask, and shared by the ``4^n`` cells; an entry equal to 1
-    is the field's shared unit.  The sign is ``-1`` when an odd number of
-    pairs ``s in S, t in T`` have ``s > t`` (sorting the word ``e_S e_T``),
-    that is, when ``popcount(T & mask_S)`` is odd, where bit ``t`` of
-    ``mask_S`` is the parity of the number of generators of ``S`` above it.
+    The ``2^n`` products of form entries are computed once, one per
+    bitmask, and coded with their negations (:func:`_signed_codes`).
+    The sign is ``-1`` when an odd number of pairs ``s in S, t in T`` have
+    ``s > t`` (sorting the word ``e_S e_T``), that is, when
+    ``popcount(T & mask_S)`` is odd, where bit ``t`` of ``mask_S`` is the
+    parity of the number of generators of ``S`` above it.
 
     >>> from gradedbrauer.scalars import REAL
     >>> quat = clifford(DiagonalForm((-1, -1), REAL))
@@ -120,13 +120,13 @@ def clifford(form: DiagonalForm) -> GradedAlgebra:
     products, masks = [one] * dim, [0] * dim  # the a_i for i in m, multiplied; mask_m
     for m in range(1, dim):
         low = m & -m  # the lowest generator of m, as a bit
-        v = products[m & (m - 1)] * form.entries[low.bit_length() - 1]
-        products[m] = one if v == one else v
+        products[m] = products[m & (m - 1)] * form.entries[low.bit_length() - 1]
         masks[m] = masks[m & (m - 1)] ^ (low - 1)
-    signed = (products, [one if (v := -c) == one else v for c in products])
+    *codes, values = _signed_codes(products, one)
     index = list(range(dim))  # one int object per basis index, shared by every row
     rows = [([index[s ^ t] for t in index],
-             [signed[(t & masks[s]).bit_count() & 1][s & t] for t in index]) for s in index]
+             [codes[(t & masks[s]).bit_count() & 1][s & t] for t in index], values)
+            for s in index]
     unit = (one,) + (field.zero(),) * (dim - 1)
     return GradedAlgebra._trusted(field, parity, rows, unit)
 
@@ -154,8 +154,7 @@ def relabel(a: GradedAlgebra, perm: Sequence[int]) -> GradedAlgebra:
     parity, unit = [0] * a.dim, [a.field.zero()] * a.dim
     for i, (p, u) in enumerate(zip(a.parity, a.unit)):
         parity[perm[i]], unit[perm[i]] = p, u
-    cells: dict[tuple[int, int], dict[int, Scalar]] = {}
+    rows: list[dict[int, dict[int, Scalar]]] = [{} for _ in range(a.dim)]
     for i, j, k, v in _terms(a.rows):
-        cells.setdefault((perm[i], perm[j]), {})[perm[k]] = v
-    rows = _rows(a.dim, cells.items(), a.field.zero())
-    return GradedAlgebra._trusted(a.field, tuple(parity), rows, tuple(unit))
+        rows[perm[i]].setdefault(perm[j], {})[perm[k]] = v
+    return GradedAlgebra._trusted(a.field, tuple(parity), _packed(rows), tuple(unit))

@@ -6,7 +6,7 @@ import pytest
 
 from gradedbrauer import linalg
 from gradedbrauer.algebra import (AlgebraError, GradedAlgebra,
-                                  NotAzumayaError, _rows, end_graded,
+                                  NotAzumayaError, _packed, end_graded,
                                   graded_centralizer, graded_tensor,
                                   ground_algebra, hat_center, is_azumaya,
                                   opposite, trace_gram, trace_signature)
@@ -104,7 +104,8 @@ def test_validate_catches_grading_violations():
              (1, 1): {1: one}}  # odd*odd landing in odd degree
     with pytest.raises(AlgebraError, match="parity"):
         GradedAlgebra(REAL, (0, 1), table, unit=(1, 0))
-    bad = GradedAlgebra._trusted(REAL, (0, 1), _rows(2, table.items(), F(0)), (one, F(0)))
+    rows = [{j: cell for (i, j), cell in table.items() if i == row} for row in range(2)]
+    bad = GradedAlgebra._trusted(REAL, (0, 1), _packed(rows), (one, F(0)))
     with pytest.raises(AlgebraError, match="parity"):
         bad.validate()
 

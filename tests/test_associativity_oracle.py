@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedbrauer.algebra import AlgebraError, GradedAlgebra, _rows, end_graded
+from gradedbrauer.algebra import AlgebraError, GradedAlgebra, _packed, end_graded
 from gradedbrauer.clifford import DiagonalForm, clifford, relabel, signature_form
 from gradedbrauer.scalars import COMPLEX, REAL
 from associativity_oracle import associator, dense_unit, first_failing_triple
@@ -214,7 +214,8 @@ def test_tables_without_a_unit(table):
         GradedAlgebra(REAL, parity, table, (0, 0))
     trusted = {ij: {k: REAL.coerce(v) for k, v in cell.items()}
                for ij, cell in table.items()}
-    rows = _rows(2, trusted.items(), zero)
+    rows = _packed([{j: cell for (i, j), cell in trusted.items() if i == row}
+                    for row in range(2)])
     assert dense_unit(GradedAlgebra._trusted(REAL, parity, rows, (zero, zero))) is None
     with pytest.raises(AlgebraError, match="admits no two-sided unit"):
         GradedAlgebra(REAL, parity, table)

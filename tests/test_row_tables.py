@@ -2,9 +2,9 @@
 
 * For every constructor, ``a.table`` is a read-only ``{(i, j): {k: c}}``
   mapping equal to the dict of dicts rebuilt from ``basis_product``, in
-  row-major order; the rows are monomial (targets and coefficients)
-  exactly when every cell holds one term and one cell in eight at least
-  is nonzero, and row dicts otherwise.
+  row-major order; the rows are monomial (targets, and codes into a list
+  of values that every row shares) exactly when every cell holds one term
+  and one cell in eight at least is nonzero, and row dicts otherwise.
 * A monomial algebra and the same algebra after a homogeneous change of
   basis that makes its cells multi-term get the same ``invariant_triple``,
   ``is_azumaya`` and ``validate`` verdicts.
@@ -113,11 +113,19 @@ def test_the_view_keeps_no_copy_and_a_copy_shares_the_rows(name):
     assert b.rows is a.rows and b == a and b.table == a.table
 
 
+def decoded(rows):
+    """Monomial rows as lists of targets and of coefficients, with
+    ``None`` for the coefficient of a zero cell, whose code is never read."""
+    return [(targets, [values[c] if k >= 0 else None for k, c in zip(targets, codes)])
+            for targets, codes, values in rows]
+
+
 def test_one_term_json_is_stored_in_monomial_rows():
-    a = clifford(signature_form(2, 1))
-    read = GradedAlgebra.from_json(a.to_json())
-    assert all(type(row) is tuple for row in read.rows)
-    assert read == a and read.rows == a.rows
+    for a in (clifford(signature_form(2, 1)), clifford(DiagonalForm((F(1, 2), -3, 2), REAL)),
+              graded_tensor(cl(1, 1, COMPLEX), cl(1, 0, COMPLEX))):
+        read = GradedAlgebra.from_json(a.to_json())
+        assert all(type(row) is tuple and row[2] is read.rows[0][2] for row in read.rows)
+        assert read == a and decoded(read.rows) == decoded(a.rows)
 
 
 # --------------------------------------------------- the two kinds agree

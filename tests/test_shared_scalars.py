@@ -232,27 +232,36 @@ def test_graded_tensor_equals_the_naive_construction():
 
 def unshared(a):
     """``a`` rebuilt by hand with a new scalar object for every entry of
-    its rows and its unit, stored without the constructor's checks."""
+    its row dicts, or for every value of its monomial rows (whose cells
+    share one object per value through their codes), and of its unit,
+    stored without the constructor's checks."""
     def fresh(v):
         return F(v.numerator, v.denominator) if a.field is REAL \
             else GaussianRational(v.re, v.im)
 
-    rows = [{j: {k: fresh(v) for k, v in cell.items()} for j, cell in row.items()}
-            if type(row) is dict else (list(row[0]), [fresh(c) for c in row[1]])
-            for row in a.rows]
+    if type(a.rows[0]) is dict:
+        rows = [{j: {k: fresh(v) for k, v in cell.items()} for j, cell in row.items()}
+                for row in a.rows]
+    else:
+        values = [fresh(v) for v in a.rows[0][2]]
+        rows = [(list(targets), list(codes), values) for targets, codes, _ in a.rows]
     return GradedAlgebra._trusted(a.field, a.parity, rows, tuple(map(fresh, a.unit)))
 
 
 def test_tensor_of_factors_that_share_no_scalars():
-    """Factors that hold a new object per entry give a product that
-    still holds at most one object per (value of a, value of b, sign)."""
+    """Factors that hold a new object per value, none of them the
+    original's or the shared unit, give a product that still holds at
+    most one object per (value of a, value of b, sign)."""
     for a, b in [(clifford(DiagonalForm((F(1, 2), -3, 2), REAL)),
                   clifford(DiagonalForm((1, -2), REAL))),
                  (cl(1, 2, COMPLEX), end_graded(1, 1, COMPLEX))]:
+        old = {id(v) for x in (a, b) for v in x.rows[0][2]}
         a, b = unshared(a), unshared(b)
         values = [[v for cell in x.table.values() for v in cell.values()]
                   for x in (a, b)]
-        assert all(len({id(v) for v in vs}) == len(vs) for vs in values)
+        assert all(len({id(v) for v in vs}) == len(set(vs)) for vs in values)
+        assert not old & {id(v) for vs in values for v in vs}
+        assert not any(v is a.field.one() for vs in values for v in vs)
         t = graded_tensor(a, b)
         same(t, naive_tensor(a, b))
         objects = {id(v) for cell in t.table.values() for v in cell.values()}
