@@ -9,6 +9,12 @@ commands compose through pipes::
 Exit codes: 0 on success, 2 on bad input (with a machine-readable
 ``{"error": ...}`` document), 1 on internal failure or selftest failure.
 A reader that closes stdout early does not change the exit code.
+
+A process imports only what its command runs: the algebra commands load
+the algebra layers alone, and ``space``, ``variety``, ``table`` and
+``selftest`` load the descriptor modules (and :mod:`dataclasses`) inside
+their handlers and parsers.  A handler reads each function from its
+module when it runs, so a function rebound there is the one called.
 """
 
 from __future__ import annotations
@@ -18,34 +24,17 @@ import json
 import os
 import re
 import sys
-from dataclasses import MISSING, fields
 
-from .algebra import (MAX_TERMS, AlgebraError, GradedAlgebra, end_graded,
-                      graded_tensor, ground_algebra, hat_center, is_azumaya,
-                      opposite)
+from .algebra import (MAX_TERMS, GradedAlgebra, end_graded, graded_tensor,
+                      ground_algebra, hat_center, is_azumaya, opposite)
 from .clifford import DiagonalForm, clifford
-from .groups import AbGroup
 from .invariants import bw_class, invariant_triple
 from .scalars import Field, field_from_label
-from .selftest import run_selftest
-from .spaces import (ComplexCurve, ComplexProjective, ComplexSurfaceWitt,
-                     DescriptorError, FreeFourDim, FreeProduct, Graph,
-                     RealCurve, RealProjective, RealSurfaceNoPoints,
-                     SurfaceWithInvolution, TrivialAction, circle_reports,
-                     compute_report, curve_reports, named_examples,
-                     surface_reports)
 
 
 def _parse_form(text: str, field: Field) -> DiagonalForm:
     entries = tuple(field.coerce(part.strip()) for part in text.split(",") if part.strip())
     return DiagonalForm(entries, field)
-
-
-def _parse_group(text: str) -> AbGroup:
-    text = text.strip()
-    if text in ("", "0", "1", "triv"):
-        return AbGroup.trivial()
-    return AbGroup.from_cyclics([int(part) for part in text.split(",")])
 
 
 # Characters of algebra JSON read per structure constant of the term budget
@@ -121,49 +110,68 @@ def _cmd_centralizer(args):
     return hat_center(_algebra_from_args(args)).to_json(), 0
 
 
-_TABLES = {
-    "circles": lambda: {name: r.to_json() for name, r in circle_reports().items()},
-    "curves": lambda: {f"g={g},nu={nu}": r.to_json()
-                       for (g, nu), r in curve_reports().items()},
-    "surfaces": lambda: {f"g={g},nu={nu}": r.to_json()
-                         for (g, nu), r in surface_reports().items()},
-    "named": lambda: {name: r.to_json() for name, r in named_examples().items()},
-}
+# Golden table name -> the function of ``spaces`` that computes it.
+_TABLES = {"circles": "circle_reports", "curves": "curve_reports",
+           "surfaces": "surface_reports", "named": "named_examples"}
+
+
+def _table(name: str) -> dict:
+    from . import spaces
+    reports = getattr(spaces, _TABLES[name])()
+    return {key if isinstance(key, str) else "g={},nu={}".format(*key): r.to_json()
+            for key, r in reports.items()}
 
 
 def _cmd_table(args):
-    return _TABLES[args.name](), 0
+    return _table(args.name), 0
 
 
 def _cmd_selftest(args):
-    report = run_selftest(seed=args.seed)
+    from . import selftest
+    report = selftest.run_selftest(seed=args.seed)
     return report, 0 if report["passed"] else 1
+
+
+def _parse_group(text: str, name: str):
+    from .groups import AbGroup
+    from .spaces import _check_cyclics
+    text = text.strip()
+    if text in ("", "0", "1", "triv"):
+        return AbGroup.trivial()
+    parts = text.split(",")
+    _check_cyclics(name, len(parts))
+    return AbGroup.from_cyclics([int(part) for part in parts])
 
 
 def _descriptor_command(kinds):
     def handler(args):
         if getattr(args, "table", None):
-            return _TABLES[args.table](), 0
+            return _table(args.table), 0
         if getattr(args, "kind", None) is None:
             raise ValueError("pass a descriptor kind or --table NAME")
-        cls = kinds[args.kind]
+        from dataclasses import fields
+
+        from . import spaces
+        cls = getattr(spaces, kinds[args.kind])
         # An absent optional flag is None and leaves the field's default.
-        values = {f.name: _parse_group(v) if f.type == "AbGroup" else v
+        values = {f.name: _parse_group(v, f.name) if f.type == "AbGroup" else v
                   for f in fields(cls) if (v := getattr(args, f.name)) is not None}
-        return compute_report(cls(**values)).to_json(), 0
+        return spaces.compute_report(cls(**values)).to_json(), 0
     return handler
 
 
+# Descriptor kind -> the class of ``spaces`` that holds its fields.
 _SPACE_KINDS = {
-    "trivial-action": TrivialAction, "free-product": FreeProduct,
-    "graph": Graph, "surface": SurfaceWithInvolution, "real-curve": RealCurve,
-    "complex-curve": ComplexCurve, "free-4d": FreeFourDim,
+    "trivial-action": "TrivialAction", "free-product": "FreeProduct",
+    "graph": "Graph", "surface": "SurfaceWithInvolution",
+    "real-curve": "RealCurve", "complex-curve": "ComplexCurve",
+    "free-4d": "FreeFourDim",
 }
 
 _VARIETY_KINDS = {
-    "complex-projective": ComplexProjective, "real-projective": RealProjective,
-    "complex-surface-witt": ComplexSurfaceWitt,
-    "real-surface-no-points": RealSurfaceNoPoints,
+    "complex-projective": "ComplexProjective", "real-projective": "RealProjective",
+    "complex-surface-witt": "ComplexSurfaceWitt",
+    "real-surface-no-points": "RealSurfaceNoPoints",
 }
 
 # Descriptor field -> CLI flag, wherever the flag is not the field name.
@@ -179,6 +187,7 @@ _FLAG_ALIASES = {
 
 def _add_descriptor_flags(parser: argparse.ArgumentParser, cls: type) -> None:
     """One flag per field of the descriptor dataclass ``cls``."""
+    from dataclasses import MISSING, fields
     for f in fields(cls):
         flag = "--" + _FLAG_ALIASES.get(f.name, f.name)
         if f.type == "bool":
@@ -199,7 +208,10 @@ def _add_algebra_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--field", default="R", choices=("R", "C"))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser, except that the descriptor kinds of ``space`` and
+    ``variety``, which import :mod:`spaces`, are added only when
+    ``command`` is one of those two or ``None``."""
     parser = argparse.ArgumentParser(
         prog="gradedbrauer",
         description="Exact computations of graded Brauer classes at a point "
@@ -238,8 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--table", choices=tuple(_TABLES),
                        help="print a whole golden table instead")
         kind_sub = p.add_subparsers(dest="kind")
-        for kind, cls in kinds.items():
-            _add_descriptor_flags(kind_sub.add_parser(kind), cls)
+        if command in (None, name):
+            from . import spaces
+            for kind, class_name in kinds.items():
+                _add_descriptor_flags(kind_sub.add_parser(kind), getattr(spaces, class_name))
         p.set_defaults(handler=_descriptor_command(kinds))
 
     p = sub.add_parser("table", help="print a golden table")
@@ -293,12 +307,15 @@ def _emit(document, indent=None) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_attach_negative_forms(argv))
+    # The top level has no option that takes a value, so the command is
+    # the first token that is not an option.
+    command = next((token for token in argv if not token.startswith("-")), "")
+    args = build_parser(command).parse_args(_attach_negative_forms(argv))
     try:
         if [] in vars(args).values():  # argparse reads "--form=--" as no values
             raise ValueError("an option's value cannot be '--'")
         payload, code = args.handler(args)
-    except (AlgebraError, DescriptorError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # AlgebraError and DescriptorError among them
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 2
     except Exception as exc:  # noqa: BLE001 - report, then signal internal failure

@@ -20,7 +20,6 @@ and its reordering sign are a few integer operations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import (AlgebraError, GradedAlgebra, Scalar, _check_budget, _packed,
@@ -28,9 +27,10 @@ from .algebra import (AlgebraError, GradedAlgebra, Scalar, _check_budget, _packe
 from .scalars import Field, REAL
 
 
-@dataclass(frozen=True)
 class DiagonalForm:
     """A nondegenerate diagonal quadratic form ``<entries>`` over ``field``.
+
+    Immutable, compared and hashed by its entries and field.
 
     >>> from gradedbrauer.scalars import REAL
     >>> f = DiagonalForm((1, -1, 2), REAL)
@@ -42,14 +42,36 @@ class DiagonalForm:
     (Fraction(1, 1), Fraction(-1, 1), Fraction(2, 1), Fraction(-1, 1))
     """
 
+    __slots__ = ("entries", "field")
     entries: tuple[Scalar, ...]
-    field: Field = REAL
+    field: Field
 
-    def __post_init__(self) -> None:
-        coerced = tuple(self.field.coerce(v) for v in self.entries)
+    def __init__(self, entries: Sequence, field: Field = REAL) -> None:
+        coerced = tuple(field.coerce(v) for v in entries)
         if not all(coerced):
             raise ValueError("diagonal form must be nondegenerate (no zero entries)")
         object.__setattr__(self, "entries", coerced)
+        object.__setattr__(self, "field", field)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.field) == (other.entries, other.field)
+
+    def __hash__(self) -> int:
+        return hash((self.entries, self.field))
+
+    def __repr__(self) -> str:
+        return f"DiagonalForm(entries={self.entries!r}, field={self.field!r})"
+
+    def __reduce__(self):
+        return DiagonalForm, (self.entries, self.field)
 
     @property
     def rank(self) -> int:

@@ -82,26 +82,44 @@ class InvariantReport:
         return {f.name: enc(getattr(self, f.name)) for f in fields(self)}
 
 
-# What a descriptor field of each annotated type must hold.
+# The most cyclic factors one descriptor field may stand for.  A rank
+# ``r`` becomes ``(Z/2)^r``, and putting ``k`` factors in invariant-factor
+# form takes time quadratic in ``k``.  Orders are not limited.
+MAX_CYCLICS = 1024
+
+
+def _check_cyclics(name: str, count: int) -> None:
+    """Refuse a field that stands for more than :data:`MAX_CYCLICS`
+    cyclic factors, before any group is built."""
+    if count > MAX_CYCLICS:
+        raise DescriptorError(f"{name} stands for {count} cyclic factors, above "
+                              f"the budget MAX_CYCLICS = {MAX_CYCLICS}")
+
+
+# What a descriptor field of each annotated type must hold, and how many
+# cyclic factors a value stands for.
 _FIELD_RULES = {
-    "int": (lambda v: type(v) is int and v >= 0, "a nonnegative integer"),
-    "bool": (lambda v: type(v) is bool, "a bool"),
+    "int": (lambda v: type(v) is int and v >= 0, "a nonnegative integer",
+            lambda v: v),
+    "bool": (lambda v: type(v) is bool, "a bool", lambda v: 0),
     "AbGroup": (lambda v: isinstance(v, AbGroup) and v.is_finite(),
-                "a finite AbGroup"),
+                "a finite AbGroup", lambda v: len(v.torsion)),
 }
 
 
 class _Descriptor:
     """Base of the descriptor dataclasses: every field is checked against
-    its annotation by :data:`_FIELD_RULES` (a bool is not an ``int``),
-    then the class's own rules between fields run in ``_check``."""
+    its annotation by :data:`_FIELD_RULES` (a bool is not an ``int``) and
+    against :data:`MAX_CYCLICS`, then the class's own rules between
+    fields run in ``_check``."""
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            holds, kind = _FIELD_RULES[f.type]
+            holds, kind, cyclics = _FIELD_RULES[f.type]
             value = getattr(self, f.name)
             if not holds(value):
                 raise DescriptorError(f"{f.name} must be {kind}, got {value!r}")
+            _check_cyclics(f.name, cyclics(value))
         self._check()
 
     def _check(self) -> None:

@@ -244,6 +244,72 @@ def test_import_loads_no_numpy():
     assert out.stdout.strip() == "False"
 
 
+def test_an_algebra_command_imports_no_descriptor_module():
+    """Start-up cost: ``invariants`` and ``azumaya`` load the algebra
+    layers alone, not the descriptor and table modules or dataclasses."""
+    import gradedbrauer
+    src = str(Path(gradedbrauer.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = ("import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('gradedbrauer.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print([m for m in ('gradedbrauer.spaces', 'gradedbrauer.groups',\n"
+            "                   'gradedbrauer.selftest', 'dataclasses')\n"
+            "       if m in sys.modules], file=sys.stderr)\n")
+    for argv in (["invariants", "--form", "1,-1"], ["azumaya", "--form", "1"]):
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                             capture_output=True, text=True, check=True, timeout=60)
+        assert json.loads(out.stdout) in ({"parity": 0, "q2": 0, "ungraded": 0, "bw": 0},
+                                          {"azumaya": True})
+        assert out.stderr.strip() == "[]"
+
+
+def test_the_parser_for_an_algebra_command_has_no_descriptor_kinds():
+    """Only ``space`` and ``variety`` (or no command named) get the kinds."""
+    argv = ["space", "graph", "--nu", "1", "--h1quot", "0"]
+    assert cli.build_parser().parse_args(argv).kind == "graph"
+    assert cli.build_parser("space").parse_args(argv).kind == "graph"
+    with pytest.raises(SystemExit):
+        cli.build_parser("invariants").parse_args(argv)
+
+
+def test_a_descriptor_rank_above_the_budget_is_refused_at_once():
+    """``--genus 99999999999`` would ask for that many cyclic factors;
+    it is refused before any group is built, with exit code 2."""
+    import gradedbrauer
+    src = str(Path(gradedbrauer.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-m", "gradedbrauer.cli", "space", "surface",
+         "--genus", "99999999999", "--nu", "3"],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert out.returncode == 2
+    assert json.loads(out.stdout)["error"] == {
+        "type": "DescriptorError",
+        "message": "genus stands for 99999999999 cyclic factors, above the "
+                   "budget MAX_CYCLICS = 1024"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["space", "complex-curve", "--h1", "{n}"],
+    ["variety", "complex-projective", "--rho", "{n}", "--h1", "0"],
+    ["space", "free-product", "--h3tors", "{twos}"],
+])
+def test_descriptor_flags_at_and_above_the_cyclic_budget(capsys, argv):
+    from gradedbrauer.spaces import MAX_CYCLICS
+    for n, expected in ((MAX_CYCLICS, 0), (MAX_CYCLICS + 1, 2)):
+        args = [a.format(n=n, twos=",".join(["2"] * n)) for a in argv]
+        code, doc = run(capsys, *args)
+        assert code == expected
+        if expected:
+            assert doc["error"]["type"] == "DescriptorError"
+            assert f"stands for {n} cyclic factors" in doc["error"]["message"]
+
+
 def test_a_prime_torsion_order_is_never_factored():
     """``--h3tors`` with a 19-digit prime: the invariant factors come from
     gcds, so the process does not run a trial division to ~10^9."""

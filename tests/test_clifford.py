@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,33 @@ small_forms = st.lists(entry_values, min_size=0, max_size=4).map(
 def test_diagonal_form_rejects_zero_entries():
     with pytest.raises(ValueError):
         DiagonalForm((1, 0, -1))
+
+
+def test_diagonal_form_equality_hash_and_repr():
+    f = DiagonalForm((1, -1, 2), REAL)
+    assert f == DiagonalForm([F(1), F(-1), F(2)]) and f != DiagonalForm((1, -1), REAL)
+    assert hash(f) == hash(DiagonalForm((1, -1, 2)))
+    assert f != DiagonalForm((1, -1, 2), COMPLEX) and f != (1, -1, 2)
+    assert len({f, DiagonalForm((1, -1, 2)), DiagonalForm((1,))}) == 2
+    # the text the dataclass version printed
+    assert repr(f) == ("DiagonalForm(entries=(Fraction(1, 1), Fraction(-1, 1), "
+                       "Fraction(2, 1)), field=REAL)")
+    assert repr(DiagonalForm(("1/2", "i"), COMPLEX)) == (
+        "DiagonalForm(entries=(GaussianRational(Fraction(1, 2), Fraction(0, 1)), "
+        "GaussianRational(Fraction(0, 1), Fraction(1, 1))), field=COMPLEX)")
+
+
+def test_diagonal_form_is_immutable():
+    f = DiagonalForm((1, -1), field=REAL)
+    for name in ("entries", "field", "other"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, ())
+    with pytest.raises(AttributeError):
+        del f.entries
+    assert f.entries == (1, -1) and f.field is REAL and not hasattr(f, "__dict__")
+    assert copy.copy(f) == f
+    back = pickle.loads(pickle.dumps(f))
+    assert (back.entries, back.field.label) == (f.entries, "R")
 
 
 def test_form_helpers():

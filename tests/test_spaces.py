@@ -1,7 +1,9 @@
+from dataclasses import fields
+
 import pytest
 
 from gradedbrauer.groups import AbGroup, ExtensionDatum
-from gradedbrauer.spaces import (ComplexCurve, ComplexProjective,
+from gradedbrauer.spaces import (MAX_CYCLICS, ComplexCurve, ComplexProjective,
                                  ComplexSurfaceWitt, DescriptorError,
                                  FreeFourDim, FreeProduct, Graph, RealCurve,
                                  RealProjective, RealSurfaceNoPoints,
@@ -258,6 +260,42 @@ def test_report_json_shape():
 def test_descriptor_validation(build):
     with pytest.raises(DescriptorError):
         build()
+
+
+DESCRIPTORS = (TrivialAction, FreeProduct, Graph, SurfaceWithInvolution,
+               RealCurve, ComplexCurve, FreeFourDim, ComplexProjective,
+               RealProjective, ComplexSurfaceWitt, RealSurfaceNoPoints)
+
+
+@pytest.mark.parametrize("name", [(cls, f.name) for cls in DESCRIPTORS
+                                  for f in fields(cls) if f.type == "int"],
+                         ids=lambda p: f"{p[0].__name__}.{p[1]}")
+def test_every_int_field_is_refused_above_the_cyclic_budget(name):
+    cls, field_name = name
+    values = {f.name: 0 for f in fields(cls) if f.type == "int"}
+    for value in (MAX_CYCLICS, MAX_CYCLICS + 1):
+        try:
+            cls(**{**values, field_name: value})
+        except DescriptorError as exc:
+            refused = "MAX_CYCLICS" in str(exc)
+        else:
+            refused = False
+        assert refused == (value > MAX_CYCLICS)
+    with pytest.raises(DescriptorError) as exc:
+        cls(**{**values, field_name: 99999999999})
+    assert str(exc.value) == (f"{field_name} stands for 99999999999 cyclic factors, "
+                              f"above the budget MAX_CYCLICS = {MAX_CYCLICS}")
+
+
+def test_reports_at_the_cyclic_budget():
+    assert compute_report(ComplexCurve(h1=MAX_CYCLICS)).q2 == two(1 + MAX_CYCLICS)
+    report = compute_report(FreeProduct(h3_torsion=two(MAX_CYCLICS)))
+    assert report.rbr == two(MAX_CYCLICS) and report.gbr == two(1 + MAX_CYCLICS)
+    with pytest.raises(DescriptorError, match=f"h3_torsion stands for {MAX_CYCLICS + 1} "):
+        FreeProduct(h3_torsion=two(MAX_CYCLICS + 1))
+    # orders are not limited
+    p = 1000000000000000003
+    assert compute_report(FreeProduct(h3_torsion=Z(p))).rbr.torsion == (p,)
 
 
 def test_descriptor_defaults():
