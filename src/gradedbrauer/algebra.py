@@ -378,10 +378,10 @@ class GradedAlgebra:
             columns[i][(0, j, k)] = v
             columns[j][(1, i, k)] = v
         columns.append({(side, j, j): one for side in (0, 1) for j in range(n)})
-        *_, combo = map(linalg.Elimination(one)._add, columns)
+        *_, combo = map(linalg.Elimination().add, columns)
         if combo is None:
             return None  # the constants column is independent: inconsistent
-        own = -combo[n]
+        own = -self.field.coerce(combo[n])  # so each quotient is of the field
         return [_div(combo[c], own) if c in combo else self.field.zero() for c in range(n)]
 
     # ------------------------------------------------------------ validation
@@ -476,14 +476,14 @@ class GradedAlgebra:
         the span exactly when it is a pivot of one :class:`linalg.Elimination`.
         The unit must already be checked.
         """
-        n, rows, one = self.dim, self.rows, _IMAGE_ONE[self.field]
-        elimination = linalg.Elimination(one, kernel=False)
+        n, rows = self.dim, self.rows
+        elimination = linalg.Elimination(kernel=False)
         pivots, add = elimination.pivots, elimination.add  # None: a new pivot
         words = [_sparse(self.unit)]
         add(words[0])
         generators: list[int] = []
         for j in range(n):
-            word = {j: one}
+            word = {j: 1}
             if len(pivots) == n or add(word) is not None:
                 continue  # e_j is in the span already
             generators.append(j)
@@ -495,7 +495,7 @@ class GradedAlgebra:
                 if len(pivots) == n:
                     break
                 product: SparseVector = {}
-                _mul_into(product, rows, w, {g: one})
+                _mul_into(product, rows, w, {g: 1})
                 if add(product) is None:
                     words.append(product)
                     pending += [(product, h) for h in generators]
@@ -691,11 +691,6 @@ def end_graded(dim_even: int, dim_odd: int, field: Field = REAL) -> GradedAlgebr
     return GradedAlgebra._trusted(field, parity, rows, unit)
 
 
-# The unit scalar of an integral image: 1, or the Gaussian integer 1 for an
-# image with a non-real entry (see :func:`_integral`).
-_IMAGE_ONE = {REAL: 1, COMPLEX: _make(1, 0)}
-
-
 def _integral(a: GradedAlgebra) -> GradedAlgebra:
     """The integral image of ``a``: its table on the basis ``D e_i``, with
     ``D`` the least common denominator of the structure constants.
@@ -879,10 +874,9 @@ def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]
     each pairwise product as it is made: :class:`AlgebraError` is raised
     at the first product that is a pivot, outside the span.
     """
-    one = _IMAGE_ONE[a.field]
     result: list[tuple[SparseVector, int]] = []
     for deg in (0, 1):
-        kernel: list[SparseVector] = [{i: one} for i in a.degree_indices(deg)]
+        kernel: list[SparseVector] = [{i: 1} for i in a.degree_indices(deg)]
         for s_vec, s_par in constraints:
             if not kernel:
                 break
@@ -896,11 +890,11 @@ def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]
                 _mul_into(column, a.rows, v, s_vec)
                 columns.append(column)
             if any(columns):  # else every kernel vector supercommutes with s
-                kernel = [_combine(combo, kernel) for combo in linalg._column_kernel(columns, one)]
+                kernel = [linalg.combine(combo, kernel) for combo in linalg.column_kernel(columns)]
         result.extend((v, deg) for v in kernel)
     if len(result) < a.dim:
         span = [v for v, _ in result]
-        add = linalg.Elimination(one, kernel=False).add
+        add = linalg.Elimination(kernel=False).add
         for v in span:
             add(v)
         for u in span:
@@ -910,17 +904,6 @@ def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]
                 if add(product) is None:
                     raise AlgebraError("centralizer failed to close under product")
     return result
-
-
-def _combine(combo: SparseVector, kernel: list[SparseVector]) -> SparseVector:
-    """The primitive combination of kernel vectors, or the one vector
-    ``combo`` names when it has one term (a basis vector is needed only
-    up to a nonzero factor)."""
-    if len(combo) == 1:
-        return kernel[next(iter(combo))]
-    v = linalg.combine(combo, kernel)
-    linalg._primitive(v)
-    return v
 
 
 def hat_center(a: GradedAlgebra) -> GradedAlgebra:
@@ -957,8 +940,7 @@ def hat_center(a: GradedAlgebra) -> GradedAlgebra:
     this one: the square changes by a square, so its sign stays.
     """
     field, image = a.field, _integral(a)
-    one = _IMAGE_ONE[image.field]
-    cent = _supercommutant(image, [({i: one}, 0) for i in a.degree_indices(0)])
+    cent = _supercommutant(image, [({i: 1}, 0) for i in a.degree_indices(0)])
     if not a.dim_odd:  # cent is Z(A), and the graded center Z(A) x Z(A)
         if len(cent) != 1:
             raise NotAzumayaError(
@@ -970,10 +952,10 @@ def hat_center(a: GradedAlgebra) -> GradedAlgebra:
             f"graded center has dimension {len(cent)}, expected 2"
         )
     unit = _sparse(image.unit)
-    z, z_parity = next((v, p) for v, p in cent if not linalg._column_kernel([unit, v], one))
+    z, z_parity = next((v, p) for v, p in cent if not linalg.column_kernel([unit, v]))
     z_sq: SparseVector = {}
     _mul_into(z_sq, image.rows, z, z)
-    (combo,) = linalg._column_kernel([unit, z, z_sq], one)
+    (combo,) = linalg.column_kernel([unit, z, z_sq])
     c0, c1, c2 = (combo.get(c, 0) for c in range(3))
     square = c1 * c1 - 4 * c0 * c2
     if not square:
@@ -1013,8 +995,7 @@ def is_azumaya(a: GradedAlgebra) -> bool:
     image = _integral(a)
     if len(linalg.congruence_diagonal(trace_gram(image))) < a.dim:
         return False
-    one = _IMAGE_ONE[image.field]
-    basis = [({i: one}, p) for i, p in enumerate(a.parity)]
+    basis = [({i: 1}, p) for i, p in enumerate(a.parity)]
     return len(_supercommutant(image, basis)) == 1
 
 
@@ -1045,7 +1026,7 @@ def trace_gram(a: GradedAlgebra, indices: Optional[Sequence[int]] = None
             terms = [values[row[1][c]] for c in keep if row[0][c] == c]
         else:
             terms = [cell[c] for c, cell in row.items() if c in inside and c in cell]
-        if terms and (t := sum(terms[1:], terms[0])):  # nothing added to zero
+        if terms and (t := sum(terms)):
             traces[m] = t
     gram: dict[int, dict[int, Scalar]] = {}
     for i in keep:
@@ -1055,7 +1036,7 @@ def trace_gram(a: GradedAlgebra, indices: Optional[Sequence[int]] = None
         else:
             entries = {j: acc for j, cell in row.items() if j in inside and (
                 p := [c * traces[m] for m, c in cell.items() if m in traces])
-                and (acc := sum(p[1:], p[0]))}
+                and (acc := sum(p))}
         if entries:
             gram[i] = entries
     return gram

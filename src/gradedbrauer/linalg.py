@@ -10,9 +10,8 @@ elimination*, Math. Comp. 22, 1968), and :func:`_primitive` divides
 common factors out exactly (where Bareiss divides by the previous
 pivot), turning any ``Fraction`` into integers.  So on an algebra's
 integral image (:func:`gradedbrauer.algebra._integral`) all arithmetic
-is on integers.  Public vectors of the field (:func:`column_kernel`,
-:meth:`Elimination.add`) are scaled back with
-:func:`~gradedbrauer.scalars._div` to those that division gives.
+is on integers, and every kernel vector comes back primitive: the
+vector division gives, up to a nonzero factor.
 
 Vectors are sparse: dicts ``{index: coefficient}`` holding only nonzero
 entries.  A matrix is given by its columns, and one elimination,
@@ -31,7 +30,7 @@ from bisect import insort
 from math import gcd, lcm
 
 from .scalars import (_GAUSSIAN_ONE, _ONE,  # what Field.one() returns
-                      GaussianRational, _div, _make)
+                      GaussianRational, _make)
 
 
 def _add_scaled(target, factor, source):
@@ -116,12 +115,13 @@ class Elimination:
     lowest terms (:func:`_cofactors`).  A column that stays nonzero is
     kept as a pivot, made :func:`_primitive` with its combination, and
     ``add`` returns ``None``; one that reduces to zero gives its kernel
-    vector ``e_j - (combination of earlier pivots)``.  Each step only
-    scales the column, so its nonzero entries, their order, the pivot rows
-    and the kernel vectors are those of the elimination that scales every
+    vector ``e_j - (combination of earlier pivots)`` times a nonzero
+    number, made :func:`_primitive`.  Each step only scales the column, so
+    its nonzero entries, their order, the pivot rows and the kernel
+    vectors up to scale are those of the elimination that scales every
     pivot to 1: a column is a pivot exactly when it is independent of the
     columns before it, and the kernel vectors are the ones
-    back-substitution on a row-echelon form gives.
+    back-substitution on a row-echelon form gives, up to scale.
 
     With ``kernel=False`` no combination is tracked (for callers that ask
     only whether a column is a pivot), and a dependent column gives ``{}``.
@@ -133,26 +133,18 @@ class Elimination:
     the same pivots in the same order as a scan of every pivot would.
     """
 
-    def __init__(self, one, kernel=True):
-        # the field's unit; whether to track kernels; the next column's index
-        self.one, self.kernel, self.added = one, kernel, 0
+    def __init__(self, kernel=True):
+        # whether to track kernels; the next column's index
+        self.kernel, self.added = kernel, 0
         self.pivots = []  # (pivot row, primitive reduced column, combination)
         self.position = {}  # pivot row -> index in pivots
 
     def add(self, column):
-        """The kernel vector of ``column``, 1 at its own index, or ``None``
-        if it is a pivot."""
-        combo = self._add(column)
-        if not combo:
-            return combo
-        own = combo[self.added - 1]
-        return {c: _div(v, own) for c, v in combo.items()}
-
-    def _add(self, column):
-        """:meth:`add` with the kernel vector left primitive, not scaled."""
+        """The primitive kernel vector of ``column``, nonzero at its own
+        index, or ``None`` if it is a pivot."""
         pivots, position = self.pivots, self.position
         reduced = {r: v for r, v in column.items() if v}
-        combo = {self.added: self.one} if self.kernel else {}
+        combo = {self.added: 1} if self.kernel else {}
         self.added += 1
         # negated positions, ascending, so that pop() gives the earliest
         queue = [-position[r] for r in reduced if r in position] if position else None
@@ -194,27 +186,26 @@ class Elimination:
         return combo
 
 
-def column_kernel(columns, one):
+def column_kernel(columns):
     """A basis of the kernel of the matrix with the given sparse columns:
-    the kernel vectors one :class:`Elimination` of them returns, in column
-    order, as sparse vectors over the column indices, each 1 at its own
-    column."""
-    add = Elimination(one).add
-    return [combo for combo in map(add, columns) if combo is not None]
-
-
-def _column_kernel(columns, one):
-    """:func:`column_kernel` with each vector primitive instead, for
-    integral callers: the same vectors up to scale."""
-    add = Elimination(one)._add
+    the primitive kernel vectors one :class:`Elimination` of them returns,
+    in column order, as sparse vectors over the column indices, each
+    nonzero at its own column."""
+    add = Elimination().add
     return [combo for combo in map(add, columns) if combo is not None]
 
 
 def combine(combo, vectors):
-    """The sparse vector ``sum(c * vectors[i] for i, c in combo.items())``."""
+    """The sparse vector ``sum(c * vectors[i] for i, c in combo.items())``
+    up to a nonzero factor: made :func:`_primitive`, and for a one-term
+    ``combo`` the vector it names, itself, which the caller must not
+    change."""
+    if len(combo) == 1:
+        return vectors[next(iter(combo))]
     out = {}
     for i, c in combo.items():
         _add_scaled(out, c, vectors[i])
+    _primitive(out)
     return out
 
 

@@ -229,9 +229,9 @@ def test_closure_is_checked_in_one_elimination(monkeypatch):
     made = []
 
     class Counted(linalg.Elimination):
-        def __init__(self, one, **options):
+        def __init__(self, **options):
             made.append(self)
-            super().__init__(one, **options)
+            super().__init__(**options)
 
     monkeypatch.setattr(linalg, "Elimination", Counted)
     a = cl(6, 0)

@@ -21,7 +21,8 @@ from gradedbrauer.algebra import AlgebraError, GradedAlgebra, _packed, end_grade
 from gradedbrauer.clifford import DiagonalForm, clifford, relabel, signature_form
 from gradedbrauer.scalars import COMPLEX, REAL
 from associativity_oracle import associator, dense_unit, first_failing_triple
-from test_azumaya_oracle import known_non_azumaya, seeded_algebras, suite_algebras
+from test_azumaya_oracle import (gaussian_images, known_non_azumaya, seeded_algebras,
+                                 suite_algebras)
 from test_centralizer_oracle import transport
 
 F = Fraction
@@ -55,7 +56,8 @@ def rebuilt(a, table):
 
 
 def test_same_verdict_on_the_suite_algebras():
-    for a in suite_algebras() + known_non_azumaya() + seeded_algebras(seed=6, count=20):
+    for a in suite_algebras() + known_non_azumaya() + seeded_algebras(seed=6, count=20) \
+            + gaussian_images():
         assert assert_same_verdict(a), a
 
 
@@ -86,9 +88,9 @@ def one_sign_flips(a, rng, count):
 @pytest.mark.parametrize("a", [
     clifford(signature_form(2, 1)), clifford(signature_form(1, 3)),
     clifford(signature_form(2, 2, COMPLEX)), clifford(signature_form(5, 0)),
-    end_graded(2, 1), end_graded(2, 2), end_graded(3, 1, COMPLEX),
+    end_graded(2, 1), end_graded(2, 2), end_graded(3, 1, COMPLEX), gaussian_images()[0],
 ], ids=["Cl(2,1)", "Cl(1,3)", "Cl(2,2)/C", "Cl(5,0)",
-        "End(2|1)", "End(2|2)", "End(3|1)/C"])
+        "End(2|1)", "End(2|2)", "End(3|1)/C", "Cl(i,2,-1)/C"])
 def test_one_sign_flips_are_caught_by_both(a):
     rng = random.Random(a.dim * 7 + len(a.table))
     for mutant in one_sign_flips(a, rng, 6):
@@ -106,8 +108,10 @@ def test_one_perturbed_cell_after_a_dense_change_of_basis():
     cell ``(i, j)`` with both odd keeps the unit, and an even ``k`` keeps
     the grading."""
     rng = random.Random(1961)
-    for field, p, q in ((REAL, 2, 1), (REAL, 1, 2), (COMPLEX, 2, 1), (REAL, 3, 1)):
-        moved = transport(clifford(signature_form(p, q, field)), rng)
+    sources = [clifford(signature_form(p, q, field))
+               for field, p, q in ((REAL, 2, 1), (REAL, 1, 2), (COMPLEX, 2, 1), (REAL, 3, 1))]
+    for a in sources + gaussian_images()[:1]:
+        field, moved = a.field, transport(a, rng)
         assert assert_same_verdict(moved)
         odd, even = moved.degree_indices(1), moved.degree_indices(0)
         i, j, k = rng.choice(odd), rng.choice(odd), rng.choice(even)

@@ -15,12 +15,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gradedbrauer.algebra import (GradedAlgebra, NotAzumayaError, end_graded,
+from gradedbrauer.algebra import (GradedAlgebra, NotAzumayaError, _integral, end_graded,
                                   graded_tensor, ground_algebra, is_azumaya,
                                   opposite)
 from gradedbrauer.clifford import DiagonalForm, clifford, relabel, signature_form
 from gradedbrauer.invariants import bw_class
-from gradedbrauer.scalars import COMPLEX, REAL
+from gradedbrauer.scalars import COMPLEX, REAL, I
 from centralizer_oracle import dense_rank, m11
 from sandwich_oracle import rank_mod_prime, sandwich_is_azumaya
 
@@ -91,6 +91,16 @@ def suite_algebras():
     return out
 
 
+def gaussian_images():
+    """Clifford algebras over C of forms with an entry ``i``, their
+    opposites and their tensors with Cl(1): their integral images have
+    Gaussian integer entries, which the eliminations meet with an integer
+    seed."""
+    forms = [clifford(DiagonalForm(entries, COMPLEX)) for entries in ((I, 2, -1), (I, I, 1, 3))]
+    return forms + [opposite(a) for a in forms] \
+        + [graded_tensor(a, cl(1, 0, COMPLEX)) for a in forms]
+
+
 def known_non_azumaya():
     rng = random.Random(7)
     out = []
@@ -153,8 +163,17 @@ def check_agreement(a):
 
 
 def test_agrees_with_the_oracle_on_the_suite_algebras():
-    for a in suite_algebras():
+    for a in suite_algebras() + gaussian_images():
         check_agreement(a)
+
+
+def test_agrees_with_the_oracle_on_a_dense_gaussian_transport():
+    from test_centralizer_oracle import transport  # that module imports this one
+    images = gaussian_images()
+    moved = transport(images[0], random.Random(1968))
+    for a in images + [moved]:
+        assert _integral(a).field is COMPLEX  # an image with Gaussian entries
+    check_agreement(moved)
 
 
 def test_agrees_with_the_oracle_on_seeded_algebras():

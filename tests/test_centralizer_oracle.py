@@ -22,7 +22,7 @@ from gradedbrauer.algebra import (AlgebraError, GradedAlgebra, NotAzumayaError,
 from gradedbrauer.clifford import DiagonalForm, clifford, signature_form
 from gradedbrauer.scalars import COMPLEX, REAL, GaussianRational
 from centralizer_oracle import dense_centralizer, dense_mul, m11
-from test_azumaya_oracle import (known_non_azumaya, product, quadratic,
+from test_azumaya_oracle import (gaussian_images, known_non_azumaya, product, quadratic,
                                  seeded_algebras, suite_algebras, upper_triangular)
 
 F = Fraction
@@ -55,7 +55,7 @@ def assert_same_on_library_constraints(a):
 
 
 def test_identical_on_the_suite_algebras():
-    for a in suite_algebras() + known_non_azumaya():
+    for a in suite_algebras() + known_non_azumaya() + gaussian_images():
         assert_same_on_library_constraints(a)
 
 
@@ -178,12 +178,23 @@ def test_identical_after_a_dense_change_of_basis():
     sources += [form(COMPLEX, rng, r) for r in (1, 2, 3)]
     sources += [end_graded(2, 1), end_graded(1, 1, COMPLEX),
                 graded_tensor(form(REAL, rng, 1), form(REAL, rng, 2)),
-                opposite(form(COMPLEX, rng, 2))]
+                opposite(form(COMPLEX, rng, 2)), gaussian_images()[0]]
     for a in sources:
         moved = transport(a, rng)
         assert moved.table != a.table
         moved.validate()
         assert_same_on_library_constraints(moved)
+
+
+def test_hat_center_of_gaussian_images():
+    """Forms with an entry ``i`` and a dense transport of one are graded
+    central simple over C, so ``hat_center`` is ``C[z]/(z^2 - 1)`` with
+    ``z`` of the parity of the second vector the dense centralizer of the
+    even part gives."""
+    images = gaussian_images()
+    for a in images + [transport(images[0], random.Random(1968))]:
+        _, (_, z_parity) = dense_centralizer(a, basis(a, a.degree_indices(0)))
+        assert hat_center(a) == quadratic(COMPLEX, z_parity, 1), repr(a)
 
 
 def test_identical_after_a_dense_change_of_basis_at_dimension_64():

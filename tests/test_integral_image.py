@@ -13,7 +13,8 @@ denominator of its structure constants.  The tests require:
   non-associative one-sign flips;
 * no ``float`` in any public result, and every scalar a ``Fraction`` or
   a ``GaussianRational`` with ``Fraction`` parts: no integer, and no
-  scalar of an image, leaks out;
+  scalar of an image, leaks out (the private ``linalg`` kernel returns
+  primitive integral vectors instead);
 * the pivots of the scan of every pivot (``column_kernel_oracle``) from
   the fraction-free ``Elimination``, each column primitive, and the
   oracle's kernel vectors once normalized.
@@ -21,7 +22,7 @@ denominator of its structure constants.  The tests require:
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -37,22 +38,12 @@ from column_kernel_oracle import scan_elimination
 from test_associativity_oracle import one_sign_flips
 from test_azumaya_oracle import cl, known_non_azumaya, suite_algebras
 from test_centralizer_oracle import transport
-from test_linalg import sparse_columns
+from test_linalg import integral, parts, primitive, sparse_columns
 from test_shared_scalars import non_azumaya_variants, transported
-
-
-def parts(v):
-    return (v.re, v.im) if type(v) is GaussianRational else (v,)
 
 
 def denominator(a):
     return lcm(*(x.denominator for *_, c in _terms(a.rows) for x in parts(c)))
-
-
-def integral(v):
-    """An ``int``, or a ``GaussianRational`` with ``int`` parts."""
-    return type(v) is int or type(v) is GaussianRational and \
-        type(v.re) is int and type(v.im) is int
 
 
 def grid():
@@ -157,7 +148,7 @@ def assert_scalars(values, field):
 
 
 def check_public_results(a):
-    field, one = a.field, a.field.one()
+    field = a.field
     try:
         triple, bw = invariant_triple(fresh(a)), bw_class(fresh(a))
         assert all(type(x) is int for x in (*triple, bw))
@@ -182,7 +173,7 @@ def check_public_results(a):
     assert_scalars([v for row in gram.values() for v in row.values()], field)
     columns = [{i: row[j] for i, row in gram.items() if j in row} for j in range(a.dim)]
     columns.append({i: u for i, u in enumerate(a.unit) if u})
-    assert_scalars([v for combo in column_kernel(columns, one) for v in combo.values()], field)
+    assert all(primitive([combo]) for combo in column_kernel(columns))
     assert_no_float(fresh(a).to_json())
 
 
@@ -201,12 +192,6 @@ def ratio(x, y):
     return (Fraction(x) if type(x) is int else x) / y
 
 
-def primitive(vectors):
-    values = [x for vector in vectors for v in vector.values() for x in parts(v)]
-    return all(integral(v) for vector in vectors for v in vector.values()) \
-        and gcd(*values) == 1
-
-
 @given(sparse_columns())
 @settings(max_examples=300, deadline=None)
 def test_fraction_free_elimination_keeps_the_pivots_of_the_scan(case):
@@ -215,8 +200,8 @@ def test_fraction_free_elimination_keeps_the_pivots_of_the_scan(case):
     the oracle's kernel vectors once divided by their entry at their own
     column, with the same key order."""
     field, columns = case
-    elimination = Elimination(field.one())
-    returned = [elimination._add(column) for column in columns]
+    elimination = Elimination()
+    returned = [elimination.add(column) for column in columns]
     pivots, kernel = scan_elimination(columns, field.one())
     assert [row for row, _, _ in elimination.pivots] == [row for row, _, _ in pivots]
     for (row, column, combo), (_, want, want_combo) in zip(elimination.pivots, pivots):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from gradedbrauer.linalg import (Elimination, column_kernel, combine,
                                 congruence_diagonal)
-from gradedbrauer.scalars import COMPLEX, REAL, GaussianRational
+from gradedbrauer.scalars import COMPLEX, REAL, GaussianRational, _div
 from centralizer_oracle import (dense_nullspace, dense_rank, dense_solve,
                                 in_row_span, row_echelon)
 from column_kernel_oracle import scan_column_kernel
@@ -16,11 +17,36 @@ F = Fraction
 small_entries = st.integers(min_value=-6, max_value=6).map(F)
 
 
-def last_column_depends(columns, one):
+def last_column_depends(columns):
     """Whether the last column is a combination of the columns before it:
     whether the column kernel has a vector at its index."""
-    kernel = column_kernel(columns, one)
+    kernel = column_kernel(columns)
     return bool(kernel) and len(columns) - 1 in kernel[-1]
+
+
+def parts(v):
+    return (v.re, v.im) if type(v) is GaussianRational else (v,)
+
+
+def integral(v):
+    """An ``int``, or a ``GaussianRational`` with ``int`` parts."""
+    return type(v) is int or type(v) is GaussianRational and \
+        type(v.re) is int and type(v.im) is int
+
+
+def primitive(vectors):
+    """Whether the entries are integral with no common factor of all their
+    parts."""
+    values = [x for vector in vectors for v in vector.values() for x in parts(v)]
+    return all(integral(v) for vector in vectors for v in vector.values()) \
+        and gcd(*values) == 1
+
+
+def normalized(combo, field):
+    """A primitive kernel vector divided by its entry at its own column,
+    the last one, and brought into ``field``: the vector division gives."""
+    own = combo[max(combo)]
+    return {c: field.coerce(_div(v, own)) for c, v in combo.items()}
 
 
 def rows_of(matrix):
@@ -31,7 +57,8 @@ def rows_of(matrix):
 
 def test_kernel_of_rank_one_matrix():
     columns = [{0: F(1), 1: F(2), 2: F(-3)}, {0: F(2), 1: F(4), 2: F(-6)}]
-    assert column_kernel(columns, 1) == [{0: F(-2), 1: 1}]
+    assert [[(k, type(v), v) for k, v in combo.items()] for combo in column_kernel(columns)] \
+        == [[(1, int, 1), (0, int, -2)]]
 
 
 rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
@@ -67,10 +94,10 @@ def kernel_inputs(draw):
 @settings(max_examples=100, deadline=None)
 def test_column_kernel_vectors_are_killed(case):
     field, rows, columns = case
-    kernel = column_kernel(columns, field.one())
+    kernel = column_kernel(columns)
     assert len(kernel) == len(columns) - dense_rank(rows)
     for combo in kernel:
-        assert combo and combine(combo, columns) == {}
+        assert combo and primitive([combo]) and combine(combo, columns) == {}
 
 
 @given(kernel_inputs())
@@ -79,9 +106,10 @@ def test_column_kernel_equals_the_dense_back_substitution(case):
     field, rows, columns = case
     want = dense_nullspace(rows, field)
     got = []
-    for combo in column_kernel(columns, field.one()):
+    for combo in column_kernel(columns):
+        assert primitive([combo])
         vec = [field.zero()] * len(columns)
-        for c, x in combo.items():
+        for c, x in normalized(combo, field).items():
             vec[c] = x
         got.append(vec)
     assert [[(type(x), x) for x in v] for v in got] == \
@@ -95,7 +123,7 @@ def test_rank_and_span_equal_the_dense_elimination(case, data):
     appended as a last column it gives dense elimination's solution (the
     one that is zero at every dependent column) or none."""
     field, rows, columns = case
-    assert len(columns) - len(column_kernel(columns, field.one())) == dense_rank(rows)
+    assert len(columns) - len(column_kernel(columns)) == dense_rank(rows)
     if not rows:
         return
     ncols = len(rows[0])
@@ -106,14 +134,16 @@ def test_rank_and_span_equal_the_dense_elimination(case, data):
                 [data.draw(rationals) for _ in rows]):
         want = dense_solve(rows, rhs, field)
         vector = {i: b for i, b in enumerate(rhs) if b}
-        kernel = column_kernel(columns + [vector], field.one())
+        kernel = column_kernel(columns + [vector])
         if want is not None:
-            assert kernel and kernel[-1][ncols] == 1
-            assert {c: -v for c, v in kernel[-1].items() if c != ncols} == \
+            assert kernel and primitive(kernel[-1:])
+            last = normalized(kernel[-1], field)
+            assert last[ncols] == 1
+            assert {c: -v for c, v in last.items() if c != ncols} == \
                 {c: x for c, x in enumerate(want) if x}
         echelon, pivots = row_echelon([list(r) for r in zip(*rows)] or [[]])
         spanned = in_row_span(echelon, pivots, rhs) if ncols else not any(rhs)
-        assert last_column_depends(columns + [vector], field.one()) == spanned \
+        assert last_column_depends(columns + [vector]) == spanned \
             == (want is not None)
 
 
@@ -150,30 +180,33 @@ def _add_into(target, c, source):
 @settings(max_examples=300, deadline=None)
 def test_column_kernel_equals_the_scan_of_every_pivot(case):
     """Visiting only the pivots a column touches applies the same pivots
-    in the same order: the same basis, entry for entry, with the same
+    in the same order: the same basis once each primitive vector is
+    divided by its entry at its own column, entry for entry, with the same
     entry types and key order."""
     field, columns = case
-    got = column_kernel(columns, field.one())
+    got = column_kernel(columns)
+    assert all(primitive([combo]) for combo in got)
     want = scan_column_kernel(columns, field.one())
-    assert [[(k, type(v), v) for k, v in combo.items()] for combo in got] == \
-        [[(k, type(v), v) for k, v in combo.items()] for combo in want]
+    assert [[(k, type(v), v) for k, v in normalized(combo, field).items()] for combo in got] \
+        == [[(k, type(v), v) for k, v in combo.items()] for combo in want]
 
 
 @given(sparse_columns())
 @settings(max_examples=300, deadline=None)
 def test_elimination_adds_one_column_at_a_time(case):
     """The kernel vectors ``add`` returns are the basis of
-    :func:`column_kernel` and of the scan of every pivot, entry for entry,
-    and ``add`` returns ``None`` exactly on the pivot columns of the dense
-    row echelon form."""
+    :func:`column_kernel`, entry for entry, and of the scan of every pivot
+    once divided by their entry at their own column, and ``add`` returns
+    ``None`` exactly on the pivot columns of the dense row echelon form."""
     field, columns = case
-    elimination = Elimination(field.one())
+    elimination = Elimination()
     returned = [elimination.add(column) for column in columns]
     got = [combo for combo in returned if combo is not None]
-    for want in (column_kernel(columns, field.one()),
-                 scan_column_kernel(columns, field.one())):
-        assert [[(k, type(v), v) for k, v in combo.items()] for combo in got] == \
-            [[(k, type(v), v) for k, v in combo.items()] for combo in want]
+    assert [[(k, type(v), v) for k, v in combo.items()] for combo in got] == \
+        [[(k, type(v), v) for k, v in combo.items()] for combo in column_kernel(columns)]
+    assert [[(k, type(v), v) for k, v in normalized(combo, field).items()] for combo in got] \
+        == [[(k, type(v), v) for k, v in combo.items()]
+            for combo in scan_column_kernel(columns, field.one())]
     nrows = 1 + max((r for column in columns for r in column), default=-1)
     rows = [[column.get(i, field.zero()) for column in columns] for i in range(nrows)]
     pivots = row_echelon(rows)[1] if rows and columns else []
@@ -183,10 +216,10 @@ def test_elimination_adds_one_column_at_a_time(case):
 
 def test_last_column_depends():
     span = [{0: F(1), 2: F(2)}, {1: F(1), 2: F(-1)}]
-    assert last_column_depends(span + [{0: F(3), 1: F(1), 2: F(5)}], 1)
-    assert last_column_depends(span + [{}], 1)
-    assert not last_column_depends(span + [{2: F(1)}], 1)
-    assert not last_column_depends([{2: F(1)}], 1)
+    assert last_column_depends(span + [{0: F(3), 1: F(1), 2: F(5)}])
+    assert last_column_depends(span + [{}])
+    assert not last_column_depends(span + [{2: F(1)}])
+    assert not last_column_depends([{2: F(1)}])
 
 
 def signature(rows, n):
@@ -318,7 +351,7 @@ def test_congruence_diagonal_rank_is_the_column_kernel_rank_over_c(sym):
     columns = [{i: sym[i][j] for i in range(n) if sym[i][j]} for j in range(n)]
     diagonal = congruence_diagonal(rows_of(sym))
     assert all(diagonal)
-    assert len(diagonal) == n - len(column_kernel(columns, COMPLEX.one()))
+    assert len(diagonal) == n - len(column_kernel(columns))
 
 
 @given(gaussian_symmetric(), st.data())
