@@ -863,17 +863,25 @@ def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]
     The kernel is intersected one constraint at a time, so each
     constraint matrix has only as many columns as the *current* kernel,
     which collapses quickly: seconds instead of hours at dimension 256.
-    The column of a kernel vector ``v`` is ``v s - (-1)^{|v||s|} s v``:
-    the sparse ``s v``, negated as a whole unless both are odd, plus ``v
-    s``.  When every column is zero the kernel stays; otherwise the
-    primitive kernel vectors of :func:`gradedbrauer.linalg.column_kernel`
-    give the basis dense elimination gives, up to scale: each vector's
-    last nonzero coordinate is the basis index it started from, where
-    no other vector of its degree is nonzero.  Closure is one more
+    The column of a kernel vector ``v`` is ``v s - (-1)^{|v||s|} s v``.
+    For ``v = {i: 1}`` (every kernel vector of one entry is: a combination
+    of two has an entry at each one's start index) and a one-term ``s = c
+    e_m`` it is ``c`` times the cell ``e_m e_i``, negated unless both are
+    odd, plus ``c`` times ``e_i e_m``, both read with :func:`_cell`;
+    otherwise the sparse ``s v``, so negated, plus ``v s``.  Nonzero
+    columns with pairwise disjoint supports are independent, so the
+    kernel is then the vectors whose column is zero: the objects, in the
+    order, that elimination keeps, as a zero column's kernel vector names
+    that column alone.  Otherwise the primitive kernel vectors of
+    :func:`gradedbrauer.linalg.column_kernel` give the basis dense
+    elimination gives, up to scale: each vector's last nonzero coordinate
+    is the basis index it started from, where no other vector of its
+    degree is nonzero.  Closure is one more
     :class:`gradedbrauer.linalg.Elimination`, of the basis and then of
     each pairwise product as it is made: :class:`AlgebraError` is raised
     at the first product that is a pivot, outside the span.
     """
+    rows = a.rows
     result: list[tuple[SparseVector, int]] = []
     for deg in (0, 1):
         kernel: list[SparseVector] = [{i: 1} for i in a.degree_indices(deg)]
@@ -881,15 +889,26 @@ def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]
             if not kernel:
                 break
             flip = bool(deg and s_par)
+            if one_term := len(s_vec) == 1:
+                (m, c), = s_vec.items()
+                signed = c if flip else -c
             columns = []
             for v in kernel:
                 column: SparseVector = {}
-                _mul_into(column, a.rows, s_vec, v)
-                if not flip:
-                    column = {k: -c for k, c in column.items()}
-                _mul_into(column, a.rows, v, s_vec)
+                if one_term and len(v) == 1:
+                    (i,) = v
+                    for cell, f in ((_cell(rows[m], i), signed), (_cell(rows[i], m), c)):
+                        if cell:
+                            linalg._add_scaled(column, f, cell)
+                else:
+                    _mul_into(column, rows, s_vec, v)
+                    if not flip:
+                        column = {k: -x for k, x in column.items()}
+                    _mul_into(column, rows, v, s_vec)
                 columns.append(column)
-            if any(columns):  # else every kernel vector supercommutes with s
+            if len(set().union(*columns)) == sum(map(len, columns)):
+                kernel = [v for v, column in zip(kernel, columns) if not column]
+            else:
                 kernel = [linalg.combine(combo, kernel) for combo in linalg.column_kernel(columns)]
         result.extend((v, deg) for v in kernel)
     if len(result) < a.dim:
@@ -900,7 +919,7 @@ def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]
         for u in span:
             for v in span:
                 product: SparseVector = {}
-                _mul_into(product, a.rows, u, v)
+                _mul_into(product, rows, u, v)
                 if add(product) is None:
                     raise AlgebraError("centralizer failed to close under product")
     return result

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from gradedbrauer import algebra, linalg
 from gradedbrauer.algebra import (AlgebraError, GradedAlgebra, NotAzumayaError,
                                   end_graded, graded_centralizer, graded_tensor,
                                   ground_algebra, hat_center, opposite, trace_gram)
@@ -205,6 +206,96 @@ def test_identical_after_a_dense_change_of_basis_at_dimension_64():
         assert len(moved.table) == 64 * 64
         assert sum(map(len, moved.table.values())) > 0.99 * 64 * 64 * 32  # dense cells
         assert_same_on_library_constraints(moved)
+
+
+# ------------------------------------- filtering or eliminating the kernel
+
+def eliminations(monkeypatch, run):
+    """``run()`` and the number of :func:`gradedbrauer.linalg.column_kernel`
+    calls made inside :func:`gradedbrauer.algebra._supercommutant` meanwhile
+    (``hat_center``'s own normal form makes more, after it)."""
+    calls = []
+    column_kernel, supercommutant = linalg.column_kernel, algebra._supercommutant
+
+    def counted(columns):
+        calls.append(len(columns))
+        return column_kernel(columns)
+
+    def counting(a, constraints):
+        monkeypatch.setattr(linalg, "column_kernel", counted)
+        try:
+            return supercommutant(a, constraints)
+        finally:
+            monkeypatch.setattr(linalg, "column_kernel", column_kernel)
+
+    monkeypatch.setattr(algebra, "_supercommutant", counting)
+    try:
+        return run(), len(calls)
+    finally:
+        monkeypatch.setattr(algebra, "_supercommutant", supercommutant)
+
+
+def test_clifford_centers_filter_the_kernel_without_elimination(monkeypatch):
+    """Under an even ``e_m`` of Cl(p,q) the column of ``e_i`` is a multiple
+    of ``e_{i xor m}``, so the nonzero columns have disjoint supports and
+    every constraint keeps the kernel vectors whose column is zero: neither
+    ``hat_center`` nor the centralizer of the even basis eliminates, and
+    the list is the oracle's."""
+    for field in (REAL, COMPLEX):
+        for p in range(7):
+            for q in range(7 - p):
+                a = clifford(signature_form(p, q, field))
+                _, calls = eliminations(monkeypatch, lambda: hat_center(a))
+                assert calls == 0, (p, q, field)
+                even = basis(a, a.degree_indices(0))
+                got, calls = eliminations(monkeypatch,
+                                          lambda: outcome(graded_centralizer, a, even))
+                assert calls == 0, (p, q, field)
+                assert got == outcome(dense_centralizer, a, even), (p, q, field)
+
+
+def test_matrix_centers_eliminate_where_columns_share_a_target(monkeypatch):
+    """Under the constraint ``E_12`` the columns of ``E_11`` and ``E_22`` are
+    ``E_12`` and ``-E_12``: they share a target, so End(2|1) and End(3|0)
+    eliminate, and the list is still the oracle's."""
+    for a in (end_graded(2, 1), end_graded(3, 0), end_graded(2, 1, COMPLEX)):
+        n = math.isqrt(a.dim)  # E_rc is basis index r n + c
+        one = a.field.one()
+        assert a.table[(0, 1)] == {1: one} == a.table[(1, n + 1)]
+        _, calls = eliminations(monkeypatch, lambda: hat_center(a))
+        assert calls >= 1, repr(a)
+        even = basis(a, a.degree_indices(0))
+        got, calls = eliminations(monkeypatch, lambda: outcome(graded_centralizer, a, even))
+        assert calls >= 1, repr(a)
+        assert got == outcome(dense_centralizer, a, even), repr(a)
+
+
+def test_scaled_and_multi_term_constraints():
+    """One-term constraints scaled by a non-unit (``3 e_m``, and ``i e_m``
+    over C), multi-term ones, and the two mixed, so that a one-term
+    constraint meets kernel vectors that are no longer basis vectors."""
+    rng = random.Random(21)
+    i = GaussianRational(0, 1)
+    sources = [clifford(signature_form(2, 1)), clifford(signature_form(1, 2, COMPLEX)),
+               end_graded(2, 1), end_graded(2, 1, COMPLEX), gaussian_images()[0],
+               transport(clifford(signature_form(1, 1)), rng)]
+    for a in sources:
+        scales = (3, i) if a.field is COMPLEX else (3, F(-1, 2))
+        for m in range(a.dim):
+            for c in scales:
+                vec = [a.field.zero()] * a.dim
+                vec[m] = a.field.coerce(c)
+                assert_same(a, [(vec, a.parity[m])])
+        for _ in range(6):
+            parity = rng.choice(sorted(set(a.parity)))
+            indices = a.degree_indices(parity)
+            vec = [a.field.zero()] * a.dim
+            for k in rng.sample(indices, min(len(indices), rng.randint(2, 3))):
+                vec[k] = a.field.coerce(rng.choice(scales + (1, -2)))
+            mixed = [(vec, parity)] + basis(a, rng.sample(range(a.dim), a.dim // 2))
+            assert_same(a, [(vec, parity)])
+            assert_same(a, mixed)
+            assert_same(a, mixed[::-1])
 
 
 # ------------------------------------------- purely even: Z(A), not m11(A)

@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gradedbrauer import groups
 from gradedbrauer.groups import AbGroup, ExtensionDatum, invariant_factors
 
 cyclic_lists = st.lists(st.integers(2, 64), max_size=6)
@@ -50,6 +52,52 @@ def test_invariant_factors_count_the_same_m_torsion(orders):
     for m in range(1, top + 1):
         assert (math.prod(math.gcd(m, n) for n in orders)
                 == math.prod(math.gcd(m, d) for d in factors))
+
+
+def whole_chain_fold(orders):
+    """The fold without the bisection: every order through every factor."""
+    chain = []
+    for n in orders:
+        for j, d in enumerate(chain):
+            g = math.gcd(d, n)
+            chain[j], n = g, d // g * n
+        chain.append(n)
+    return tuple(d for d in chain if d > 1)
+
+
+def test_invariant_factors_equal_the_whole_chain_fold():
+    rng = random.Random(0)
+    for _ in range(20000):
+        orders = [rng.choice([1, 2, 3, 4, 6, 8, 9, 12, 5, 25, rng.randint(1, 10**6)])
+                  for _ in range(rng.randint(0, 12))]
+        assert invariant_factors(orders) == whole_chain_fold(orders), orders
+    for _ in range(20):  # long chains with runs of equal factors
+        orders = [rng.choice([2, 3, 4, 6, 8, 12]) for _ in range(300)]
+        assert invariant_factors(orders) == whole_chain_fold(orders), orders
+
+
+def test_invariant_factors_skip_the_dividing_prefix(monkeypatch):
+    """A 2 divides every factor of a chain of 2s, and a 4 every factor of a
+    chain of 2s and 4s, so ``(Z/2)^1024 + (Z/4)^1024`` in that order needs
+    no gcd at all; a 3 after a 2 does, and a 2 after a chain of 4s one."""
+    calls = []
+
+    def gcd(a, b):
+        calls.append(a)
+        return math.gcd(a, b)
+
+    monkeypatch.setattr(groups, "gcd", gcd)
+    assert invariant_factors([2] * 1024) == (2,) * 1024
+    assert not calls
+    orders = [2] * 1024 + [4] * 1024
+    assert invariant_factors(orders) == whole_chain_fold(orders) == (2,) * 1024 + (4,) * 1024
+    assert not calls
+    assert invariant_factors([2, 3]) == (6,)
+    assert calls == [2]
+    calls.clear()
+    orders = [4] * 1024 + [2] * 1024  # each 2 changes one 4 and skips the others
+    assert invariant_factors(orders) == whole_chain_fold(orders) == (2,) * 1024 + (4,) * 1024
+    assert len(calls) == 1024
 
 
 @given(cyclic_lists, cyclic_lists)
