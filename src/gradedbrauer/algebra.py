@@ -18,10 +18,10 @@ eight at least is nonzero (Clifford algebras, graded matrix algebras up
 to ``8 x 8``, and their tensors, opposites and relabelings), row ``i``
 is ``(targets, codes, values)``: ``e_i e_j = values[codes[j]] e_k`` for
 ``k = targets[j]`` (``-1`` for a zero product, whose code is never read).
-``values``, one list shared by every row, holds each coefficient once (1
-as the field's shared unit) and perhaps the negation of one that no cell
-holds (:func:`_signed_codes`).  Any other table keeps one dict ``{j: {k:
-c}}`` per row.  The kind is read from the rows; :func:`_cell` reads either.
+``values``, one list shared by every row, holds each coefficient once
+and perhaps the negation of one that no cell holds
+(:func:`_signed_codes`).  Any other table keeps one dict ``{j: {k: c}}``
+per row.  The kind is read from the rows; :func:`_cell` reads either.
 ``GradedAlgebra.table`` is the read-only ``{(i, j): {k: c}}`` view of
 the rows; it builds each cell when it is read.
 
@@ -46,8 +46,8 @@ from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from . import linalg
-from .scalars import (_GAUSSIAN_ONE, _ONE, COMPLEX, Field, GaussianRational,
-                      REAL, _div, _make, field_from_label)
+from .scalars import (COMPLEX, REAL, Field, GaussianRational, _div, _make,
+                      field_from_label)
 
 Scalar = Union[Fraction, GaussianRational]
 Vector = Sequence[Scalar]
@@ -80,36 +80,17 @@ def _dense(vec: SparseVector, dim: int, zero: Scalar) -> list[Scalar]:
 
 
 def _mul_into(acc: SparseVector, rows, x: SparseVector, y: SparseVector) -> None:
-    """Add ``x y`` into ``acc``, in place.
+    """Add ``x y`` into ``acc``, in place: each cell ``e_i e_j`` (:func:`_cell`)
+    scaled by ``x_i y_j`` (:func:`gradedbrauer.linalg._add_scaled`).
 
     ``x`` and ``y`` are sparse vectors without zeros; entries of ``acc``
-    that cancel are removed.  A factor that *is* the field's shared unit
-    (:meth:`~gradedbrauer.scalars.Field.one`; an identity test, never
-    ``==``) is not multiplied, as in :func:`gradedbrauer.linalg._add_scaled`.
+    that cancel are removed.
     """
-    monomial = type(rows[0]) is tuple
-    values = rows[0][2] if monomial else None
     for i, xi in x.items():
-        x_unit = xi is _ONE or xi is _GAUSSIAN_ONE
         row = rows[i]
         for j, yj in y.items():
-            if (k := row[0][j]) < 0 if monomial else not (cell := row.get(j)):
-                continue
-            f = yj if x_unit else (
-                xi if yj is _ONE or yj is _GAUSSIAN_ONE else xi * yj)
-            if not monomial:
-                linalg._add_scaled(acc, f, cell)
-                continue
-            v = values[row[1][j]]
-            if f is not _ONE and f is not _GAUSSIAN_ONE:
-                v = f * v
-            t = acc.get(k)
-            if t is None:
-                acc[k] = v
-            elif t := t + v:
-                acc[k] = t
-            else:
-                del acc[k]
+            if cell := _cell(row, j):
+                linalg._add_scaled(acc, xi * yj, cell)
 
 
 def _cell(row, j: int) -> Optional[dict[int, Scalar]]:
@@ -154,16 +135,13 @@ def _packed(rows: list) -> list:
     return [(targets, codes, values) for targets, codes in packed]
 
 
-def _signed_codes(candidates: list, one: Scalar) -> tuple[list, list, list]:
+def _signed_codes(candidates: list) -> tuple[list, list, list]:
     """``(plus, minus, values)``: each distinct value of ``candidates`` and its
-    negation once in ``values`` (1 as ``one``), at ``plus[x]`` and ``minus[x]``."""
+    negation once in ``values``, at ``plus[x]`` and ``minus[x]``."""
     position: dict[Scalar, int] = {}  # each distinct value's code
     plus = [position.setdefault(v, len(position)) for v in candidates]
     negated = [position.setdefault(-v, len(position)) for v in list(position)]
-    values = list(position)
-    if (x := position.get(one)) is not None:
-        values[x] = one
-    return plus, [negated[x] for x in plus], values
+    return plus, [negated[x] for x in plus], list(position)
 
 
 class _Table(Mapping):
@@ -230,12 +208,12 @@ class GradedAlgebra:
         is solved for from the table (and its absence is an error).
 
     Construction normalizes scalars into the field, keeping one object
-    per value (1 is the field's shared unit, which products skip), drops
-    zeros, stores the rows (:attr:`rows`, read as a mapping through
-    :attr:`table`) and runs :meth:`check_unit_and_grading`: every algebra
-    built here has a true, even unit and a table that respects the
-    grading.  Associativity is :meth:`validate`'s to check (Light's
-    test).  The library's own constructors
+    per value (1 is the field's shared unit, by which the unit check does
+    not multiply), drops zeros, stores the rows (:attr:`rows`, read as a
+    mapping through :attr:`table`) and runs :meth:`check_unit_and_grading`:
+    every algebra built here has a true, even unit and a table that
+    respects the grading.  Associativity is :meth:`validate`'s to check
+    (Light's test).  The library's own constructors
     (:func:`gradedbrauer.clifford.clifford`, :func:`end_graded`,
     :func:`graded_tensor`, :func:`opposite`, ...) build normalized rows
     and skip this pass through :meth:`_trusted`.
@@ -504,18 +482,23 @@ class GradedAlgebra:
     def check_unit_and_grading(self) -> None:
         """The cheap part of :meth:`validate`, run by the constructor: the
         unit is even and two-sided, and every product lands in the parity
-        forced by the grading.  Raises :class:`AlgebraError`.  The products
-        ``u e_j`` and ``e_j u`` visit only the unit's nonzero coordinates."""
+        forced by the grading.  Raises :class:`AlgebraError`.  ``u e_j`` and
+        ``e_j u`` add the cells ``e_i e_j`` and ``e_j e_i`` scaled by each
+        nonzero ``u_i`` (:func:`gradedbrauer.linalg._add_scaled`): a ``u_i``
+        that is the field's shared unit multiplies nothing."""
         for i, u in enumerate(self.unit):
             if u and self.parity[i] == 1:
                 raise AlgebraError("unit has a component in odd degree")
-        unit, one = _sparse(self.unit), self.field.one()
+        rows, unit, one = self.rows, _sparse(self.unit), self.field.one()
         for j in range(self.dim):
             ej = {j: one}
             left: SparseVector = {}
             right: SparseVector = {}
-            _mul_into(left, self.rows, unit, ej)
-            _mul_into(right, self.rows, ej, unit)
+            for i, u in unit.items():
+                if cell := _cell(rows[i], j):
+                    linalg._add_scaled(left, u, cell)
+                if cell := _cell(rows[j], i):
+                    linalg._add_scaled(right, u, cell)
             if left != ej or right != ej:
                 raise AlgebraError(f"unit fails on basis element {j}")
         for i, j, k, _ in _terms(self.rows):
@@ -771,11 +754,11 @@ def graded_tensor(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
         for i, j, k, x in _terms(a.rows):
             for p, q, r, y in _terms(b.rows):
                 v = -x * y if a.parity[j] & b.parity[p] else x * y
-                rows[i * nb + p].setdefault(j * nb + q, {})[k * nb + r] = one if v == one else v
+                rows[i * nb + p].setdefault(j * nb + q, {})[k * nb + r] = v
         rows = _packed(rows)
     else:
         nv = len(b.rows[0][2])  # signed[s][x][y]: the code of (-1)^s (a's value x)(b's value y)
-        *signs, values = _signed_codes([x * y for x in a.rows[0][2] for y in b.rows[0][2]], one)
+        *signs, values = _signed_codes([x * y for x in a.rows[0][2] for y in b.rows[0][2]])
         signed = [[codes[x:x + nv] for x in range(0, len(codes), nv)] for codes in signs]
         rows = []
         for targets_a, codes_a, _ in a.rows:
@@ -797,16 +780,14 @@ def opposite(a: GradedAlgebra) -> GradedAlgebra:
 
     A monomial table is transposed, with each of its values negated once
     and the codes of its odd x odd block mapped to the negations."""
-    one, odd = a.field.one(), [i for i, p in enumerate(a.parity) if p]
+    odd = [i for i, p in enumerate(a.parity) if p]
     if type(a.rows[0]) is dict:
         rows: list[dict[int, SparseVector]] = [{} for _ in range(a.dim)]
         for i, j, k, c in _terms(a.rows):
-            if a.parity[i] and a.parity[j]:
-                c = one if (c := -c) == one else c
-            rows[j].setdefault(i, {})[k] = c
+            rows[j].setdefault(i, {})[k] = -c if a.parity[i] and a.parity[j] else c
         rows = _packed(rows)
     else:
-        _, flip, values = _signed_codes(a.rows[0][2], one)
+        _, flip, values = _signed_codes(a.rows[0][2])
         codes = [list(column) for column in zip(*(c for _, c, _ in a.rows))]
         for i in odd:
             row = codes[i]

@@ -144,7 +144,7 @@ def clifford(form: DiagonalForm) -> GradedAlgebra:
         low = m & -m  # the lowest generator of m, as a bit
         products[m] = products[m & (m - 1)] * form.entries[low.bit_length() - 1]
         masks[m] = masks[m & (m - 1)] ^ (low - 1)
-    *codes, values = _signed_codes(products, one)
+    *codes, values = _signed_codes(products)
     index = list(range(dim))  # one int object per basis index, shared by every row
     rows = [([index[s ^ t] for t in index],
              [codes[(t & masks[s]).bit_count() & 1][s & t] for t in index], values)

@@ -41,7 +41,9 @@ def _add_scaled(target, factor, source):
     ``factor`` that *is* a field's shared unit (an identity test, never
     ``==``) multiplies nothing: the entries of ``source`` are used as they
     are.  An equal value that is another object takes the general path,
-    so the result is the same value either way.
+    so the result is the same value either way.  This keeps
+    :meth:`gradedbrauer.algebra.GradedAlgebra.check_unit_and_grading` free
+    of scalar products on a unit whose nonzero coordinates are shared 1s.
     """
     unit = factor is _ONE or factor is _GAUSSIAN_ONE
     for k, v in source.items():

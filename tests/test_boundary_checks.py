@@ -6,8 +6,10 @@ the same message in its ``{"error": ...}`` document (a unit of the wrong
 length in ``test_cli_input.test_wrong_unit_exits_two``).
 """
 
+import io
 import json
 import re
+import sys
 
 import pytest
 
@@ -28,6 +30,39 @@ def generator():
 def cl2():
     """``Cl(2,0)``, of dimension 4."""
     return clifford(signature_form(2, 0))
+
+
+def two_basis(field, structure):
+    """A purely even dim-2 document with the unit ``e_0``."""
+    return {"field": field, "parity": [0, 0], "unit": ["1", "0"], "structure": structure}
+
+
+# Repeated and out-of-range triples, each with the message it raises.  A
+# zero read first is remembered apart from the rows, and a range check on
+# ``k`` keeps ``-1`` out of a monomial row, where it would be a zero product.
+BAD_TRIPLES = {
+    "zero-then-one": ([[0, 0, 0, "0"], [0, 0, 0, "1"]], "duplicate structure triple (0, 0, 0)"),
+    "one-then-zero": ([[0, 0, 0, "1"], [0, 0, 0, "0"]], "duplicate structure triple (0, 0, 0)"),
+    "zero-twice": ([[0, 0, 0, "0"], [0, 0, 0, "0"]], "duplicate structure triple (0, 0, 0)"),
+    "k-is-dim": ([[0, 0, 0, "1"], [0, 1, 2, "1"]], "structure index 2 out of range"),
+    "k-is-minus-one": ([[0, 0, 0, "1"], [0, 1, -1, "1"]], "structure index -1 out of range"),
+}
+
+
+def split_pair_with(field, cell):
+    """``GradedAlgebra(...)`` of ``e_0`` and ``e_1`` with ``e_0`` the unit
+    and ``cell`` added."""
+    table = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, **cell}
+    return GradedAlgebra(field, (0, 0), table, unit=(1, 0))
+
+
+BAD_INDICES = {
+    "j-is-dim": ({(0, 2): {0: 1}}, "structure index (0, 2) out of range"),
+    "i-is-minus-one": ({(-1, 0): {0: 1}}, "structure index (-1, 0) out of range"),
+    "k-is-dim": ({(0, 1): {2: 1}}, "structure index 2 out of range"),
+    "k-is-minus-one": ({(0, 1): {-1: 1}}, "structure index -1 out of range"),
+}
+FIELDS = {"R": REAL, "C": COMPLEX}
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -65,12 +100,18 @@ def cl2():
      AlgebraError, "basis index 9 is out of range for dimension 4"),
     (lambda: cl2().basis_product(0, -1),
      AlgebraError, "basis index -1 is out of range for dimension 4"),
-], ids=["unit-length", "structure-entry", "end-0-0", "constraint-parity",
+] + [(lambda f=f, doc=doc: GradedAlgebra.from_json(two_basis(f, doc)), AlgebraError, message)
+     for f in FIELDS for doc, message in BAD_TRIPLES.values()]
+  + [(lambda f=f, cell=cell: split_pair_with(FIELDS[f], cell), AlgebraError, message)
+     for f in FIELDS for cell, message in BAD_INDICES.values()],
+    ids=["unit-length", "structure-entry", "end-0-0", "constraint-parity",
         "relabel", "hyperbolic", "form-sum-fields", "free-rank",
         "divisible-rank", "empty-gaussian", "mul-long-vector",
         "mul-short-vectors", "constraint-trailing-zero", "constraint-past-dim",
         "basis-vector-negative", "basis-vector-past-dim",
-        "basis-product-past-dim", "basis-product-negative"])
+        "basis-product-past-dim", "basis-product-negative"]
+    + [f"json-{case}-{f}" for f in FIELDS for case in BAD_TRIPLES]
+    + [f"constructor-{case}-{f}" for f in FIELDS for case in BAD_INDICES])
 def test_library_refusal(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
@@ -130,3 +171,13 @@ def test_centralizer_closure_refusal(capsys, tmp_path):
     assert code == 2
     assert out["error"] == {"type": "AlgebraError",
                             "message": "centralizer failed to close under product"}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("structure, message", BAD_TRIPLES.values(), ids=BAD_TRIPLES)
+def test_cli_refuses_repeated_and_out_of_range_triples_on_stdin(
+        capsys, monkeypatch, field, structure, message):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(two_basis(field, structure))))
+    assert main(["invariants", "--algebra", "-"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "AlgebraError", "message": message}

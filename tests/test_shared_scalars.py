@@ -4,13 +4,18 @@
   ``a.degree_indices(0)``) equals it on ``a.even_part()`` built on its
   own, and so do the rank and, over R, the inertia read from its
   congruence diagonal.
-* ``linalg._add_scaled`` and ``algebra._mul_into`` skip a factor that is
-  the field's shared unit; the result equals the one an equal but
-  distinct ``1`` gives, entry for entry and in the same key order.
+* ``linalg._add_scaled`` skips a factor that is the field's shared unit;
+  the result equals the one an equal but distinct ``1`` gives, entry for
+  entry and in the same key order, and so does ``algebra._mul_into``'s,
+  which multiplies every pair of coordinates.  The skip is there for
+  ``check_unit_and_grading``: on a unit whose nonzero coordinates are the
+  shared 1 it makes no scalar product.
 * ``graded_tensor`` and ``opposite`` share scalar objects; they equal
-  the naive constructions below, and never write to their inputs.
+  the naive constructions below, and never write to their inputs.  Each
+  unit coordinate equal to 1 they make is the shared unit.
 * ``clifford`` shares one product object per bitmask and sign across its
-  rows, and an algebra read from JSON holds one object per value.
+  rows, and an algebra read from JSON holds one object per value, 1 as
+  the shared unit.
 """
 
 import random
@@ -174,6 +179,42 @@ def test_mul_into_is_the_same_for_any_unit_object(case, data):
     assert {k: v for k, _, v in results[0]} == {k: v for k, v in want.items() if v}
 
 
+def scalar_products(monkeypatch):
+    """Count every call of ``Fraction`` and ``GaussianRational`` ``__mul__``
+    and ``__rmul__`` from now on, in the returned list's one entry."""
+    calls = [0]
+    for cls in (F, GaussianRational):
+        for name in ("__mul__", "__rmul__"):
+            def counted(*args, _method=getattr(cls, name)):
+                calls[0] += 1
+                return _method(*args)
+            monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_the_unit_check_makes_no_scalar_product_on_a_shared_unit(monkeypatch):
+    """The one skip of the shared unit left, in ``_add_scaled``, is what
+    keeps ``check_unit_and_grading`` free of scalar products on library
+    tables and on tables read from JSON; a unit with another nonzero
+    coordinate is multiplied."""
+    shared = [x for field in (REAL, COMPLEX) for x in (
+        cl(4, 0, field), end_graded(2, 2, field),
+        graded_tensor(cl(1, 0, field), cl(0, 2, field)), opposite(cl(3, 0, field)),
+        GradedAlgebra.from_json(cl(3, 0, field).to_json()))]
+    rng = random.Random(7)
+    moved = [transport(cl(2, 1, field), rng) for field in (REAL, COMPLEX)]
+    for a in moved:
+        assert any(u and u != 1 for u in a.unit)
+    calls = scalar_products(monkeypatch)
+    for a in shared:
+        a.check_unit_and_grading()
+        assert calls == [0], repr(a)
+    for a in moved:
+        before = calls[0]
+        a.check_unit_and_grading()
+        assert calls[0] > before, repr(a)
+
+
 # ------------------------------------------------------ constructors
 
 def naive_tensor(a, b):
@@ -269,32 +310,37 @@ def test_tensor_of_factors_that_share_no_scalars():
 
 
 def test_every_one_is_the_shared_unit():
-    """Every entry equal to 1 in a tensor product or an opposite, unit
-    included, *is* the field's shared unit, which products skip; also for
-    factors whose entries are all new objects.  An algebra read from JSON
-    holds the shared unit too."""
-    def ones(a):
-        values = [v for cell in a.table.values() for v in cell.values()]
-        return [v for v in values + list(a.unit) if v == 1]
+    """Every unit coordinate equal to 1 in a tensor product or an opposite
+    *is* the field's shared unit, by which the unit check does not
+    multiply; also for factors whose entries are all new objects.  An
+    algebra read from JSON holds the shared unit in its cells and its unit."""
+    def cells(a):
+        return [v for cell in a.table.values() for v in cell.values()]
 
-    def shared(a):
-        found = ones(a)
+    def ones(a):
+        return [v for v in cells(a) + list(a.unit) if v == 1]
+
+    def shared(a, found):
         assert found and all(v is a.field.one() for v in found), repr(a)
+
+    def unit_ones(a):
+        shared(a, [u for u in a.unit if u == 1])
 
     pairs = [(cl(3, 0), cl(0, 4)), (cl(2, 1), cl(1, 1)),
              (clifford(DiagonalForm((F(1, 2), -3, 2), REAL)), cl(0, 2)),
              (cl(1, 2, COMPLEX), end_graded(1, 1, COMPLEX))]
     for a, b in pairs:
         for x in (a, b):
-            shared(GradedAlgebra.from_json(x.to_json()))
+            read = GradedAlgebra.from_json(x.to_json())
+            shared(read, ones(read))
         fresh = [unshared(x) for x in (a, b)]
         assert not any(v is x.field.one() for x in fresh for v in ones(x))
         for left, right in [(a, b), (fresh[0], b), (a, fresh[1]), tuple(fresh)]:
             product = graded_tensor(left, right)
-            shared(product)
-            shared(opposite(product))
+            unit_ones(product)
+            unit_ones(opposite(product))
     for a in [cl(2, 1), cl(0, 3), cl(1, 2, COMPLEX), end_graded(2, 1)]:
-        shared(opposite(a))
+        unit_ones(opposite(a))
 
 
 def test_opposite_equals_the_naive_construction():
