@@ -736,14 +736,17 @@ def graded_tensor(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
     more than :data:`MAX_TERMS` structure constants (the product of the
     factors' counts) is refused before it is built.  For two monomial
     tables the list of ``a``'s values is multiplied once by ``b``'s, with
-    either sign, into a table of codes of the distinct products, and row
-    ``(i, p)`` is built one block of ``b.dim`` columns at a time; other
-    pairs multiply term by term.
+    either sign, into a table of codes of the distinct products.  Row
+    ``(i, p)`` joins ``a.dim`` blocks built once per row ``p`` of ``b``:
+    its targets moved to each block ``k`` of the basis (all ``-1`` for a
+    zero cell of ``a``) and its codes times each signed value of ``a``.
+    Other pairs multiply term by term.
     """
     if a.field.label != b.field.label:
         raise AlgebraError("tensor factors live over different fields")
     nb = b.dim
-    terms = [sum(1 for _ in _terms(x.rows)) for x in (a, b)]
+    terms = [sum(1 for _ in _terms(x.rows)) if type(x.rows[0]) is dict
+             else sum(len(t) - t.count(-1) for t, _, _ in x.rows) for x in (a, b)]
     _check_budget(a.dim * nb, f"graded tensor product of dimensions {a.dim} and {nb}",
                   terms[0] * terms[1])
     parity = tuple(pa ^ pb for pa in a.parity for pb in b.parity)
@@ -760,16 +763,21 @@ def graded_tensor(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
         nv = len(b.rows[0][2])  # signed[s][x][y]: the code of (-1)^s (a's value x)(b's value y)
         *signs, values = _signed_codes([x * y for x in a.rows[0][2] for y in b.rows[0][2]])
         signed = [[codes[x:x + nv] for x in range(0, len(codes), nv)] for codes in signs]
-        rows = []
-        for targets_a, codes_a, _ in a.rows:
-            for p, (targets_b, codes_b, _) in enumerate(b.rows):
+        rows = [None] * (a.dim * nb)
+        for p, (targets_b, codes_b, _) in enumerate(b.rows):
+            moved = [[k * nb + r if r >= 0 else -1 for r in targets_b] for k in range(a.dim)]
+            moved.append([-1] * nb)  # moved[-1]: for a's zero cells
+            scaled = [[[*map(products.__getitem__, codes_b)] for products in table]
+                      for table in signed[:b.parity[p] + 1]]  # scaled[s][x]: times (-1)^s value x
+            by_column = [scaled[pa & b.parity[p]] for pa in a.parity]
+            for i, (targets_a, codes_a, _) in enumerate(a.rows):
                 targets: list[int] = []
                 codes: list[int] = []
-                for j, k in enumerate(targets_a):  # the block of columns (j, q)
-                    targets += [k * nb + r if k >= 0 and r >= 0 else -1 for r in targets_b]
-                    products = signed[a.parity[j] & b.parity[p]][codes_a[j]]
-                    codes += map(products.__getitem__, codes_b)
-                rows.append((targets, codes, values))
+                for k in targets_a:
+                    targets += moved[k]
+                for block in map(list.__getitem__, by_column, codes_a):
+                    codes += block
+                rows[i * nb + p] = (targets, codes, values)
     unit = tuple((one if (u := ua * ub) == one else u) if ua and ub else zero
                  for ua in a.unit for ub in b.unit)
     return GradedAlgebra._trusted(a.field, parity, rows, unit)

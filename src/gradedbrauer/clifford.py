@@ -3,8 +3,9 @@
 The Clifford algebra of ``<a_1, ..., a_n>`` has generators
 ``e_1, ..., e_n`` with ``e_i^2 = a_i`` and ``e_i e_j = -e_j e_i`` for
 ``i != j``, graded by word length mod 2.  The basis is indexed by
-subsets of the generators, encoded as bitmasks so the subset product
-and its reordering sign are a few integer operations:
+subsets of the generators, encoded as bitmasks: ``e_S e_T`` is a multiple
+of ``e_{S xor T}``, and each row of the table is one block of columns
+repeated (:func:`clifford`):
 
 >>> from gradedbrauer.scalars import REAL
 >>> alg = clifford(DiagonalForm((1, 1), REAL))
@@ -22,8 +23,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .algebra import (AlgebraError, GradedAlgebra, Scalar, _check_budget, _packed,
-                      _signed_codes, _terms)
+from .algebra import AlgebraError, GradedAlgebra, Scalar, _check_budget, _packed, _terms
 from .scalars import Field, REAL
 
 
@@ -121,12 +121,17 @@ def clifford(form: DiagonalForm) -> GradedAlgebra:
     is the unit.  ``e_S e_T = sign * (prod of a_i for i in S & T) *
     e_{S xor T}``.
 
-    The ``2^n`` products of form entries are computed once, one per
-    bitmask, and coded with their negations (:func:`_signed_codes`).
-    The sign is ``-1`` when an odd number of pairs ``s in S, t in T`` have
-    ``s > t`` (sorting the word ``e_S e_T``), that is, when
-    ``popcount(T & mask_S)`` is odd, where bit ``t`` of ``mask_S`` is the
-    parity of the number of generators of ``S`` above it.
+    Each distinct product of entries is computed once (that over ``m +
+    2^k`` is that over ``m`` times ``a_k``) and coded with its negation,
+    as :func:`gradedbrauer.algebra._signed_codes` codes the ``2^n``
+    products.  Rows are built from whole blocks: let ``k`` be the top
+    generator of ``S = S0 + d``, ``d = 2^k``, and ``T = T0 + d T1`` with
+    ``T0 < d``.  Moving ``e_k`` past ``e_{T0}`` gives ``e_S e_T = (-1)^{|T0|}
+    c a_k^{T1 mod 2} e_{S xor T}``, where ``e_{S0} e_{T0} = c e_{S0 xor T0}``.
+    So row ``S`` is one block of ``2d`` columns repeated: the first ``d`` codes
+    of row ``S0`` with the odd columns negated, then those times ``a_k``,
+    each through a table of codes; its targets are those of row ``S0``
+    with each pair of ``d``-blocks swapped.
 
     >>> from gradedbrauer.scalars import REAL
     >>> quat = clifford(DiagonalForm((-1, -1), REAL))
@@ -139,16 +144,31 @@ def clifford(form: DiagonalForm) -> GradedAlgebra:
     field = form.field
     one = field.one()
     parity = tuple(s.bit_count() & 1 for s in range(dim))
-    products, masks = [one] * dim, [0] * dim  # the a_i for i in m, multiplied; mask_m
-    for m in range(1, dim):
-        low = m & -m  # the lowest generator of m, as a bit
-        products[m] = products[m & (m - 1)] * form.entries[low.bit_length() - 1]
-        masks[m] = masks[m & (m - 1)] ^ (low - 1)
-    *codes, values = _signed_codes(products)
+    position = {one: 0}  # each distinct product of entries, by its code
+    plus = [0]  # plus[m]: the code of the product of the a_i for i in m
+    for a in form.entries:  # the product over m + d is that over m times a_k
+        scaled = [position.setdefault(v * a, len(position)) for v in list(position)]
+        plus += [*map(scaled.__getitem__, plus)]
+    negated = [position.setdefault(-v, len(position)) for v in list(position)]
+    negate = negated + [x for x, y in enumerate(negated) if y >= len(negated)]
+    values, keep = list(position), list(range(len(position)))
     index = list(range(dim))  # one int object per basis index, shared by every row
-    rows = [([index[s ^ t] for t in index],
-             [codes[(t & masks[s]).bit_count() & 1][s & t] for t in index], values)
-            for s in index]
+    rows = [(index, [plus[0]] * dim, values)]
+    signs, flipped = [keep], [negate]  # (-1)^{|t|}, as a code table, for t < d
+    for k in range(n):
+        d = 1 << k
+        times = keep[:]  # the code of a value times a_k; equal values give equal codes
+        for x, y in zip(plus[:d], plus[d:2 * d]):
+            times[x], times[negate[x]] = y, negate[y]
+        for targets, codes, _ in rows[:d]:  # the row of S0 gives the row of S0 + d
+            block = list(map(list.__getitem__, signs, codes))
+            block += [*map(times.__getitem__, block)]
+            swapped = []
+            for j in range(0, dim, 2 * d):
+                swapped += targets[j + d:j + 2 * d]
+                swapped += targets[j:j + d]
+            rows.append((swapped, block * (dim // (2 * d)) if 2 * d < dim else block, values))
+        signs, flipped = signs + flipped, flipped + signs
     unit = (one,) + (field.zero(),) * (dim - 1)
     return GradedAlgebra._trusted(field, parity, rows, unit)
 
