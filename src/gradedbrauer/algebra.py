@@ -856,12 +856,19 @@ def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]
     For ``v = {i: 1}`` (every kernel vector of one entry is: a combination
     of two has an entry at each one's start index) and a one-term ``s = c
     e_m`` it is ``c`` times the cell ``e_m e_i``, negated unless both are
-    odd, plus ``c`` times ``e_i e_m``, both read with :func:`_cell`;
-    otherwise the sparse ``s v``, so negated, plus ``v s``.  Nonzero
-    columns with pairwise disjoint supports are independent, so the
-    kernel is then the vectors whose column is zero: the objects, in the
-    order, that elimination keeps, as a zero column's kernel vector names
-    that column alone.  Otherwise the primitive kernel vectors of
+    odd, plus ``c`` times ``e_i e_m``; otherwise the sparse ``s v``, so
+    negated, plus ``v s``.  On monomial rows, while every kernel vector is
+    a basis vector, the two cells are read off their targets and codes
+    with no product: as ``c`` is nonzero, a column is zero exactly when
+    both targets are ``-1``, or they are equal and so are the two values
+    (opposite when both are odd).  Row dicts read them with
+    :func:`_cell`.  Nonzero columns with pairwise disjoint supports are
+    independent, so the kernel is then the vectors whose column is zero:
+    the objects, in the order, that elimination keeps, as a zero column's
+    kernel vector names that column alone.  On monomial rows the supports
+    are disjoint exactly when one set holds as many targets as the
+    nonzero columns have entries, and only an overlap builds the columns,
+    from the same cells.  Otherwise the primitive kernel vectors of
     :func:`gradedbrauer.linalg.column_kernel` give the basis dense
     elimination gives, up to scale: each vector's last nonzero coordinate
     is the basis index it started from, where no other vector of its
@@ -871,9 +878,11 @@ def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]
     at the first product that is a pivot, outside the span.
     """
     rows = a.rows
+    monomial = type(rows[0]) is tuple
     result: list[tuple[SparseVector, int]] = []
     for deg in (0, 1):
         kernel: list[SparseVector] = [{i: 1} for i in a.degree_indices(deg)]
+        basis = True  # every kernel vector is a basis vector {i: 1}
         for s_vec, s_par in constraints:
             if not kernel:
                 break
@@ -881,24 +890,48 @@ def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]
             if one_term := len(s_vec) == 1:
                 (m, c), = s_vec.items()
                 signed = c if flip else -c
-            columns = []
-            for v in kernel:
-                column: SparseVector = {}
-                if one_term and len(v) == 1:
+            if one_term and basis and monomial:
+                targets, codes, values = rows[m]
+                opposed = [-x for x in values] if flip else values
+                kept, seen, entries = [], {-1}, 1  # -1, a zero cell's target, is one entry
+                for v in kernel:
                     (i,) = v
-                    for cell, f in ((_cell(rows[m], i), signed), (_cell(rows[i], m), c)):
-                        if cell:
-                            linalg._add_scaled(column, f, cell)
-                else:
-                    _mul_into(column, rows, s_vec, v)
-                    if not flip:
-                        column = {k: -x for k, x in column.items()}
-                    _mul_into(column, rows, v, s_vec)
-                columns.append(column)
-            if len(set().union(*columns)) == sum(map(len, columns)):
-                kernel = [v for v, column in zip(kernel, columns) if not column]
+                    k, t = targets[i], rows[i][0][m]
+                    if k == t and (k < 0 or values[codes[i]] == opposed[rows[i][1][m]]):
+                        kept.append(v)
+                    else:
+                        seen.add(k)
+                        seen.add(t)
+                        entries += (k >= 0) + (t >= 0) - (k == t)
+                if len(seen) == entries:
+                    kernel = kept
+                    continue
+                columns = []
+                for (i,) in kernel:
+                    column = {k: signed * values[codes[i]]} if (k := targets[i]) >= 0 else {}
+                    if (t := rows[i][0][m]) >= 0:
+                        linalg._add_scaled(column, c, {t: values[rows[i][1][m]]})
+                    columns.append(column)
             else:
-                kernel = [linalg.combine(combo, kernel) for combo in linalg.column_kernel(columns)]
+                columns = []
+                for v in kernel:
+                    column: SparseVector = {}
+                    if one_term and len(v) == 1:
+                        (i,) = v
+                        for cell, f in ((_cell(rows[m], i), signed), (_cell(rows[i], m), c)):
+                            if cell:
+                                linalg._add_scaled(column, f, cell)
+                    else:
+                        _mul_into(column, rows, s_vec, v)
+                        if not flip:
+                            column = {k: -x for k, x in column.items()}
+                        _mul_into(column, rows, v, s_vec)
+                    columns.append(column)
+                if len(set().union(*columns)) == sum(map(len, columns)):
+                    kernel = [v for v, column in zip(kernel, columns) if not column]
+                    continue
+            kernel = [linalg.combine(combo, kernel) for combo in linalg.column_kernel(columns)]
+            basis = all(len(v) == 1 for v in kernel)
         result.extend((v, deg) for v in kernel)
     if len(result) < a.dim:
         span = [v for v, _ in result]
