@@ -861,14 +861,14 @@ def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]
     a basis vector, the two cells are read off their targets and codes
     with no product: as ``c`` is nonzero, a column is zero exactly when
     both targets are ``-1``, or they are equal and so are the two values
-    (opposite when both are odd).  Row dicts read them with
-    :func:`_cell`.  Nonzero columns with pairwise disjoint supports are
-    independent, so the kernel is then the vectors whose column is zero:
-    the objects, in the order, that elimination keeps, as a zero column's
-    kernel vector names that column alone.  On monomial rows the supports
-    are disjoint exactly when one set holds as many targets as the
-    nonzero columns have entries, and only an overlap builds the columns,
-    from the same cells.  Otherwise the primitive kernel vectors of
+    (opposite when both are odd).  Nonzero columns with pairwise disjoint
+    supports are independent, so the kernel is then the vectors whose
+    column is zero: the objects, in the order, that elimination keeps, as
+    a zero column's kernel vector names that column alone.  On monomial
+    rows the supports are disjoint exactly when one set holds as many
+    targets as the nonzero columns have entries.  Row dicts, and an
+    overlap, build the columns, reading the cells with :func:`_cell`.
+    Otherwise the primitive kernel vectors of
     :func:`gradedbrauer.linalg.column_kernel` give the basis dense
     elimination gives, up to scale: each vector's last nonzero coordinate
     is the basis index it started from, where no other vector of its
@@ -906,30 +906,23 @@ def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]
                 if len(seen) == entries:
                     kernel = kept
                     continue
-                columns = []
-                for (i,) in kernel:
-                    column = {k: signed * values[codes[i]]} if (k := targets[i]) >= 0 else {}
-                    if (t := rows[i][0][m]) >= 0:
-                        linalg._add_scaled(column, c, {t: values[rows[i][1][m]]})
-                    columns.append(column)
-            else:
-                columns = []
-                for v in kernel:
-                    column: SparseVector = {}
-                    if one_term and len(v) == 1:
-                        (i,) = v
-                        for cell, f in ((_cell(rows[m], i), signed), (_cell(rows[i], m), c)):
-                            if cell:
-                                linalg._add_scaled(column, f, cell)
-                    else:
-                        _mul_into(column, rows, s_vec, v)
-                        if not flip:
-                            column = {k: -x for k, x in column.items()}
-                        _mul_into(column, rows, v, s_vec)
-                    columns.append(column)
-                if len(set().union(*columns)) == sum(map(len, columns)):
-                    kernel = [v for v, column in zip(kernel, columns) if not column]
-                    continue
+            columns = []
+            for v in kernel:
+                column: SparseVector = {}
+                if one_term and len(v) == 1:
+                    (i,) = v
+                    for cell, f in ((_cell(rows[m], i), signed), (_cell(rows[i], m), c)):
+                        if cell:
+                            linalg._add_scaled(column, f, cell)
+                else:
+                    _mul_into(column, rows, s_vec, v)
+                    if not flip:
+                        column = {k: -x for k, x in column.items()}
+                    _mul_into(column, rows, v, s_vec)
+                columns.append(column)
+            if len(set().union(*columns)) == sum(map(len, columns)):
+                kernel = [v for v, column in zip(kernel, columns) if not column]
+                continue
             kernel = [linalg.combine(combo, kernel) for combo in linalg.column_kernel(columns)]
             basis = all(len(v) == 1 for v in kernel)
         result.extend((v, deg) for v in kernel)

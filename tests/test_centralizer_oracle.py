@@ -3,8 +3,8 @@
 
 Both must return exactly the same ``(vector, parity)`` list, entry by
 entry and type by type, or fail with the same error.  The inputs are the
-algebras the rest of the suite builds (through ``test_azumaya_oracle``),
-with the constraints :func:`hat_center` and :func:`is_azumaya` use, seeded
+algebras the rest of the suite builds (through ``test_azumaya_oracle``)
+and Clifford algebras with entries other than +-1, with the constraints :func:`hat_center` and :func:`is_azumaya` use, seeded
 random constraint subsets, and seeded exact homogeneous changes of basis
 that make every structure cell dense with denominators, up to dimension
 64 over both fields.
@@ -55,8 +55,21 @@ def assert_same_on_library_constraints(a):
     assert_same(a, basis(a, range(a.dim)))
 
 
+def forms():
+    """Clifford algebras with entries other than +-1 (2, 1/2, -3 over R;
+    ``1 + i`` and ``i`` over C), so that two cells sharing a target carry
+    values other than +-1, and their negations in the odd x odd block."""
+    one_i = GaussianRational(1, 1)
+    return [clifford(DiagonalForm((F(2), F(1, 2), F(-3)), REAL)),
+            clifford(DiagonalForm((F(-1, 2), F(2), F(3), F(-2)), REAL)),
+            clifford(DiagonalForm((one_i, F(2), F(-1)), COMPLEX)),
+            clifford(DiagonalForm((one_i, GaussianRational(0, 1), F(3)), COMPLEX)),
+            graded_tensor(clifford(DiagonalForm((F(2), F(-1, 2)), REAL)),
+                          clifford(DiagonalForm((F(3),), REAL)))]
+
+
 def test_identical_on_the_suite_algebras():
-    for a in suite_algebras() + known_non_azumaya() + gaussian_images():
+    for a in suite_algebras() + known_non_azumaya() + gaussian_images() + forms():
         assert_same_on_library_constraints(a)
 
 
@@ -257,17 +270,31 @@ def test_clifford_centers_filter_the_kernel_without_elimination(monkeypatch):
 def test_matrix_centers_eliminate_where_columns_share_a_target(monkeypatch):
     """Under the constraint ``E_12`` the columns of ``E_11`` and ``E_22`` are
     ``E_12`` and ``-E_12``: they share a target, so End(2|1) and End(3|0)
-    eliminate, and the list is still the oracle's."""
+    eliminate, and the list is still the oracle's.  Between them in the
+    even kernel, ``E_21`` has the column ``E_22 - E_11``, so the overlap is
+    found part-way through the scan; ``E_12`` alone eliminates once and
+    keeps ``E_11 + E_22``."""
     for a in (end_graded(2, 1), end_graded(3, 0), end_graded(2, 1, COMPLEX)):
         n = math.isqrt(a.dim)  # E_rc is basis index r n + c
         one = a.field.one()
         assert a.table[(0, 1)] == {1: one} == a.table[(1, n + 1)]
+        assert a.table[(1, n)] == {0: one} and a.table[(n, 1)] == {n + 1: one}
+        assert (1, 0) not in a.table and (n + 1, 1) not in a.table
         _, calls = eliminations(monkeypatch, lambda: hat_center(a))
         assert calls >= 1, repr(a)
         even = basis(a, a.degree_indices(0))
         got, calls = eliminations(monkeypatch, lambda: outcome(graded_centralizer, a, even))
         assert calls >= 1, repr(a)
         assert got == outcome(dense_centralizer, a, even), repr(a)
+        constraint = basis(a, [1])
+        got, calls = eliminations(monkeypatch,
+                                  lambda: outcome(graded_centralizer, a, constraint))
+        assert calls == 1, repr(a)
+        assert got == outcome(dense_centralizer, a, constraint), repr(a)
+        kept = [v for v, deg in graded_centralizer(a, constraint) if deg == 0]
+        assert any(v[0] and v[n + 1] for v in kept), repr(a)
+        for m in range(a.dim):  # every one-term constraint, each alone
+            assert_same(a, basis(a, [m]))
 
 
 def test_scaled_and_multi_term_constraints():
