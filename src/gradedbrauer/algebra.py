@@ -207,10 +207,12 @@ class GradedAlgebra:
         Coordinates of the multiplicative unit.  When omitted, the unit
         is solved for from the table (and its absence is an error).
 
-    Construction normalizes scalars into the field, keeping one object
-    per value (1 is the field's shared unit, by which the unit check does
-    not multiply), drops zeros, stores the rows (:attr:`rows`, read as a
-    mapping through :attr:`table`) and runs :meth:`check_unit_and_grading`:
+    Construction (:meth:`_finish`, shared with :meth:`from_json`) refuses
+    an index outside the basis, normalizes scalars into the field, keeping
+    one object per value (1 is the field's shared unit, by which the unit
+    check does not multiply), drops zeros, stores the rows (:attr:`rows`,
+    read as a mapping through :attr:`table`) and runs
+    :meth:`check_unit_and_grading`:
     every algebra built here has a true, even unit and a table that
     respects the grading.  Associativity is :meth:`validate`'s to check
     (Light's test).  The library's own constructors
@@ -231,20 +233,9 @@ class GradedAlgebra:
                  table: Mapping[tuple[int, int], Mapping[int, object]],
                  unit: Optional[Sequence[object]] = None) -> None:
         scalar = self._start(field, parity)
-        dim = self.dim
-        rows: list[dict[int, dict[int, Scalar]]] = [{} for _ in range(dim)]
-        for (i, j), cell in table.items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise AlgebraError(f"structure index ({i}, {j}) out of range")
-            clean: dict[int, Scalar] = {}
-            for k, value in cell.items():
-                if not 0 <= k < dim:
-                    raise AlgebraError(f"structure index {k} out of range")
-                if v := scalar(value):
-                    clean[k] = v
-            if clean:
-                rows[i][j] = clean
-        self._finish(rows, unit, scalar)
+        # an empty cell reads as a zero at k = 0, so its (i, j) is checked too
+        self._finish(((i, j, k, value) for (i, j), cell in table.items()
+                      for k, value in (cell.items() or ((0, 0),))), unit, scalar)
 
     def _start(self, field: Field, parity: Sequence[int]):
         """Set and check the field and the parity bits; return the function
@@ -261,7 +252,10 @@ class GradedAlgebra:
         shared = {one: one, zero: zero}  # each value's (and string's) object
 
         def scalar(value: object) -> Scalar:  # a string is parsed once
-            v = shared.get(value) if type(value) is str else None
+            if type(value) is not str:  # hashed once: a Fraction's hash is slow
+                v = coerce(value)
+                return shared.setdefault(v, v)
+            v = shared.get(value)
             if v is None:
                 v = coerce(value)
                 v = shared[value] = shared.setdefault(v, v)
@@ -269,9 +263,31 @@ class GradedAlgebra:
 
         return scalar
 
-    def _finish(self, rows: list, unit: Optional[Sequence[object]], scalar) -> None:
-        """Store row dicts of nonzero cells (:func:`_packed`), set the unit,
-        solved for when ``None``, and check it and the grading."""
+    def _finish(self, triples: Iterable[Sequence], unit: Optional[Sequence[object]],
+                scalar) -> None:
+        """Read the structure constants ``(i, j, k, value)`` of ``triples``:
+        refuse an index ``(i, j)``, then ``k``, outside ``0..dim-1`` and a
+        triple given twice, zeros included; intern each value through
+        ``scalar`` and drop zeros.  Then store row dicts of the nonzero
+        cells (:func:`_packed`), set the unit, solved for when ``None``, and
+        check it and the grading."""
+        dim = self.dim
+        rows: list[dict[int, dict[int, Scalar]]] = [{} for _ in range(dim)]
+        zeros: set[tuple[int, int, int]] = set()  # for the repeat check
+        for i, j, k, value in triples:
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise AlgebraError(f"structure index ({i}, {j}) out of range")
+            if not 0 <= k < dim:
+                raise AlgebraError(f"structure index {k} out of range")
+            cell = rows[i].get(j)
+            if cell is not None and k in cell or zeros and (i, j, k) in zeros:
+                raise AlgebraError(f"duplicate structure triple ({i}, {j}, {k})")
+            if not (v := scalar(value)):
+                zeros.add((i, j, k))
+            elif cell is None:
+                rows[i][j] = {k: v}
+            else:
+                cell[k] = v
         self.rows = _packed(rows)
         if unit is None:
             unit = self._solve_unit()
@@ -561,9 +577,10 @@ class GradedAlgebra:
         omitted, in which case it is solved for.  Scalars are strings or
         integers.  An algebra above :data:`MAX_DIM`, or a ``structure`` of
         more than :data:`MAX_TERMS` triples (``dim**3`` entries for a dense
-        table), is refused before its table is built.  The constructor's
-        checks run (:meth:`check_unit_and_grading` among them) on rows built
-        straight from the entries; associativity is not checked.
+        table), is refused before its table is built.  The entries then go
+        through the constructor's checks (:meth:`_finish`): an index outside
+        ``0..dim-1`` and a repeated triple are refused, and the unit and the
+        grading are checked; associativity is not.
         """
         if not isinstance(data, Mapping):
             raise AlgebraError("algebra JSON must be an object, not "
@@ -611,29 +628,12 @@ class GradedAlgebra:
                     _json_int(index, "structure index")
         a = cls.__new__(cls)
         scalar = a._start(field, parity)
-        rows: list[dict[int, dict[int, Scalar]]] = [{} for _ in range(dim)]
-        if dense:
-            for row, plane in zip(rows, structure):
-                for j, fiber in enumerate(plane):
-                    if cell := {k: v for k, value in enumerate(fiber) if (v := scalar(value))}:
-                        row[j] = cell
-        else:
-            zeros: set[tuple[int, int, int]] = set()  # for the duplicate check
-            for i, j, k, value in structure:
-                if not (0 <= i < dim and 0 <= j < dim):
-                    raise AlgebraError(f"structure index ({i}, {j}) out of range")
-                if not 0 <= k < dim:
-                    raise AlgebraError(f"structure index {k} out of range")
-                cell = rows[i].get(j)
-                if cell is not None and k in cell or zeros and (i, j, k) in zeros:
-                    raise AlgebraError(f"duplicate structure triple ({i}, {j}, {k})")
-                if not (v := scalar(value)):
-                    zeros.add((i, j, k))
-                elif cell is None:
-                    rows[i][j] = {k: v}
-                else:
-                    cell[k] = v
-        a._finish(rows, unit, scalar)
+        # a dense table repeats no triple, so only its nonzero entries are
+        # passed on: its up to dim**3 zeros are not kept for the repeat check
+        a._finish(((i, j, k, value) for i, plane in enumerate(structure)
+                   for j, fiber in enumerate(plane)
+                   for k, value in enumerate(fiber) if scalar(value))
+                  if dense else structure, unit, scalar)
         return a
 
 

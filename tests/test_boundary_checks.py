@@ -46,6 +46,8 @@ BAD_TRIPLES = {
     "zero-twice": ([[0, 0, 0, "0"], [0, 0, 0, "0"]], "duplicate structure triple (0, 0, 0)"),
     "k-is-dim": ([[0, 0, 0, "1"], [0, 1, 2, "1"]], "structure index 2 out of range"),
     "k-is-minus-one": ([[0, 0, 0, "1"], [0, 1, -1, "1"]], "structure index -1 out of range"),
+    "j-is-dim": ([[0, 0, 0, "1"], [0, 2, 0, "1"]], "structure index (0, 2) out of range"),
+    "i-is-minus-one": ([[-1, 0, 0, "1"]], "structure index (-1, 0) out of range"),
 }
 
 
@@ -61,6 +63,7 @@ BAD_INDICES = {
     "i-is-minus-one": ({(-1, 0): {0: 1}}, "structure index (-1, 0) out of range"),
     "k-is-dim": ({(0, 1): {2: 1}}, "structure index 2 out of range"),
     "k-is-minus-one": ({(0, 1): {-1: 1}}, "structure index -1 out of range"),
+    "empty-cell-j-is-dim": ({(0, 2): {}}, "structure index (0, 2) out of range"),
 }
 FIELDS = {"R": REAL, "C": COMPLEX}
 

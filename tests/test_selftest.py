@@ -1,4 +1,5 @@
-from gradedbrauer.algebra import GradedAlgebra, graded_tensor
+from gradedbrauer import selftest
+from gradedbrauer.algebra import GradedAlgebra
 from gradedbrauer.selftest import CHECKS, run_selftest
 
 
@@ -28,8 +29,9 @@ def test_deterministic_for_a_fixed_seed():
     assert run_selftest(seed=5) == run_selftest(seed=5)
 
 
-def test_fault_injection_is_detected():
-    report = run_selftest(tensor=ungraded_tensor)
+def test_fault_injection_is_detected(monkeypatch):
+    monkeypatch.setattr(selftest, "graded_tensor", ungraded_tensor)
+    report = run_selftest()
     assert not report["passed"]
     failed = {c["name"] for c in report["checks"] if c["status"] == "failed"}
     # the sign error must surface in the group-law checks specifically
