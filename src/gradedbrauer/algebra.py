@@ -198,8 +198,8 @@ class GradedAlgebra:
     field:
         ``REAL`` or ``COMPLEX`` from :mod:`gradedbrauer.scalars`.
     parity:
-        One bit per basis index; degree-0 indices first is conventional
-        but not required.
+        One ``int`` bit, 0 or 1, per basis index; degree-0 indices first
+        is conventional but not required.
     table:
         ``{(i, j): {k: coefficient}}`` sparse structure constants.
         Zero coefficients and empty cells may be omitted.
@@ -207,18 +207,18 @@ class GradedAlgebra:
         Coordinates of the multiplicative unit.  When omitted, the unit
         is solved for from the table (and its absence is an error).
 
-    Construction (:meth:`_finish`, shared with :meth:`from_json`) refuses
-    an index outside the basis, normalizes scalars into the field, keeping
-    one object per value (1 is the field's shared unit, by which the unit
-    check does not multiply), drops zeros, stores the rows (:attr:`rows`,
-    read as a mapping through :attr:`table`) and runs
-    :meth:`check_unit_and_grading`:
-    every algebra built here has a true, even unit and a table that
-    respects the grading.  Associativity is :meth:`validate`'s to check
-    (Light's test).  The library's own constructors
-    (:func:`gradedbrauer.clifford.clifford`, :func:`end_graded`,
-    :func:`graded_tensor`, :func:`opposite`, ...) build normalized rows
-    and skip this pass through :meth:`_trusted`.
+    Construction (:meth:`_start` and :meth:`_finish`, shared with
+    :meth:`from_json`) refuses a parity bit or index that is not an ``int``
+    and an index outside the basis, normalizes scalars into the field,
+    keeping one object per value (1 is the field's shared unit, by which
+    the unit check does not multiply), drops zeros, stores the rows
+    (:attr:`rows`, read as a mapping through :attr:`table`) and runs
+    :meth:`check_unit_and_grading`: every algebra built here has a true,
+    even unit and a table that respects the grading.  Associativity is
+    :meth:`validate`'s to check (Light's test).  The library's own
+    constructors (:func:`gradedbrauer.clifford.clifford`,
+    :func:`end_graded`, :func:`graded_tensor`, :func:`opposite`, ...)
+    build normalized rows and skip this pass through :meth:`_trusted`.
 
     An algebra must not be mutated after construction: its classification
     (read by :mod:`gradedbrauer.invariants`) is computed at most once and
@@ -238,11 +238,11 @@ class GradedAlgebra:
                       for k, value in (cell.items() or ((0, 0),))), unit, scalar)
 
     def _start(self, field: Field, parity: Sequence[int]):
-        """Set and check the field and the parity bits; return the function
-        that brings a value into the field, keeping one object per value (1
-        is the field's shared unit) and parsing each distinct string once."""
+        """Set and check the field and the parity bits (``int`` 0 or 1);
+        return the function that brings a value into the field, keeping one
+        object per value (1 is the shared unit), parsing each string once."""
         self.field = field
-        self.parity = tuple(int(p) for p in parity)
+        self.parity = tuple(_json_int(p, "parity bit") for p in parity)
         self.dim = len(self.parity)
         if self.dim == 0:
             raise AlgebraError("algebra needs at least one basis element")
@@ -265,16 +265,26 @@ class GradedAlgebra:
 
     def _finish(self, triples: Iterable[Sequence], unit: Optional[Sequence[object]],
                 scalar) -> None:
-        """Read the structure constants ``(i, j, k, value)`` of ``triples``:
-        refuse an index ``(i, j)``, then ``k``, outside ``0..dim-1`` and a
-        triple given twice, zeros included; intern each value through
-        ``scalar`` and drop zeros.  Then store row dicts of the nonzero
-        cells (:func:`_packed`), set the unit, solved for when ``None``, and
-        check it and the grading."""
+        """Read the structure constants ``(i, j, k, value)`` of ``triples``
+        in one pass, refusing the first bad entry: not four items, an index
+        not an ``int`` or outside ``0..dim-1`` (``(i, j)``, then ``k``), a
+        triple given twice, zeros included.  Intern each value through
+        ``scalar`` and drop zeros.  Then store row dicts of the nonzero cells
+        (:func:`_packed`), set the unit, solved for when ``None``, and check
+        it and the grading."""
         dim = self.dim
         rows: list[dict[int, dict[int, Scalar]]] = [{} for _ in range(dim)]
         zeros: set[tuple[int, int, int]] = set()  # for the repeat check
-        for i, j, k, value in triples:
+        for entry in triples:
+            try:
+                i, j, k, value = entry
+            except (TypeError, ValueError):  # not four items
+                i = None
+            if type(i) is not int or type(j) is not int or type(k) is not int:
+                if isinstance(entry, (list, tuple)) and len(entry) == 4:
+                    for index in (i, j, k):
+                        _json_int(index, "structure index")
+                raise AlgebraError(f"bad structure triple {entry!r}")
             if not (0 <= i < dim and 0 <= j < dim):
                 raise AlgebraError(f"structure index ({i}, {j}) out of range")
             if not 0 <= k < dim:
@@ -577,18 +587,16 @@ class GradedAlgebra:
         omitted, in which case it is solved for.  Scalars are strings or
         integers.  An algebra above :data:`MAX_DIM`, or a ``structure`` of
         more than :data:`MAX_TERMS` triples (``dim**3`` entries for a dense
-        table), is refused before its table is built.  The entries then go
-        through the constructor's checks (:meth:`_finish`): an index outside
-        ``0..dim-1`` and a repeated triple are refused, and the unit and the
-        grading are checked; associativity is not.
+        table), is refused before its table is built.  The parity bits and
+        the entries then go through the constructor's checks
+        (:meth:`_start`, :meth:`_finish`), which walk a sparse
+        ``structure`` once; associativity is not checked.
         """
         if not isinstance(data, Mapping):
             raise AlgebraError("algebra JSON must be an object, not "
                                f"{type(data).__name__}")
         try:
-            label = data["field"]
-            parity = data["parity"]
-            structure = data["structure"]
+            label, parity, structure = data["field"], data["parity"], data["structure"]
         except KeyError as exc:
             raise AlgebraError(f"algebra JSON is missing key {exc}") from None
         if not isinstance(label, str):
@@ -601,8 +609,6 @@ class GradedAlgebra:
         unit = data.get("unit")
         if unit is not None and not isinstance(unit, (list, tuple)):
             raise AlgebraError(f"unit must be a list, not {type(unit).__name__}")
-        for p in parity:
-            _json_int(p, "parity bit")
         dim = _json_int(data.get("dim", len(parity)), "dim")
         if dim != len(parity):
             raise AlgebraError("dim does not match the length of parity")
@@ -612,20 +618,12 @@ class GradedAlgebra:
         dense = bool(structure) and isinstance(structure[0], list) \
             and bool(structure[0]) and isinstance(structure[0][0], list)
         _check_budget(dim, "algebra read from JSON", dim ** 3 if dense else len(structure))
-        if dense:
-            # every plane and every fiber a list of dim entries (not a string)
-            if not (len(structure) == dim and all(
-                    isinstance(plane, (list, tuple)) and len(plane) == dim
-                    and all(isinstance(fiber, (list, tuple)) and len(fiber) == dim
-                            for fiber in plane)
-                    for plane in structure)):
-                raise AlgebraError("dense structure table has the wrong shape")
-        else:
-            for entry in structure:
-                if not isinstance(entry, (list, tuple)) or len(entry) != 4:
-                    raise AlgebraError(f"bad structure triple {entry!r}")
-                for index in entry[:3]:
-                    _json_int(index, "structure index")
+        if dense and not (len(structure) == dim and all(
+                isinstance(plane, (list, tuple)) and len(plane) == dim
+                and all(isinstance(fiber, (list, tuple)) and len(fiber) == dim
+                        for fiber in plane)
+                for plane in structure)):
+            raise AlgebraError("dense structure table has the wrong shape")
         a = cls.__new__(cls)
         scalar = a._start(field, parity)
         # a dense table repeats no triple, so only its nonzero entries are
@@ -638,8 +636,8 @@ class GradedAlgebra:
 
 
 def _json_int(value: object, what: str) -> int:
-    """``value`` itself if it is a JSON integer; a float or a ``true`` is
-    refused rather than truncated."""
+    """``value`` itself if it is an ``int`` (``dim``, a parity bit, an
+    index); a float, a string or a ``True`` is refused, not truncated."""
     if type(value) is not int:
         raise AlgebraError(f"{what} must be an integer, not "
                            f"{type(value).__name__} {value!r}")
@@ -736,11 +734,11 @@ def graded_tensor(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
     more than :data:`MAX_TERMS` structure constants (the product of the
     factors' counts) is refused before it is built.  For two monomial
     tables the list of ``a``'s values is multiplied once by ``b``'s, with
-    either sign, into a table of codes of the distinct products.  Row
-    ``(i, p)`` joins ``a.dim`` blocks built once per row ``p`` of ``b``:
-    its targets moved to each block ``k`` of the basis (all ``-1`` for a
-    zero cell of ``a``) and its codes times each signed value of ``a``.
-    Other pairs multiply term by term.
+    either sign, into a table of codes of the distinct products (1 as the
+    shared unit).  Row ``(i, p)`` joins ``a.dim`` blocks built once per row
+    ``p`` of ``b``: its targets moved to each block ``k`` of the basis (all
+    ``-1`` for a zero cell of ``a``) and its codes times each signed value
+    of ``a``.  Other pairs multiply term by term.
     """
     if a.field.label != b.field.label:
         raise AlgebraError("tensor factors live over different fields")
@@ -761,7 +759,8 @@ def graded_tensor(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
         rows = _packed(rows)
     else:
         nv = len(b.rows[0][2])  # signed[s][x][y]: the code of (-1)^s (a's value x)(b's value y)
-        *signs, values = _signed_codes([x * y for x in a.rows[0][2] for y in b.rows[0][2]])
+        *signs, values = _signed_codes([one if (v := x * y) == one else v
+                                        for x in a.rows[0][2] for y in b.rows[0][2]])
         signed = [[codes[x:x + nv] for x in range(0, len(codes), nv)] for codes in signs]
         rows = [None] * (a.dim * nb)
         for p, (targets_b, codes_b, _) in enumerate(b.rows):

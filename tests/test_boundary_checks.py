@@ -64,6 +64,9 @@ BAD_INDICES = {
     "k-is-dim": ({(0, 1): {2: 1}}, "structure index 2 out of range"),
     "k-is-minus-one": ({(0, 1): {-1: 1}}, "structure index -1 out of range"),
     "empty-cell-j-is-dim": ({(0, 2): {}}, "structure index (0, 2) out of range"),
+    "j-is-float": ({(1, 1.0): {1: 1}}, "structure index must be an integer, not float 1.0"),
+    "k-is-bool": ({(1, 1): {True: 1}}, "structure index must be an integer, not bool True"),
+    "i-is-str": ({("0", 1): {1: 1}}, "structure index must be an integer, not str '0'"),
 }
 FIELDS = {"R": REAL, "C": COMPLEX}
 
@@ -103,6 +106,12 @@ FIELDS = {"R": REAL, "C": COMPLEX}
      AlgebraError, "basis index 9 is out of range for dimension 4"),
     (lambda: cl2().basis_product(0, -1),
      AlgebraError, "basis index -1 is out of range for dimension 4"),
+    (lambda: GradedAlgebra(REAL, (0, 1.5), {(0, 0): {0: 1}}),
+     AlgebraError, "parity bit must be an integer, not float 1.5"),
+    (lambda: GradedAlgebra(REAL, (False, True), {(0, 0): {0: 1}}),
+     AlgebraError, "parity bit must be an integer, not bool False"),
+    (lambda: GradedAlgebra(REAL, ("0", "1"), {(0, 0): {0: 1}}),
+     AlgebraError, "parity bit must be an integer, not str '0'"),
 ] + [(lambda f=f, doc=doc: GradedAlgebra.from_json(two_basis(f, doc)), AlgebraError, message)
      for f in FIELDS for doc, message in BAD_TRIPLES.values()]
   + [(lambda f=f, cell=cell: split_pair_with(FIELDS[f], cell), AlgebraError, message)
@@ -112,7 +121,8 @@ FIELDS = {"R": REAL, "C": COMPLEX}
         "divisible-rank", "empty-gaussian", "mul-long-vector",
         "mul-short-vectors", "constraint-trailing-zero", "constraint-past-dim",
         "basis-vector-negative", "basis-vector-past-dim",
-        "basis-product-past-dim", "basis-product-negative"]
+        "basis-product-past-dim", "basis-product-negative", "parity-float",
+        "parity-bool", "parity-str"]
     + [f"json-{case}-{f}" for f in FIELDS for case in BAD_TRIPLES]
     + [f"constructor-{case}-{f}" for f in FIELDS for case in BAD_INDICES])
 def test_library_refusal(call, error, message):

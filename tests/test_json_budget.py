@@ -1,7 +1,8 @@
 """Algebra JSON read within budgets of memory and length.
 
 * ``GradedAlgebra.from_json`` builds the rows straight from the triples:
-  no ``(i, j)``-keyed table and no second list of cell dicts before them.
+  no ``(i, j)``-keyed table and no second list of cell dicts before them,
+  and it walks a sparse ``structure`` once, every check in that walk.
 * The CLI reads at most ``_JSON_CHARS_PER_TERM * MAX_TERMS`` characters
   of algebra JSON, from a file or from stdin, before parsing it, and
   refuses a longer document with exit 2; the largest document the CLI
@@ -17,6 +18,7 @@ from gradedbrauer import cli
 from gradedbrauer.algebra import GradedAlgebra, _terms
 from gradedbrauer.clifford import clifford, signature_form
 from gradedbrauer.cli import main
+from gradedbrauer.scalars import COMPLEX, REAL
 
 
 def test_from_json_holds_no_table_of_cells_before_the_rows():
@@ -32,6 +34,28 @@ def test_from_json_holds_no_table_of_cells_before_the_rows():
         tracemalloc.stop()
     assert read == clifford(signature_form(7, 0))
     assert peak < 400 * len(doc["structure"])
+
+
+class CountedWalks(list):
+    """A ``structure`` list that counts how often it is iterated."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_from_json_walks_a_sparse_structure_once():
+    """The integer, shape, range, repeat and scalar checks of the triples
+    ride in the one loop that builds the rows; a separate pre-check loop
+    would walk the triples twice."""
+    for field in (REAL, COMPLEX):
+        a = clifford(signature_form(2, 1, field))
+        doc = a.to_json()
+        doc["structure"] = structure = CountedWalks(doc["structure"])
+        assert GradedAlgebra.from_json(doc) == a
+        assert structure.walks == 1
 
 
 def small_budget(monkeypatch):

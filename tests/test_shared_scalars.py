@@ -12,7 +12,8 @@
   shared 1 it makes no scalar product.
 * ``graded_tensor`` and ``opposite`` share scalar objects; they equal
   the naive constructions below, and never write to their inputs.  Each
-  unit coordinate equal to 1 they make is the shared unit.
+  unit coordinate equal to 1 they make is the shared unit, and so is each
+  value equal to 1 of a tensor of monomial tables.
 * ``clifford`` shares one product object per bitmask and sign across its
   rows, and an algebra read from JSON holds one object per value, 1 as
   the shared unit.
@@ -341,6 +342,21 @@ def test_every_one_is_the_shared_unit():
             unit_ones(opposite(product))
     for a in [cl(2, 1), cl(0, 3), cl(1, 2, COMPLEX), end_graded(2, 1)]:
         unit_ones(opposite(a))
+
+
+def test_tensor_values_equal_to_one_are_the_shared_unit():
+    """A tensor of two monomial tables, built a block at a time, holds its
+    value 1 as the field's shared unit, so that the unit check compares
+    the cells ``e_0 e_j`` with ``{j: one}`` by identity, with no scalar
+    ``__eq__``; also for factors whose values are all new objects."""
+    for field in (REAL, COMPLEX):
+        one = field.one()
+        for a, b in [(cl(2, 1, field), cl(1, 1, field)),
+                     (cl(3, 0, field), end_graded(1, 1, field))]:
+            for left, right in [(a, b), (unshared(a), unshared(b))]:
+                targets, codes, values = graded_tensor(left, right).rows[0]
+                assert [v is one for v in values if v == 1] == [True]
+                assert all(values[c] is one for k, c in zip(targets, codes) if k >= 0)
 
 
 def test_opposite_equals_the_naive_construction():
