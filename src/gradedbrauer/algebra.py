@@ -43,6 +43,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from . import linalg
@@ -233,9 +234,23 @@ class GradedAlgebra:
                  table: Mapping[tuple[int, int], Mapping[int, object]],
                  unit: Optional[Sequence[object]] = None) -> None:
         scalar = self._start(field, parity)
-        # an empty cell reads as a zero at k = 0, so its (i, j) is checked too
-        self._finish(((i, j, k, value) for (i, j), cell in table.items()
-                      for k, value in (cell.items() or ((0, 0),))), unit, scalar)
+
+        def triples():  # an empty cell reads as a zero at k = 0, so its (i, j) is checked too
+            for key, cell in table.items():
+                try:
+                    i, j = key
+                except (TypeError, ValueError):
+                    raise AlgebraError("structure key must be a pair of indices, not "
+                                       f"{type(key).__name__} {key!r}") from None
+                try:
+                    items = cell.items() or ((0, 0),)
+                except AttributeError:
+                    raise AlgebraError(f"structure cell {key!r} must be a mapping, not "
+                                       f"{type(cell).__name__} {cell!r}") from None
+                for k, value in items:
+                    yield i, j, k, value
+
+        self._finish(triples(), unit, scalar)
 
     def _start(self, field: Field, parity: Sequence[int]):
         """Set and check the field and the parity bits (``int`` 0 or 1);
@@ -418,11 +433,22 @@ class GradedAlgebra:
         * r`` triples instead of ``dim**3``.  The proof uses bilinearity
         alone and every word is a product in this table, so the verdict is
         exact on non-associative input too.  ``r`` is the rank for a
-        Clifford algebra and ``2m - 1`` for graded ``m x m`` matrices.  On a
-        monomial table, with ``e_i e_j = c e_t``, both sides for ``i, j``
-        are rows, ``k -> c e_t e_k`` and ``k -> e_i (e_j e_k)``: targets are
-        compared, and coefficients as codes of the table's values, each pair
-        of codes multiplied once.  Row dicts compare both rows as dicts.
+        Clifford algebra and ``2m - 1`` for graded ``m x m`` matrices.
+
+        Both sides for ``i, j`` are rows ``k -> (e_i e_j) e_k`` and ``k ->
+        e_i (e_j e_k)``.  On a monomial table, with ``e_j e_k = d_k
+        e_{s_k}`` and ``e_i e_j = c e_t``, they are compared whole over the
+        ``k`` with ``e_j e_k != 0``, each side read by one ``itemgetter``
+        built per generator: first the targets of row ``t`` at the ``k``
+        against those of row ``i`` at the ``s_k``; then the count of nonzero
+        targets against row ``t``'s own, so that ``e_t e_k`` is zero at
+        every other ``k``; then the coefficients ``c v_{t,k}`` against
+        ``d_k v_{i,s_k}`` as codes.  Each cell's code (``-1`` for a zero
+        cell) is sent through ``times[x]``, the codes of ``values[x]`` times
+        every value, built once for each ``x`` that is a ``c`` or a ``d``:
+        no scalar is multiplied per cell.  Row dicts, and any pair of rows
+        that differ, are compared as dicts of cells, which names the first
+        failing triple.
         """
         rows, n = self.rows, self.dim
 
@@ -447,25 +473,31 @@ class GradedAlgebra:
                 for i in range(n):
                     check(i, j)
             return
+
+        def getter(indices: list[int]):  # the tuple of a row's entries at indices
+            return itemgetter(*indices) if len(indices) > 1 else \
+                lambda row: tuple(row[k] for k in indices)
+
+        targets = [row[0] for row in rows]
         values = rows[0][2]
         code = {v: x for x, v in enumerate(values)}
-
-        class Products(dict):  # [x, y]: a code of values[x] * values[y]
-            def __missing__(self, xy: tuple[int, int]) -> int:
-                z = self[xy] = code.setdefault(values[xy[0]] * values[xy[1]], len(code))
-                return z
-
-        products = Products()
-
-        size = [n - targets.count(-1) for targets, _, _ in rows]
+        size = [n - t.count(-1) for t in targets]
+        held = [codes if m == n else [c if k >= 0 else -1 for k, c in zip(t, codes)]
+                for m, (t, codes, _) in zip(size, rows)]  # codes, -1 at a zero cell
+        times: dict[int, list[int]] = {}  # [x][y]: a code of values[x] * values[y]; [x][-1] = -1
         for j in self._light_generators():
-            cells = [(k, s, rows[j][1][k]) for k, s in enumerate(rows[j][0]) if s >= 0]
-            for i, (ti, ci, _) in enumerate(rows):
-                t, c = ti[j], ci[j]
-                hits = [(k, s, d) for k, s, d in cells if ti[s] >= 0]  # e_i e_j e_k != 0
-                if t < 0 and not hits or t >= 0 and len(hits) == size[t] and all(
-                        rows[t][0][k] == ti[s] and products[c, rows[t][1][k]] == products[d, ci[s]]
-                        for k, s, d in hits):
+            ks = [k for k, s in enumerate(targets[j]) if s >= 0]  # e_j e_k != 0
+            at_k, at_s = getter(ks), getter([targets[j][k] for k in ks])
+            d, zeros = at_k(held[j]), (-1,) * len(ks)
+            for x in {row[j] for row in held}.union(d) - times.keys() - {-1}:
+                times[x] = [code.setdefault(values[x] * v, len(code)) for v in values] + [-1]
+            by_d = [times[x] for x in d]
+            for i, ti in enumerate(targets):
+                t, found = ti[j], at_s(ti)  # found: the targets of e_i e_{s_k}
+                if t < 0 and found == zeros or t >= 0 and at_k(targets[t]) == found \
+                        and len(ks) - found.count(-1) == size[t] \
+                        and [*map(times[held[i][j]].__getitem__, at_k(held[t]))] \
+                        == [*map(list.__getitem__, by_d, at_s(held[i]))]:
                     continue
                 check(i, j)  # the rows differ: find where
 
@@ -475,17 +507,56 @@ class GradedAlgebra:
         Indices are taken in order; one already in the span of the words
         found so far is skipped, any other becomes a generator, and the
         span is closed again under right multiplication by every
-        generator.  Each word is the product, in this table
-        (:func:`_mul_into`), of a word and a generator; a candidate extends
-        the span exactly when it is a pivot of one :class:`linalg.Elimination`.
-        The unit must already be checked.
+        generator.  Each word is the product, in this table, of a word and
+        a generator.  The unit must already be checked: ``u e_g = e_g``, so
+        the unit's products add nothing.
+
+        On row dicts the products are :func:`_mul_into`'s, and a candidate
+        extends the span exactly when it is a pivot of one
+        :class:`linalg.Elimination`.  On monomial rows every word but the
+        unit is a nonzero scalar times one basis vector, so the span is
+        ``span{u} + span{e_b : b in R}`` for the set ``R`` of indices
+        reached, and the word ``e_w`` times ``e_g`` is ``e_t`` for the
+        target ``t = rows[w][0][g]`` up to its scalar, or zero when ``t`` is
+        ``-1``.  ``e_a`` lies in that span exactly when ``a`` is in ``R``
+        or the unit's support outside ``R`` is ``{a}`` alone: so that
+        support is kept, and once it shrinks to one index, that index joins
+        ``R``.  Either way the span after each generator is the least one
+        that holds the unit and the generators and is closed under them, in
+        whatever order the products are taken, so the generators are those
+        of the elimination, with no scalar work.
         """
         n, rows = self.dim, self.rows
+        generators: list[int] = []
+        if type(rows[0]) is tuple:
+            targets = [row[0] for row in rows]
+            reached = [False] * n  # R
+            loose = {i for i, u in enumerate(self.unit) if u}  # supp(u) outside R
+            words: list[int] = []  # b for each word c e_b, the unit aside
+
+            def reach(b: int) -> None:  # e_b joins the span, as a word
+                reached[b] = True
+                words.append(b)
+                loose.discard(b)
+                if len(loose) == 1:  # e_a for the one left is u minus the rest
+                    reached[loose.pop()] = True
+
+            if len(loose) == 1:
+                reached[loose.pop()] = True
+            for j in range(n):
+                if reached[j]:
+                    continue  # e_j is in the span already
+                generators.append(j)
+                reach(j)
+                for w in words:  # each word times each generator, as words grows
+                    for g in generators:
+                        if (t := targets[w][g]) >= 0 and not reached[t]:
+                            reach(t)
+            return generators
         elimination = linalg.Elimination(kernel=False)
         pivots, add = elimination.pivots, elimination.add  # None: a new pivot
         words = [_sparse(self.unit)]
         add(words[0])
-        generators: list[int] = []
         for j in range(n):
             word = {j: 1}
             if len(pivots) == n or add(word) is not None:

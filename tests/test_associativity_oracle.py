@@ -7,22 +7,29 @@ set of generators; the oracle checks every triple.  They must agree on
 whether an algebra is associative, and a triple the library reports must
 really fail.  The inputs are the algebras the rest of the suite builds,
 seeded one-sign flips in Clifford and graded matrix tables, one perturbed
-cell after a seeded dense change of basis, and hand-built
+cell after a seeded dense change of basis, every one-term cell of the
+small suite algebras negated and doubled, and hand-built
 non-associative tables (the octonions among them, which are alternative,
-so only triples of distinct imaginary units fail).
+so only triples of distinct imaginary units fail).  On monomial rows the
+generators come from an index closure and the rows are compared whole;
+the same tables stored as row dicts take the elimination and the
+cell-by-cell compare, the oracle for both.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from gradedbrauer.algebra import AlgebraError, GradedAlgebra, _packed, end_graded
+from gradedbrauer import algebra, linalg
+from gradedbrauer.algebra import (AlgebraError, GradedAlgebra, _cell, _integral, _packed,
+                                  end_graded, graded_tensor, opposite)
 from gradedbrauer.clifford import DiagonalForm, clifford, relabel, signature_form
 from gradedbrauer.scalars import COMPLEX, REAL
 from associativity_oracle import associator, dense_unit, first_failing_triple
-from test_azumaya_oracle import (gaussian_images, known_non_azumaya, seeded_algebras,
-                                 suite_algebras)
+from test_azumaya_oracle import (cl, gaussian_images, known_non_azumaya, product,
+                                 seeded_algebras, suite_algebras)
 from test_centralizer_oracle import transport
 
 F = Fraction
@@ -41,13 +48,17 @@ def library_triple(a):
 
 
 def assert_same_verdict(a):
-    """Both checks agree; returns whether ``a`` is associative."""
+    """Both checks agree, and on monomial rows the whole-row compare names
+    the triple the row-dict compare names; returns whether ``a`` is
+    associative."""
     a.check_unit_and_grading()  # the mutants below keep the unit and grading
     found = library_triple(a)
     want = first_failing_triple(a)
     assert (found is None) == (want is None), (a, found, want)
     if found is not None:
         assert associator(a, *found), found
+    if type(a.rows[0]) is tuple:
+        assert library_triple(as_row_dicts(a)) == found, (a, found)
     return found is None
 
 
@@ -69,6 +80,31 @@ def test_generator_counts():
             == [1 << b for b in range(p + q)]
     for ev, od in ((1, 1), (2, 1), (3, 2), (8, 8)):
         assert len(end_graded(ev, od)._light_generators()) == 2 * (ev + od) - 1
+
+
+def as_row_dicts(a):
+    """``a`` with the same table stored as row dicts, which take the
+    elimination of ``_light_generators`` and the cell-by-cell compare."""
+    rows = [{j: dict(cell) for j in range(a.dim) if (cell := _cell(row, j))} for row in a.rows]
+    return GradedAlgebra._trusted(a.field, a.parity, rows, a.unit)
+
+
+def test_monomial_generators_match_the_elimination():
+    """The index closure on monomial rows gives the generators, in order,
+    that the elimination gives on the same table as row dicts; graded
+    matrix algebras and A x A have units of several terms."""
+    algebras = suite_algebras() + known_non_azumaya() + gaussian_images() \
+        + seeded_algebras(seed=28, count=30)
+    algebras += [end_graded(ev, od, field) for field in (REAL, COMPLEX)
+                 for ev in range(7) for od in range(7 - ev) if ev + od]
+    algebras += [graded_tensor(end_graded(2, 1), cl(1, 1)), graded_tensor(cl(0, 1), end_graded(1, 2)),
+                 opposite(end_graded(2, 2)), opposite(graded_tensor(cl(1, 0), end_graded(1, 1))),
+                 product(end_graded(2, 0), end_graded(2, 0)), product(cl(2, 0), cl(0, 2))]
+    monomial = [a for a in algebras if type(a.rows[0]) is tuple]
+    assert len(monomial) > 120
+    assert sum(1 for a in monomial if sum(map(bool, a.unit)) > 1) > 40
+    for a in monomial:
+        assert a._light_generators() == as_row_dicts(a)._light_generators(), a
 
 
 def one_sign_flips(a, rng, count):
@@ -180,10 +216,78 @@ def test_hand_built_non_associative_tables():
     # the same with x last, so only triples with the last index on the left fail
     small_last = relabel(small, [0, 2, 1])
     assert first_failing_triple(small_last) == (2, 1, 1)
-    for a in (small, small_last, octonions(), octonions(COMPLEX)):
+    # x^2 = y^2 = x, xy = yx = 0: (x y) y = 0 but x (y y) = x, a zero e_i e_j
+    # for the generator j = y against a nonzero row e_i (e_j e_k)
+    zero_left = GradedAlgebra(REAL, (0, 0, 0),
+                              {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (1, 0): {1: 1},
+                               (2, 0): {2: 1}, (1, 1): {1: 1}, (2, 2): {1: 1}},
+                              (1, 0, 0))
+    assert first_failing_triple(zero_left) == library_triple(zero_left) == (1, 2, 2)
+    for a in (small, small_last, zero_left, octonions(), octonions(COMPLEX)):
         assert not assert_same_verdict(a)
     found = library_triple(octonions())
     assert len(set(found)) == 3 and 0 not in found  # octonions are alternative
+
+
+def test_standing_perturbation_sweep():
+    """Every one-term cell of the suite algebras of dimension at most 8,
+    negated and, separately, doubled, built through ``GradedAlgebra(...)``:
+    each table the constructor builds gets the cubic oracle's verdict from
+    ``validate``.  Every later fast path of Light's test must pass this."""
+    tables = refused = associative = 0
+    for a in suite_algebras():
+        if a.dim > 8:
+            continue
+        table = {ij: dict(cell) for ij, cell in a.table.items()}
+        for ij, cell in table.items():
+            if len(cell) != 1:
+                continue
+            (k, v), = cell.items()
+            for w in (-v, v + v):
+                tables += 1
+                try:
+                    b = GradedAlgebra(a.field, a.parity, {**table, ij: {k: w}}, a.unit)
+                except AlgebraError:  # the unit or the grading fails
+                    refused += 1
+                    continue
+                associative += assert_same_verdict(b)
+    assert (tables, refused, associative) == (1498, 488, 12)
+
+
+def associativity_calls(monkeypatch, a):
+    """Calls of ``_cell``, ``_mul_into`` and ``Elimination.add`` made by
+    ``_check_associative`` on the integral image of ``a``."""
+    image, calls = _integral(a), Counter()
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(algebra, "_cell", counted("_cell", algebra._cell))
+    monkeypatch.setattr(algebra, "_mul_into", counted("_mul_into", algebra._mul_into))
+    monkeypatch.setattr(linalg.Elimination, "add", counted("add", linalg.Elimination.add))
+    image._check_associative()
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("a", [
+    clifford(signature_form(6, 0)), end_graded(4, 4), graded_tensor(cl(2, 1), end_graded(1, 1)),
+    opposite(end_graded(3, 2)), gaussian_images()[2],
+], ids=["Cl(6,0)", "End(4|4)", "Cl(2,1)xEnd(1|1)", "End(3|2)^op", "Cl(i,2,-1)^op/C"])
+def test_monomial_rows_are_compared_without_cells_or_eliminations(monkeypatch, a):
+    """On monomial rows, Light's test of an associative table reads targets
+    and values only; a one-sign flip still raises, naming a triple that
+    fails, the same one the row-dict compare names."""
+    assert type(a.rows[0]) is tuple
+    assert sum(associativity_calls(monkeypatch, a).values()) == 0
+    (mutant,) = one_sign_flips(a, random.Random(a.dim), 1)
+    assert type(mutant.rows[0]) is tuple
+    found = library_triple(mutant)
+    assert found is not None and associator(mutant, *found)
+    assert library_triple(as_row_dicts(mutant)) == found
 
 
 def test_quaternions_inside_the_octonions_are_associative():

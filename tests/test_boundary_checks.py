@@ -67,6 +67,10 @@ BAD_INDICES = {
     "j-is-float": ({(1, 1.0): {1: 1}}, "structure index must be an integer, not float 1.0"),
     "k-is-bool": ({(1, 1): {True: 1}}, "structure index must be an integer, not bool True"),
     "i-is-str": ({("0", 1): {1: 1}}, "structure index must be an integer, not str '0'"),
+    "key-is-a-triple": ({(0, 0, 5): {0: 1}},
+                        "structure key must be a pair of indices, not tuple (0, 0, 5)"),
+    "key-is-an-int": ({5: {0: 1}}, "structure key must be a pair of indices, not int 5"),
+    "cell-is-an-int": ({(0, 0): 5}, "structure cell (0, 0) must be a mapping, not int 5"),
 }
 FIELDS = {"R": REAL, "C": COMPLEX}
 
