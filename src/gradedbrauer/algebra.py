@@ -145,6 +145,21 @@ def _signed_codes(candidates: list) -> tuple[list, list, list]:
     return plus, [negated[x] for x in plus], list(position)
 
 
+class _Times(dict):
+    """``[y]``: a code of ``scale * values[y]``, multiplied and coded the
+    first time it is read; ``[-1]``, a zero cell, stays ``-1``."""
+
+    __slots__ = ("scale", "values", "code")
+
+    def __init__(self, scale: Scalar, values: list, code: dict) -> None:
+        super().__init__({-1: -1})
+        self.scale, self.values, self.code = scale, values, code
+
+    def __missing__(self, y: int) -> int:
+        x = self[y] = self.code.setdefault(self.scale * self.values[y], len(self.code))
+        return x
+
+
 class _Table(Mapping):
     """The read-only ``{(i, j): {k: c}}`` view of a table's rows, in
     row-major order; :func:`_cell` reads each cell when it is asked for."""
@@ -444,11 +459,16 @@ class GradedAlgebra:
         targets against row ``t``'s own, so that ``e_t e_k`` is zero at
         every other ``k``; then the coefficients ``c v_{t,k}`` against
         ``d_k v_{i,s_k}`` as codes.  Each cell's code (``-1`` for a zero
-        cell) is sent through ``times[x]``, the codes of ``values[x]`` times
-        every value, built once for each ``x`` that is a ``c`` or a ``d``:
-        no scalar is multiplied per cell.  Row dicts, and any pair of rows
-        that differ, are compared as dicts of cells, which names the first
-        failing triple.
+        cell) is sent through ``times[x]`` (:class:`_Times`) for the code
+        ``x`` of the ``c`` or ``d``, which multiplies ``values[x]`` by a value
+        and codes the product only the first time that pair is read.  So
+        one product is taken per pair of codes read, never more than the
+        ``2 r dim**2`` cells read: few on Clifford, graded matrix, tensor
+        and opposite tables, which hold about ``dim`` distinct values or
+        fewer, and within that bound after a diagonal rescaling of the
+        basis, which can leave ``dim**2 / 2``.  Row dicts, and any pair of
+        rows that differ, are compared as dicts of cells, which names the
+        first failing triple.
         """
         rows, n = self.rows, self.dim
 
@@ -484,20 +504,20 @@ class GradedAlgebra:
         size = [n - t.count(-1) for t in targets]
         held = [codes if m == n else [c if k >= 0 else -1 for k, c in zip(t, codes)]
                 for m, (t, codes, _) in zip(size, rows)]  # codes, -1 at a zero cell
-        times: dict[int, list[int]] = {}  # [x][y]: a code of values[x] * values[y]; [x][-1] = -1
+        times: dict[int, _Times] = {}  # [x][y]: a code of values[x] * values[y]
         for j in self._light_generators():
             ks = [k for k, s in enumerate(targets[j]) if s >= 0]  # e_j e_k != 0
             at_k, at_s = getter(ks), getter([targets[j][k] for k in ks])
             d, zeros = at_k(held[j]), (-1,) * len(ks)
             for x in {row[j] for row in held}.union(d) - times.keys() - {-1}:
-                times[x] = [code.setdefault(values[x] * v, len(code)) for v in values] + [-1]
+                times[x] = _Times(values[x], values, code)
             by_d = [times[x] for x in d]
             for i, ti in enumerate(targets):
                 t, found = ti[j], at_s(ti)  # found: the targets of e_i e_{s_k}
                 if t < 0 and found == zeros or t >= 0 and at_k(targets[t]) == found \
                         and len(ks) - found.count(-1) == size[t] \
                         and [*map(times[held[i][j]].__getitem__, at_k(held[t]))] \
-                        == [*map(list.__getitem__, by_d, at_s(held[i]))]:
+                        == [*map(dict.__getitem__, by_d, at_s(held[i]))]:
                     continue
                 check(i, j)  # the rows differ: find where
 

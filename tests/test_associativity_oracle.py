@@ -290,6 +290,51 @@ def test_monomial_rows_are_compared_without_cells_or_eliminations(monkeypatch, a
     assert library_triple(as_row_dicts(mutant)) == found
 
 
+def rescaled(a, scales):
+    """``a`` on the basis ``f_i = scales[i] e_i``: the rows stay monomial,
+    and with distinct scales they hold about ``dim**2 / 2`` distinct values."""
+    table = {(i, j): {k: c * scales[i] * scales[j] / scales[k] for k, c in cell.items()}
+             for (i, j), cell in a.table.items()}
+    return GradedAlgebra(a.field, a.parity, table, [u / s for u, s in zip(a.unit, scales)])
+
+
+def filled_products(monkeypatch, image):
+    """The products of two values that ``_check_associative`` of ``image``
+    multiplies and codes: the entries filled in every ``_Times``."""
+    made, init = [], algebra._Times.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(algebra._Times, "__init__", recorded)
+    try:
+        image._check_associative()
+    finally:
+        monkeypatch.undo()
+    return sum(len(times) - 1 for times in made)  # -1 -> -1 is there from the start
+
+
+@pytest.mark.parametrize("p", [6, 7])
+def test_many_valued_monomial_rows_take_only_the_products_read(monkeypatch, p):
+    """A diagonally rescaled Cl(p,0) is associative and its rows monomial,
+    with about ``dim**2 / 2`` distinct values: Light's test multiplies only
+    the pairs of values the whole-row compare reads, at most two per cell
+    of each generator's rows, and a one-sign flip still names a failing
+    triple, the one the row-dict compare names."""
+    base = clifford(signature_form(p, 0))
+    a = rescaled(base, [F(i + 2, i + 1) for i in range(base.dim)])
+    image = _integral(a)
+    assert type(image.rows[0]) is tuple and len(image.rows[0][2]) > a.dim ** 2 // 4
+    a.validate()
+    r = len(image._light_generators())
+    assert r == p and filled_products(monkeypatch, image) <= 2 * r * a.dim ** 2
+    (mutant,) = one_sign_flips(a, random.Random(p), 1)
+    found = library_triple(mutant)
+    assert found is not None and associator(mutant, *found)
+    assert library_triple(as_row_dicts(mutant)) == found
+
+
 def test_quaternions_inside_the_octonions_are_associative():
     # 1, e_1, e_2, e_3 span the quaternions along the line (1, 2, 3)
     o = octonions()
