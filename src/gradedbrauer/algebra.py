@@ -224,10 +224,11 @@ class GradedAlgebra:
         is solved for from the table (and its absence is an error).
 
     Construction (:meth:`_start` and :meth:`_finish`, shared with
-    :meth:`from_json`) refuses a parity bit or index that is not an ``int``
-    and an index outside the basis, normalizes scalars into the field,
-    keeping one object per value (1 is the field's shared unit, by which
-    the unit check does not multiply), drops zeros, stores the rows
+    :meth:`from_json`) refuses a table that is not a mapping, a unit with
+    no length, a parity bit or index that is not an ``int`` and an index
+    outside the basis, normalizes scalars into the field, keeping one
+    object per value (1 is the field's shared unit, by which the unit
+    check does not multiply), drops zeros, stores the rows
     (:attr:`rows`, read as a mapping through :attr:`table`) and runs
     :meth:`check_unit_and_grading`: every algebra built here has a true,
     even unit and a table that respects the grading.  Associativity is
@@ -249,6 +250,8 @@ class GradedAlgebra:
                  table: Mapping[tuple[int, int], Mapping[int, object]],
                  unit: Optional[Sequence[object]] = None) -> None:
         scalar = self._start(field, parity)
+        if not hasattr(table, "items"):
+            raise AlgebraError(f"structure table must be a mapping, not {type(table).__name__}")
 
         def triples():  # an empty cell reads as a zero at k = 0, so its (i, j) is checked too
             for key, cell in table.items():
@@ -333,6 +336,8 @@ class GradedAlgebra:
             unit = self._solve_unit()
             if unit is None:
                 raise AlgebraError("structure table admits no two-sided unit")
+        elif not hasattr(unit, "__len__"):
+            raise AlgebraError(f"unit must be a list, not {type(unit).__name__}")
         elif len(unit) != self.dim:
             raise AlgebraError("unit vector has the wrong length")
         self.unit = tuple(map(scalar, unit))
@@ -533,18 +538,18 @@ class GradedAlgebra:
 
         On row dicts the products are :func:`_mul_into`'s, and a candidate
         extends the span exactly when it is a pivot of one
-        :class:`linalg.Elimination`.  On monomial rows every word but the
-        unit is a nonzero scalar times one basis vector, so the span is
-        ``span{u} + span{e_b : b in R}`` for the set ``R`` of indices
-        reached, and the word ``e_w`` times ``e_g`` is ``e_t`` for the
-        target ``t = rows[w][0][g]`` up to its scalar, or zero when ``t`` is
-        ``-1``.  ``e_a`` lies in that span exactly when ``a`` is in ``R``
-        or the unit's support outside ``R`` is ``{a}`` alone: so that
-        support is kept, and once it shrinks to one index, that index joins
-        ``R``.  Either way the span after each generator is the least one
-        that holds the unit and the generators and is closed under them, in
-        whatever order the products are taken, so the generators are those
-        of the elimination, with no scalar work.
+        :class:`linalg.Elimination` seeded with the unit, no word itself.
+        On monomial rows every word but the unit is a nonzero scalar times
+        one basis vector, so the span is ``span{u} + span{e_b : b in R}``
+        for the set ``R`` of indices reached, and the word ``e_w`` times
+        ``e_g`` is ``e_t`` for the target ``t = rows[w][0][g]`` up to its
+        scalar, or zero when ``t`` is ``-1``.  ``e_a`` lies in that span
+        exactly when ``a`` is in ``R`` or the unit's support outside ``R``
+        is ``{a}`` alone: so that support is kept, and once it shrinks to
+        one index, that index joins ``R``.  Either way the span after each
+        generator is the least one that holds the unit and the generators
+        and is closed under them, in whatever order the products are taken,
+        so the generators are those of the elimination, with no scalar work.
         """
         n, rows = self.dim, self.rows
         generators: list[int] = []
@@ -575,8 +580,8 @@ class GradedAlgebra:
             return generators
         elimination = linalg.Elimination(kernel=False)
         pivots, add = elimination.pivots, elimination.add  # None: a new pivot
-        words = [_sparse(self.unit)]
-        add(words[0])
+        add(_sparse(self.unit))
+        words: list[SparseVector] = []
         for j in range(n):
             word = {j: 1}
             if len(pivots) == n or add(word) is not None:
@@ -901,8 +906,8 @@ def graded_centralizer(a: GradedAlgebra, elements: Iterable[tuple[Vector, int]]
 
     ``elements`` are homogeneous ``(vector, parity)`` pairs.  The result
     lists homogeneous ``(vector, parity)`` pairs ``c`` with ``c s =
-    (-1)^{|c||s|} s c`` for every given ``s``, degree-0 vectors first; a
-    span not closed under the product raises AlgebraError.  This is the
+    (-1)^{|c||s|} s c`` for every given ``s``, degree-0 vectors first; on
+    an associative table their span is a subalgebra.  This is the
     dense front end of :func:`_supercommutant` on the integral image
     (:func:`_integral`): it checks and coerces each element, and returns
     coordinate lists, each vector divided by its entry at its last
@@ -962,10 +967,11 @@ def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]
     :func:`gradedbrauer.linalg.column_kernel` give the basis dense
     elimination gives, up to scale: each vector's last nonzero coordinate
     is the basis index it started from, where no other vector of its
-    degree is nonzero.  Closure is one more
-    :class:`gradedbrauer.linalg.Elimination`, of the basis and then of
-    each pairwise product as it is made: :class:`AlgebraError` is raised
-    at the first product that is a pivot, outside the span.
+    degree is nonzero.  Closure is not checked: in an associative algebra
+    the supercommutant of homogeneous elements is a subalgebra, as ``(c
+    c') s = (-1)^{(|c|+|c'|)|s|} s (c c')`` for ``c``, ``c'`` in it (Wall,
+    *Graded Brauer groups*, J. reine angew. Math. 213, 1964), and
+    :meth:`GradedAlgebra.validate` checks associativity.
     """
     rows = a.rows
     monomial = type(rows[0]) is tuple
@@ -1016,17 +1022,6 @@ def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]
             kernel = [linalg.combine(combo, kernel) for combo in linalg.column_kernel(columns)]
             basis = all(len(v) == 1 for v in kernel)
         result.extend((v, deg) for v in kernel)
-    if len(result) < a.dim:
-        span = [v for v, _ in result]
-        add = linalg.Elimination(kernel=False).add
-        for v in span:
-            add(v)
-        for u in span:
-            for v in span:
-                product: SparseVector = {}
-                _mul_into(product, rows, u, v)
-                if add(product) is None:
-                    raise AlgebraError("centralizer failed to close under product")
     return result
 
 
@@ -1055,10 +1050,12 @@ def hat_center(a: GradedAlgebra) -> GradedAlgebra:
 
     With an odd part, the even unit lies in the span of the two
     centralizer vectors, and one of them, ``z``, is not proportional to
-    it.  The closure check puts ``z^2 = alpha + beta z`` in that span, read
-    off a kernel vector ``(c0, c1, c2)`` of the columns ``(1, z, z^2)`` as
-    ``alpha = -c0 / c2`` and ``beta = -c1 / c2``; for an odd ``z``, ``beta =
-    0``.  Completing the square, ``(z - beta/2)^2 = (c1^2 - 4 c0 c2) / (4
+    it.  One :class:`gradedbrauer.linalg.Elimination` of ``1``, the vectors
+    up to the first pivot ``z``, and ``z^2``, in ``span{1, z}`` as the
+    center is a subalgebra (a pivot raises :class:`AlgebraError`), gives
+    ``z^2 = alpha + beta z`` as its kernel vector ``(c0, c1, c2)``:
+    ``alpha = -c0 / c2``, ``beta = -c1 / c2`` (``0`` for an odd ``z``).
+    Completing the square, ``(z - beta/2)^2 = (c1^2 - 4 c0 c2) / (4
     c2^2)``, whose sign is that of ``c1^2 - 4 c0 c2``.  All of it runs on
     the integral image (:func:`_integral`), whose ``z`` is a multiple of
     this one: the square changes by a square, so its sign stays.
@@ -1075,12 +1072,14 @@ def hat_center(a: GradedAlgebra) -> GradedAlgebra:
         raise NotAzumayaError(
             f"graded center has dimension {len(cent)}, expected 2"
         )
-    unit = _sparse(image.unit)
-    z, z_parity = next((v, p) for v, p in cent if not linalg.column_kernel([unit, v]))
+    columns = linalg.Elimination()  # 1, the center vectors up to z, z^2
+    columns.add(_sparse(image.unit))
+    z, z_parity = next((v, p) for v, p in cent if columns.add(v) is None)
     z_sq: SparseVector = {}
     _mul_into(z_sq, image.rows, z, z)
-    (combo,) = linalg.column_kernel([unit, z, z_sq])
-    c0, c1, c2 = (combo.get(c, 0) for c in range(3))
+    if (combo := columns.add(z_sq)) is None:  # a pivot: z^2 is outside span{1, z}
+        raise AlgebraError("centralizer failed to close under product")
+    c0, c1, c2 = (combo.get(c, 0) for c in (0, columns.added - 2, columns.added - 1))
     square = c1 * c1 - 4 * c0 * c2
     if not square:
         raise NotAzumayaError("graded center generator squares to a non-unit")
@@ -1111,9 +1110,9 @@ def is_azumaya(a: GradedAlgebra) -> bool:
       reine angew. Math. 213, 1964).
 
     Together they say that the sandwich map ``a (x) a^op -> End(a)``,
-    ``x (x) y -> (c -> (-1)^{|y||c|} x c y)``, is bijective.  Only a
-    non-associative table fails a check: an asymmetric trace form raises
-    ValueError, and a supercenter not closed under the product AlgebraError.
+    ``x (x) y -> (c -> (-1)^{|y||c|} x c y)``, is bijective, for an
+    associative table (:meth:`GradedAlgebra.validate`); an asymmetric
+    trace form, which only a non-associative one has, raises ValueError.
     Both are decided on the integral image (:func:`_integral`).
     """
     image = _integral(a)

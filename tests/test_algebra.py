@@ -14,7 +14,7 @@ from gradedbrauer.clifford import clifford, signature_form
 from gradedbrauer.invariants import bw_class
 from gradedbrauer.scalars import COMPLEX, REAL
 from centralizer_oracle import m11
-from test_azumaya_oracle import product
+from test_azumaya_oracle import gaussian_images, product
 
 F = Fraction
 
@@ -222,10 +222,9 @@ def test_graded_centralizer_does_not_trust_the_declared_unit():
         wrong.validate()
 
 
-def test_closure_is_checked_in_one_elimination(monkeypatch):
-    """The supercommutant of ``e_1`` in ``Cl(6,0)`` has 32 vectors: one
-    elimination per degree, then one of the 32 vectors and their 1,024
-    products, instead of one elimination per product."""
+def made_eliminations(monkeypatch, run):
+    """``run()`` and the number of ``linalg.Elimination`` objects made
+    meanwhile."""
     made = []
 
     class Counted(linalg.Elimination):
@@ -234,17 +233,39 @@ def test_closure_is_checked_in_one_elimination(monkeypatch):
             super().__init__(**options)
 
     monkeypatch.setattr(linalg, "Elimination", Counted)
+    try:
+        return run(), len(made)
+    finally:
+        monkeypatch.undo()
+
+
+def test_supercommutant_of_a_generator_makes_no_elimination(monkeypatch):
+    """The supercommutant of ``e_1`` in ``Cl(6,0)`` has 32 vectors, read
+    off the rows with no elimination; it is a subalgebra, so no closure
+    of the 32 vectors is checked either."""
     a = cl(6, 0)
-    assert len(graded_centralizer(a, [(a.basis_vector(1), 1)])) == 32
-    assert len(made) <= 3
+    result, made = made_eliminations(
+        monkeypatch, lambda: graded_centralizer(a, [(a.basis_vector(1), 1)]))
+    assert (len(result), made) == (32, 0)
 
 
-def test_closure_check_keeps_no_products():
-    """``M_2^64`` read from JSON, dim 256: its center ``k^64`` is closed,
-    so the closure check eliminates 4,096 products.  Each is dropped once
-    it is eliminated, so the peak of ``hat_center`` stays far below what
-    a list of the products and their kernel vectors takes (about 1.5 MB
-    traced)."""
+@pytest.mark.parametrize("a", [
+    cl(6, 0), cl(3, 2), cl(0, 5), cl(6, 0, COMPLEX), cl(3, 2, COMPLEX), cl(0, 5, COMPLEX),
+    gaussian_images()[0],
+], ids=["Cl(6,0)", "Cl(3,2)", "Cl(0,5)", "Cl(6,0)/C", "Cl(3,2)/C", "Cl(0,5)/C", "Cl(i,2,-1)/C"])
+def test_hat_center_makes_one_elimination_and_is_azumaya_none(monkeypatch, a):
+    """A Clifford center is read off the rows; ``hat_center`` then
+    eliminates ``1``, the center vectors up to ``z``, and ``z^2`` in one
+    elimination, and ``is_azumaya`` needs none."""
+    assert made_eliminations(monkeypatch, lambda: hat_center(a))[1] == 1
+    assert made_eliminations(monkeypatch, lambda: is_azumaya(a))[1] == 0
+
+
+def test_hat_center_of_a_large_center_keeps_no_products():
+    """``M_2^64`` read from JSON, dim 256: its center ``k^64`` has 64
+    vectors, whose 4,096 pairwise products ``hat_center`` never forms, so
+    its peak stays far below what a list of the products and their
+    kernel vectors takes (about 1.5 MB traced)."""
     n = 64
     a = GradedAlgebra.from_json({
         "field": "R", "parity": [0] * 4 * n, "unit": ["1", "0", "0", "1"] * n,
@@ -263,9 +284,8 @@ def test_closure_check_keeps_no_products():
 
 
 def test_hat_center_refuses_a_large_closed_center():
-    """The product of 16 copies of ``M_2``, dim 64: its center ``k^16``
-    passes the closure check with 16 vectors and 256 products, and the
-    dimension check refuses it."""
+    """The product of 16 copies of ``M_2``, dim 64: its center ``k^16``,
+    a subalgebra of 16 vectors, is refused by the dimension check."""
     a = end_graded(2, 0)
     for _ in range(15):
         a = product(a, end_graded(2, 0))

@@ -16,7 +16,10 @@ the same tables stored as row dicts take the elimination and the
 cell-by-cell compare, the oracle for both.
 """
 
+import io
+import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -24,8 +27,10 @@ import pytest
 
 from gradedbrauer import algebra, linalg
 from gradedbrauer.algebra import (AlgebraError, GradedAlgebra, _cell, _integral, _packed,
-                                  end_graded, graded_tensor, opposite)
+                                  end_graded, graded_tensor, hat_center, is_azumaya, opposite)
+from gradedbrauer.cli import main
 from gradedbrauer.clifford import DiagonalForm, clifford, relabel, signature_form
+from gradedbrauer.invariants import bw_class
 from gradedbrauer.scalars import COMPLEX, REAL
 from associativity_oracle import associator, dense_unit, first_failing_triple
 from test_azumaya_oracle import (cl, gaussian_images, known_non_azumaya, product,
@@ -105,6 +110,28 @@ def test_monomial_generators_match_the_elimination():
     assert sum(1 for a in monomial if sum(map(bool, a.unit)) > 1) > 40
     for a in monomial:
         assert a._light_generators() == as_row_dicts(a)._light_generators(), a
+
+
+@pytest.mark.parametrize("base, generators, products", [
+    (cl(3, 2), [0, 1], 30), (end_graded(2, 2), [0, 1, 2], 26),
+], ids=["Cl(3,2)", "End(2|2)"])
+def test_row_dict_generators_take_no_product_of_the_unit(monkeypatch, base, generators,
+                                                         products):
+    """On row dicts the unit seeds the elimination but is no word: its
+    product ``u e_g = e_g`` with each generator, always dependent, is not
+    taken (32 and 29 products when it was)."""
+    a = transport(base, random.Random(3))
+    assert type(a.rows[0]) is dict
+    calls = Counter()
+    mul_into = algebra._mul_into
+
+    def counted(*args):
+        calls["_mul_into"] += 1
+        return mul_into(*args)
+
+    monkeypatch.setattr(algebra, "_mul_into", counted)
+    assert a._light_generators() == generators
+    assert calls["_mul_into"] == products
 
 
 def one_sign_flips(a, rng, count):
@@ -229,12 +256,11 @@ def test_hand_built_non_associative_tables():
     assert len(set(found)) == 3 and 0 not in found  # octonions are alternative
 
 
-def test_standing_perturbation_sweep():
+def standing_perturbations():
     """Every one-term cell of the suite algebras of dimension at most 8,
     negated and, separately, doubled, built through ``GradedAlgebra(...)``:
-    each table the constructor builds gets the cubic oracle's verdict from
-    ``validate``.  Every later fast path of Light's test must pass this."""
-    tables = refused = associative = 0
+    each table the constructor builds, or ``None`` where it refuses the
+    unit or the grading."""
     for a in suite_algebras():
         if a.dim > 8:
             continue
@@ -244,14 +270,52 @@ def test_standing_perturbation_sweep():
                 continue
             (k, v), = cell.items()
             for w in (-v, v + v):
-                tables += 1
                 try:
-                    b = GradedAlgebra(a.field, a.parity, {**table, ij: {k: w}}, a.unit)
-                except AlgebraError:  # the unit or the grading fails
-                    refused += 1
-                    continue
-                associative += assert_same_verdict(b)
+                    yield GradedAlgebra(a.field, a.parity, {**table, ij: {k: w}}, a.unit)
+                except AlgebraError:
+                    yield None
+
+
+def test_standing_perturbation_sweep():
+    """Each table of :func:`standing_perturbations` the constructor builds
+    gets the cubic oracle's verdict from ``validate``.  Every later fast
+    path of Light's test must pass this."""
+    tables = refused = associative = 0
+    for b in standing_perturbations():
+        tables += 1
+        if b is None:
+            refused += 1
+        else:
+            associative += assert_same_verdict(b)
     assert (tables, refused, associative) == (1498, 488, 12)
+
+
+def refuses(call, a):
+    """Whether ``call(a)`` raises, on a copy of ``a`` that shares nothing
+    it keeps from an earlier call."""
+    try:
+        call(GradedAlgebra._trusted(a.field, a.parity, a.rows, a.unit))
+    except ValueError:  # AlgebraError, and an asymmetric trace form's
+        return True
+    return False
+
+
+def test_standing_perturbations_refused_by_the_classification(capsys, monkeypatch):
+    """Of the 1,010 tables the constructor builds, ``bw_class`` refuses 196,
+    ``hat_center`` 144 and ``is_azumaya`` 24, with no closure check in the
+    supercommutant; CLI ``invariants`` exits 2 on each one ``bw_class``
+    refuses."""
+    built = [b for b in standing_perturbations() if b is not None]
+    counts = [len(built)]
+    for call in (bw_class, hat_center, is_azumaya):
+        refused = [b for b in built if refuses(call, b)]
+        counts.append(len(refused))
+        if call is bw_class:
+            for b in refused:
+                monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(b.to_json())))
+                assert main(["invariants", "--algebra", "-"]) == 2, b
+                assert "error" in json.loads(capsys.readouterr().out)
+    assert counts == [1010, 196, 144, 24]
 
 
 def associativity_calls(monkeypatch, a):

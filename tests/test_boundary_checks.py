@@ -13,13 +13,15 @@ import sys
 
 import pytest
 
-from gradedbrauer.algebra import (AlgebraError, GradedAlgebra, end_graded,
+from gradedbrauer.algebra import (AlgebraError, GradedAlgebra, NotAzumayaError, end_graded,
                                   graded_centralizer, hat_center)
 from gradedbrauer.cli import main
 from gradedbrauer.clifford import (DiagonalForm, clifford, hyperbolic, relabel,
                                    signature_form)
 from gradedbrauer.groups import AbGroup
+from gradedbrauer.invariants import bw_class
 from gradedbrauer.scalars import COMPLEX, REAL, parse_gaussian
+from centralizer_oracle import m11
 
 
 def generator():
@@ -72,6 +74,12 @@ BAD_INDICES = {
     "key-is-an-int": ({5: {0: 1}}, "structure key must be a pair of indices, not int 5"),
     "cell-is-an-int": ({(0, 0): 5}, "structure cell (0, 0) must be a mapping, not int 5"),
 }
+# A table that is not a mapping, or a unit with no length, given to the constructor.
+BAD_ARGUMENTS = {
+    "table-is-a-list": ([[0, 0, 0, 1]], None, "structure table must be a mapping, not list"),
+    "table-is-none": (None, None, "structure table must be a mapping, not NoneType"),
+    "unit-is-an-int": ({(0, 0): {0: 1}}, 5, "unit must be a list, not int"),
+}
 FIELDS = {"R": REAL, "C": COMPLEX}
 
 
@@ -119,7 +127,10 @@ FIELDS = {"R": REAL, "C": COMPLEX}
 ] + [(lambda f=f, doc=doc: GradedAlgebra.from_json(two_basis(f, doc)), AlgebraError, message)
      for f in FIELDS for doc, message in BAD_TRIPLES.values()]
   + [(lambda f=f, cell=cell: split_pair_with(FIELDS[f], cell), AlgebraError, message)
-     for f in FIELDS for cell, message in BAD_INDICES.values()],
+     for f in FIELDS for cell, message in BAD_INDICES.values()]
+  + [(lambda f=f, table=table, unit=unit: GradedAlgebra(FIELDS[f], (0,), table, unit),
+      AlgebraError, message)
+     for f in FIELDS for table, unit, message in BAD_ARGUMENTS.values()],
     ids=["unit-length", "structure-entry", "end-0-0", "constraint-parity",
         "relabel", "hyperbolic", "form-sum-fields", "free-rank",
         "divisible-rank", "empty-gaussian", "mul-long-vector",
@@ -128,7 +139,8 @@ FIELDS = {"R": REAL, "C": COMPLEX}
         "basis-product-past-dim", "basis-product-negative", "parity-float",
         "parity-bool", "parity-str"]
     + [f"json-{case}-{f}" for f in FIELDS for case in BAD_TRIPLES]
-    + [f"constructor-{case}-{f}" for f in FIELDS for case in BAD_INDICES])
+    + [f"constructor-{case}-{f}" for f in FIELDS for case in BAD_INDICES]
+    + [f"constructor-{case}-{f}" for f in FIELDS for case in BAD_ARGUMENTS])
 def test_library_refusal(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
@@ -178,16 +190,33 @@ def unclosed_center():
 
 
 def test_centralizer_closure_refusal(capsys, tmp_path):
+    """The commutant of this table is not a subalgebra, but it is refused
+    before closure matters: its center has the wrong dimension."""
     a = unclosed_center()
-    with pytest.raises(AlgebraError, match="centralizer failed to close under product"):
+    with pytest.raises(NotAzumayaError, match="graded center has dimension 4, expected 2"):
         hat_center(a)
     with pytest.raises(AlgebraError, match=re.escape(
             "associativity fails on basis triple (1, 1, 2)")):
         a.validate()
     code, out = run_cli(capsys, tmp_path, ["invariants", "--algebra"], a.to_json())
     assert code == 2
-    assert out["error"] == {"type": "AlgebraError",
-                            "message": "centralizer failed to close under product"}
+    assert out["error"] == {"type": "NotAzumayaError",
+                            "message": "graded center has dimension 4, expected 2"}
+
+
+@pytest.mark.parametrize("call", [hat_center, bw_class], ids=["hat_center", "bw_class"])
+def test_center_generator_square_outside_the_center(call):
+    """``m11(Cl(1,0))`` with its cell ``e_1 e_1`` negated keeps its unit and
+    grading and has a center of dimension 2, but the square of its
+    generator ``z`` is not in ``span{1, z}``: the non-associative table
+    is refused by the one elimination of ``hat_center``."""
+    m = m11(clifford(signature_form(1, 0)))
+    table = {ij: dict(cell) for ij, cell in m.table.items()}
+    assert table[(1, 1)] == {0: 1}
+    table[(1, 1)] = {0: -1}
+    a = GradedAlgebra(m.field, m.parity, table, m.unit)
+    with pytest.raises(AlgebraError, match="centralizer failed to close under product"):
+        call(a)
 
 
 @pytest.mark.parametrize("field", FIELDS)
