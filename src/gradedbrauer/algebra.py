@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
-from operator import itemgetter
+from operator import itemgetter, xor
 from typing import Iterable, Optional, Sequence, Union
 
 from . import linalg
@@ -503,16 +503,18 @@ class GradedAlgebra:
             return itemgetter(*indices) if len(indices) > 1 else \
                 lambda row: tuple(row[k] for k in indices)
 
-        targets = [row[0] for row in rows]
         values = rows[0][2]
         code = {v: x for x, v in enumerate(values)}
-        size = [n - t.count(-1) for t in targets]
-        held = [codes if m == n else [c if k >= 0 else -1 for k, c in zip(t, codes)]
-                for m, (t, codes, _) in zip(size, rows)]  # codes, -1 at a zero cell
+        size = [n - row[0].count(-1) for row in rows]
+        full = [m == n for m in size]  # rows kept as tuples, made once per call
+        targets = [tuple(row[0]) if f else row[0] for f, row in zip(full, rows)]
+        held = [tuple(codes) if f else [c if k >= 0 else -1 for k, c in zip(t, codes)]
+                for f, (t, codes, _) in zip(full, rows)]  # codes, -1 at a zero cell
         times: dict[int, _Times] = {}  # [x][y]: a code of values[x] * values[y]
         for j in self._light_generators():
             ks = [k for k, s in enumerate(targets[j]) if s >= 0]  # e_j e_k != 0
-            at_k, at_s = getter(ks), getter([targets[j][k] for k in ks])
+            # at every k, a full row as it is (tuple() of a tuple is itself)
+            at_k, at_s = tuple if full[j] else getter(ks), getter([targets[j][k] for k in ks])
             d, zeros = at_k(held[j]), (-1,) * len(ks)
             for x in {row[j] for row in held}.union(d) - times.keys() - {-1}:
                 times[x] = _Times(values[x], values, code)
@@ -604,15 +606,26 @@ class GradedAlgebra:
     def check_unit_and_grading(self) -> None:
         """The cheap part of :meth:`validate`, run by the constructor: the
         unit is even and two-sided, and every product lands in the parity
-        forced by the grading.  Raises :class:`AlgebraError`.  ``u e_j`` and
-        ``e_j u`` add the cells ``e_i e_j`` and ``e_j e_i`` scaled by each
-        nonzero ``u_i`` (:func:`gradedbrauer.linalg._add_scaled`): a ``u_i``
-        that is the field's shared unit multiplies nothing."""
+        forced by the grading.  Raises :class:`AlgebraError`.  On monomial
+        rows a one-term unit ``u e_s`` holds when row and column ``s``
+        target ``0..dim-1`` with codes of ``1/u`` alone, and row ``i`` is
+        graded when its targets' parities are ``p_i ^ p_j`` at its nonzero
+        cells.  Other units, row dicts and failures take the cell loop:
+        ``u e_j`` and ``e_j u`` add ``e_i e_j`` and ``e_j e_i`` scaled by
+        each nonzero ``u_i`` (:func:`gradedbrauer.linalg._add_scaled`; the
+        shared 1 multiplies nothing), then each term's parity, in order."""
         for i, u in enumerate(self.unit):
             if u and self.parity[i] == 1:
                 raise AlgebraError("unit has a component in odd degree")
         rows, unit, one = self.rows, _sparse(self.unit), self.field.one()
-        for j in range(self.dim):
+        monomial, every = type(rows[0]) is tuple, list(range(self.dim))
+        if monomial and len(unit) == 1:
+            (s, u), = unit.items()
+            values, inverse = rows[s][2], one if u is one else _div(one, u)
+            if rows[s][0] == every == [row[0][s] for row in rows] and all(
+                    values[c] == inverse for c in {*rows[s][1], *(row[1][s] for row in rows)}):
+                every = []  # the unit holds: no j is left for the cell loop
+        for j in every:
             ej = {j: one}
             left: SparseVector = {}
             right: SparseVector = {}
@@ -623,6 +636,12 @@ class GradedAlgebra:
                     linalg._add_scaled(right, u, cell)
             if left != ej or right != ej:
                 raise AlgebraError(f"unit fails on basis element {j}")
+        if monomial:  # row i's targets' parities, 2 at a zero cell's -1 and at the end
+            parity, padded = self.parity, (*self.parity, 2)
+            grades = [(*g, 2) for g in (parity, [p ^ 1 for p in parity])]  # p_i ^ p_j, at p_i
+            if all(seen == grades[p] or 1 not in map(xor, seen, grades[p])  # 1: wrong parity
+                   for p, seen in zip(parity, (itemgetter(*row[0], -1)(padded) for row in rows))):
+                return
         for i, j, k, _ in _terms(self.rows):
             if self.parity[k] != self.parity[i] ^ self.parity[j]:
                 raise AlgebraError(

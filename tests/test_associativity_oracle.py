@@ -256,11 +256,12 @@ def test_hand_built_non_associative_tables():
     assert len(set(found)) == 3 and 0 not in found  # octonions are alternative
 
 
-def standing_perturbations():
+def standing_perturbations(build=GradedAlgebra):
     """Every one-term cell of the suite algebras of dimension at most 8,
-    negated and, separately, doubled, built through ``GradedAlgebra(...)``:
-    each table the constructor builds, or ``None`` where it refuses the
-    unit or the grading."""
+    negated and, separately, doubled, built through ``build(field, parity,
+    table, unit)``, ``GradedAlgebra`` by default: each table the
+    constructor builds, or ``None`` where it refuses the unit or the
+    grading."""
     for a in suite_algebras():
         if a.dim > 8:
             continue
@@ -271,7 +272,7 @@ def standing_perturbations():
             (k, v), = cell.items()
             for w in (-v, v + v):
                 try:
-                    yield GradedAlgebra(a.field, a.parity, {**table, ij: {k: w}}, a.unit)
+                    yield build(a.field, a.parity, {**table, ij: {k: w}}, a.unit)
                 except AlgebraError:
                     yield None
 
