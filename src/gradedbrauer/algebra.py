@@ -67,6 +67,11 @@ MAX_DIM = 1024
 # cells of Cl(10), the largest supported input.
 MAX_TERMS = 1 << 20
 
+# The most work (structure constants times the most in one cell) admitted
+# before Light's test: a dense change of basis of Cl(6) (dim 64) holds 4.2
+# million, validated in 3.4 s on one CPU; one of Cl(7) 67 million, 43.6 s.
+MAX_WORK = 1 << 23
+
 
 def _sparse(vec: Vector) -> SparseVector:
     """The nonzero coordinates of a dense vector, as ``{index: coeff}``."""
@@ -195,15 +200,18 @@ class NotAzumayaError(AlgebraError):
     :func:`hat_center` on an input outside the graded Azumaya class."""
 
 
-def _check_budget(dim: int, what: str, terms: int = 0) -> None:
-    """Refuse, before any table is built, an algebra above :data:`MAX_DIM`
-    or with more than :data:`MAX_TERMS` structure constants."""
+def _check_budget(dim: int, what: str, terms: int = 0, work: int = 0) -> None:
+    """Refuse, before any table is built or checked, an algebra above
+    :data:`MAX_DIM`, :data:`MAX_TERMS` structure constants or :data:`MAX_WORK`."""
     if dim > MAX_DIM:
         raise AlgebraError(f"{what} has dimension {dim}, above the size "
                            f"budget MAX_DIM = {MAX_DIM}")
     if terms > MAX_TERMS:
         raise AlgebraError(f"{what} has {terms} structure constants, above "
                            f"the term budget MAX_TERMS = {MAX_TERMS}")
+    if work > MAX_WORK:
+        raise AlgebraError(f"{what} reaches work {work} (structure constants times the most "
+                           f"in one cell), above the work budget MAX_WORK = {MAX_WORK}")
 
 
 class GradedAlgebra:
@@ -228,14 +236,13 @@ class GradedAlgebra:
     no length, a parity bit or index that is not an ``int`` and an index
     outside the basis, normalizes scalars into the field, keeping one
     object per value (1 is the field's shared unit, by which the unit
-    check does not multiply), drops zeros, stores the rows
-    (:attr:`rows`, read as a mapping through :attr:`table`) and runs
-    :meth:`check_unit_and_grading`: every algebra built here has a true,
-    even unit and a table that respects the grading.  Associativity is
-    :meth:`validate`'s to check (Light's test).  The library's own
-    constructors (:func:`gradedbrauer.clifford.clifford`,
+    check does not multiply), drops zeros, refuses a table over the
+    budgets, stores the rows (:attr:`rows`, read as a mapping through
+    :attr:`table`) and runs :meth:`validate`: every algebra built here is
+    associative, with a true, even unit and a graded table.  The
+    library's own constructors (:func:`gradedbrauer.clifford.clifford`,
     :func:`end_graded`, :func:`graded_tensor`, :func:`opposite`, ...)
-    build normalized rows and skip this pass through :meth:`_trusted`.
+    build such rows and skip this pass through :meth:`_trusted`.
 
     An algebra must not be mutated after construction: its classification
     (read by :mod:`gradedbrauer.invariants`) is computed at most once and
@@ -302,13 +309,15 @@ class GradedAlgebra:
         in one pass, refusing the first bad entry: not four items, an index
         not an ``int`` or outside ``0..dim-1`` (``(i, j)``, then ``k``), a
         triple given twice, zeros included.  Intern each value through
-        ``scalar`` and drop zeros.  Then store row dicts of the nonzero cells
-        (:func:`_packed`), set the unit, solved for when ``None``, and check
-        it and the grading."""
+        ``scalar`` and drop zeros; refuse a table over the budgets
+        (:func:`_check_budget`), over :data:`MAX_WORK` as soon as the walk
+        reaches it.  Store row dicts of the nonzero cells (:func:`_packed`),
+        set the unit, solved for when ``None``, and :meth:`validate`."""
         dim = self.dim
         rows: list[dict[int, dict[int, Scalar]]] = [{} for _ in range(dim)]
         zeros: set[tuple[int, int, int]] = set()  # for the repeat check
-        for entry in triples:
+        count, largest = 0, 1  # the triples read; the most terms in one cell
+        for count, entry in enumerate(triples, 1):
             try:
                 i, j, k, value = entry
             except (TypeError, ValueError):  # not four items
@@ -331,6 +340,9 @@ class GradedAlgebra:
                 rows[i][j] = {k: v}
             else:
                 cell[k] = v
+                if (count - len(zeros)) * (largest := max(largest, len(cell))) > MAX_WORK:
+                    break  # refused below, the rest unread
+        _check_budget(dim, "algebra", count - len(zeros), (count - len(zeros)) * largest)
         self.rows = _packed(rows)
         if unit is None:
             unit = self._solve_unit()
@@ -342,7 +354,8 @@ class GradedAlgebra:
             raise AlgebraError("unit vector has the wrong length")
         self.unit = tuple(map(scalar, unit))
         self._descriptor = self._ungraded = self._image = None
-        self.check_unit_and_grading()
+        self.validate()
+        self._image = None  # Light's test built it; as row dicts it is a second table
 
     @classmethod
     def _trusted(cls, field: Field, parity: tuple[int, ...], rows: list,
@@ -705,7 +718,7 @@ class GradedAlgebra:
         table), is refused before its table is built.  The parity bits and
         the entries then go through the constructor's checks
         (:meth:`_start`, :meth:`_finish`), which walk a sparse
-        ``structure`` once; associativity is not checked.
+        ``structure`` once and end in :meth:`validate`.
         """
         if not isinstance(data, Mapping):
             raise AlgebraError("algebra JSON must be an object, not "
@@ -989,8 +1002,8 @@ def _supercommutant(a: GradedAlgebra, constraints: list[tuple[SparseVector, int]
     degree is nonzero.  Closure is not checked: in an associative algebra
     the supercommutant of homogeneous elements is a subalgebra, as ``(c
     c') s = (-1)^{(|c|+|c'|)|s|} s (c c')`` for ``c``, ``c'`` in it (Wall,
-    *Graded Brauer groups*, J. reine angew. Math. 213, 1964), and
-    :meth:`GradedAlgebra.validate` checks associativity.
+    *Graded Brauer groups*, J. reine angew. Math. 213, 1964), and every
+    algebra built is associative (:meth:`GradedAlgebra._finish`).
     """
     rows = a.rows
     monomial = type(rows[0]) is tuple
@@ -1129,10 +1142,9 @@ def is_azumaya(a: GradedAlgebra) -> bool:
       reine angew. Math. 213, 1964).
 
     Together they say that the sandwich map ``a (x) a^op -> End(a)``,
-    ``x (x) y -> (c -> (-1)^{|y||c|} x c y)``, is bijective, for an
-    associative table (:meth:`GradedAlgebra.validate`); an asymmetric
-    trace form, which only a non-associative one has, raises ValueError.
-    Both are decided on the integral image (:func:`_integral`).
+    ``x (x) y -> (c -> (-1)^{|y||c|} x c y)``, is bijective, as every
+    algebra built is associative.  Both are decided on the integral image
+    (:func:`_integral`).
     """
     image = _integral(a)
     if len(linalg.congruence_diagonal(trace_gram(image))) < a.dim:
@@ -1155,12 +1167,33 @@ def trace_gram(a: GradedAlgebra, indices: Optional[Sequence[int]] = None
     (such as ``a.degree_indices(0)``, the even part), it is the trace form
     of ``B``, read in place: both passes visit only the rows and columns
     in ``indices``, which rows and columns keep.
+
+    A monomial table with a one-term unit ``u e_s``, whose row and column
+    ``s`` target ``0..dim-1``, is read as a group law when each row ``i``
+    kept holds ``s`` at a column ``j`` kept: Gram row ``i`` is ``{j: v_ij
+    tr(L_{e_s})}``.  Exact when ``a`` is associative (every algebra built
+    is): each such ``e_i`` is right-invertible, so invertible and no cell
+    is zero; the targets form a group, ``tr(L_{e_m}) = 0`` for ``m != s``
+    and ``j = i^-1`` is unique.  Clifford algebras and their tensors,
+    opposites and even parts are twisted group algebras of ``(Z/2)^n``
+    (Albuquerque and Majid, J. Pure Appl. Algebra 171, 2002).
     """
     rows = a.rows
     keep = range(a.dim) if indices is None else indices
     inside = keep if indices is None else set(indices)
     monomial = type(rows[0]) is tuple
     values = rows[0][2] if monomial else None
+    support = [i for i, u in enumerate(a.unit) if u]
+    if monomial and len(support) == 1:  # one Gram entry a row, or the two passes
+        (s,), (targets, codes, _) = support, rows[support[0]]
+        if targets == list(range(a.dim)) == [row[0][s] for row in rows] \
+                and (trace := sum(values[codes[c]] for c in keep)):
+            try:  # the j of e_i e_j = v_ij e_s, for each i
+                inverse = {i: rows[i][0].index(s) for i in keep}
+                if all(j in inside for j in inverse.values()):
+                    return {i: {j: values[rows[i][1][j]] * trace} for i, j in inverse.items()}
+            except ValueError:  # a row without s: the two passes below
+                pass
     traces: dict[int, Scalar] = {}
     for m in keep:
         row = rows[m]

@@ -222,8 +222,8 @@ def congruence_diagonal(rows):
     every row ``i`` in the support of row ``p``.  When no diagonal entry
     is nonzero but some ``m_ij`` is, replacing ``e_i`` by ``e_i + e_j``
     makes the ``(i, i)`` entry ``2 m_ij`` nonzero (characteristic 0), so
-    the loop always makes progress.  The work follows the nonzeros: on a
-    diagonal matrix it is one step per row.
+    the loop always makes progress.  The work follows the nonzeros: a
+    diagonal matrix (a Clifford algebra's trace form) is returned as it is.
 
     No entry is divided.  Row ``i`` is stored as ``n_i = l_i m_i``, times
     a factor ``l_i`` positive over the rationals, and made
@@ -237,6 +237,8 @@ def congruence_diagonal(rows):
     the rationals the signs of its entries are the inertia (Sylvester's
     law).  A matrix that is not symmetric raises ValueError.
     """
+    if all(len(row) == 1 and i in row for i, row in rows.items() if row):
+        return [row[i] for i, row in rows.items() if row]
     m = {i: dict(row) for i, row in rows.items() if row}
     if any(m.get(j, {}).get(i) != v for i, row in m.items() for j, v in row.items()):
         raise ValueError("congruence diagonal needs a symmetric matrix")

@@ -9,9 +9,32 @@ triple, in lexicographic order.  :func:`dense_unit` solves the dense
 of ``centralizer_oracle``.  Neither shares product, generator or
 elimination code with the library, and the tests require the same
 verdict from both sides.
+
+:func:`unvalidated` builds a table as ``GradedAlgebra(...)`` does but
+without its associativity check, so that a non-associative table reaches
+``validate`` and the classification.
 """
 
+from gradedbrauer.algebra import GradedAlgebra
 from centralizer_oracle import dense_solve
+
+
+class _Unvalidated(GradedAlgebra):
+    """``GradedAlgebra(...)`` whose constructor checks the unit and the
+    grading but runs no Light's test."""
+
+    __slots__ = ()
+
+    def validate(self) -> None:
+        self.check_unit_and_grading()
+
+
+def unvalidated(field, parity, table, unit=None):
+    """The algebra ``GradedAlgebra(field, parity, table, unit)`` stores, with
+    its unit and grading checked but not its associativity, kept through
+    ``GradedAlgebra._trusted``."""
+    b = _Unvalidated(field, parity, table, unit)
+    return GradedAlgebra._trusted(b.field, b.parity, b.rows, b.unit)
 
 
 def associator(a, i, j, k):

@@ -13,6 +13,7 @@ from gradedbrauer.algebra import (AlgebraError, GradedAlgebra,
 from gradedbrauer.clifford import clifford, signature_form
 from gradedbrauer.invariants import bw_class
 from gradedbrauer.scalars import COMPLEX, REAL
+from associativity_oracle import unvalidated
 from centralizer_oracle import m11
 from test_azumaya_oracle import gaussian_images, product
 
@@ -93,7 +94,9 @@ def test_validate_catches_broken_associativity():
     a = cl(2, 0)
     table = {k: dict(v) for k, v in a.table.items()}
     table[(1, 2)] = {3: F(-1)}  # flip the sign of e1*e2
-    broken = GradedAlgebra(a.field, a.parity, table, unit=a.unit)
+    with pytest.raises(AlgebraError, match="associat"):
+        GradedAlgebra(a.field, a.parity, table, unit=a.unit)
+    broken = unvalidated(a.field, a.parity, table, unit=a.unit)
     with pytest.raises(AlgebraError, match="associat"):
         broken.validate()
 
@@ -384,12 +387,12 @@ def non_associative(field=REAL):
     """Even, dim 3, unit ``e_0``, ``e_1 e_1 = e_1 e_2 = e_1`` and every
     other product of ``e_1, e_2`` zero.  ``(e_1 e_2) e_1 = e_1`` but
     ``e_1 (e_2 e_1) = 0``, and the trace form shows it: ``G_12 = 1`` and
-    ``G_21 = 0``."""
-    return GradedAlgebra(field, (0, 0, 0),
-                         {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
-                          (0, 2): {2: 1}, (2, 0): {2: 1},
-                          (1, 1): {1: 1}, (1, 2): {1: 1}},
-                         unit=(1, 0, 0))
+    ``G_21 = 0``.  The constructor refuses it, so it is built unvalidated."""
+    return unvalidated(field, (0, 0, 0),
+                       {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                        (0, 2): {2: 1}, (2, 0): {2: 1},
+                        (1, 1): {1: 1}, (1, 2): {1: 1}},
+                       unit=(1, 0, 0))
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])

@@ -13,7 +13,9 @@ non-associative tables (the octonions among them, which are alternative,
 so only triples of distinct imaginary units fail).  On monomial rows the
 generators come from an index closure and the rows are compared whole;
 the same tables stored as row dicts take the elimination and the
-cell-by-cell compare, the oracle for both.
+cell-by-cell compare, the oracle for both.  The constructor refuses a
+non-associative table, so those are built through
+:func:`associativity_oracle.unvalidated`.
 """
 
 import io
@@ -32,7 +34,7 @@ from gradedbrauer.cli import main
 from gradedbrauer.clifford import DiagonalForm, clifford, relabel, signature_form
 from gradedbrauer.invariants import bw_class
 from gradedbrauer.scalars import COMPLEX, REAL
-from associativity_oracle import associator, dense_unit, first_failing_triple
+from associativity_oracle import associator, dense_unit, first_failing_triple, unvalidated
 from test_azumaya_oracle import (cl, gaussian_images, known_non_azumaya, product,
                                  seeded_algebras, suite_algebras)
 from test_centralizer_oracle import transport
@@ -68,7 +70,7 @@ def assert_same_verdict(a):
 
 
 def rebuilt(a, table):
-    return GradedAlgebra(a.field, a.parity, table, a.unit)
+    return unvalidated(a.field, a.parity, table, a.unit)
 
 
 def test_same_verdict_on_the_suite_algebras():
@@ -231,24 +233,24 @@ def octonions(field=REAL):
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
             table[(x, y)] = {z: 1}
             table[(y, x)] = {z: -1}
-    return GradedAlgebra(field, (0,) * 8, table, (1,) + (0,) * 7)
+    return unvalidated(field, (0,) * 8, table, (1,) + (0,) * 7)
 
 
 def test_hand_built_non_associative_tables():
     # x^2 = y^2 = yx = 0, xy = x: (x y) y = x but x (y y) = 0
-    small = GradedAlgebra(REAL, (0, 0, 0),
-                          {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
-                           (1, 0): {1: 1}, (2, 0): {2: 1}, (1, 2): {1: 1}},
-                          (1, 0, 0))
+    small = unvalidated(REAL, (0, 0, 0),
+                        {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
+                         (1, 0): {1: 1}, (2, 0): {2: 1}, (1, 2): {1: 1}},
+                        (1, 0, 0))
     # the same with x last, so only triples with the last index on the left fail
     small_last = relabel(small, [0, 2, 1])
     assert first_failing_triple(small_last) == (2, 1, 1)
     # x^2 = y^2 = x, xy = yx = 0: (x y) y = 0 but x (y y) = x, a zero e_i e_j
     # for the generator j = y against a nonzero row e_i (e_j e_k)
-    zero_left = GradedAlgebra(REAL, (0, 0, 0),
-                              {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (1, 0): {1: 1},
-                               (2, 0): {2: 1}, (1, 1): {1: 1}, (2, 2): {1: 1}},
-                              (1, 0, 0))
+    zero_left = unvalidated(REAL, (0, 0, 0),
+                            {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (1, 0): {1: 1},
+                             (2, 0): {2: 1}, (1, 1): {1: 1}, (2, 2): {1: 1}},
+                            (1, 0, 0))
     assert first_failing_triple(zero_left) == library_triple(zero_left) == (1, 2, 2)
     for a in (small, small_last, zero_left, octonions(), octonions(COMPLEX)):
         assert not assert_same_verdict(a)
@@ -278,16 +280,22 @@ def standing_perturbations(build=GradedAlgebra):
 
 
 def test_standing_perturbation_sweep():
-    """Each table of :func:`standing_perturbations` the constructor builds
-    gets the cubic oracle's verdict from ``validate``.  Every later fast
-    path of Light's test must pass this."""
+    """Each table of :func:`standing_perturbations` that keeps its unit and
+    grading gets the cubic oracle's verdict from ``validate``, and the
+    constructor builds it exactly when it is associative: of the 1,498
+    tables it refuses 488 for their unit or grading and the other 998
+    for associativity, and builds 12.  Every later fast path of Light's
+    test must pass this."""
     tables = refused = associative = 0
-    for b in standing_perturbations():
+    for b, built in zip(standing_perturbations(unvalidated), standing_perturbations()):
         tables += 1
         if b is None:
             refused += 1
+            assert built is None
         else:
-            associative += assert_same_verdict(b)
+            found = assert_same_verdict(b)
+            associative += found
+            assert (built is not None) == found, b
     assert (tables, refused, associative) == (1498, 488, 12)
 
 
@@ -302,21 +310,30 @@ def refuses(call, a):
 
 
 def test_standing_perturbations_refused_by_the_classification(capsys, monkeypatch):
-    """Of the 1,010 tables the constructor builds, ``bw_class`` refuses 196,
-    ``hat_center`` 144 and ``is_azumaya`` 24, with no closure check in the
-    supercommutant; CLI ``invariants`` exits 2 on each one ``bw_class``
-    refuses."""
+    """The constructor builds 12 tables, all associative, and ``bw_class``,
+    ``hat_center`` and ``is_azumaya`` refuse none of them.  Of the 1,010
+    tables that keep their unit and grading, CLI ``invariants`` exits 2
+    with ``validate``'s message on the 998 that are not associative, and
+    prints the class ``bw_class`` gives on the other 12."""
     built = [b for b in standing_perturbations() if b is not None]
     counts = [len(built)]
     for call in (bw_class, hat_center, is_azumaya):
-        refused = [b for b in built if refuses(call, b)]
-        counts.append(len(refused))
-        if call is bw_class:
-            for b in refused:
-                monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(b.to_json())))
-                assert main(["invariants", "--algebra", "-"]) == 2, b
-                assert "error" in json.loads(capsys.readouterr().out)
-    assert counts == [1010, 196, 144, 24]
+        counts.append(sum(refuses(call, b) for b in built))
+    assert counts == [12, 0, 0, 0]
+    printed = 0
+    for b in standing_perturbations(unvalidated):
+        if b is None:
+            continue
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(b.to_json())))
+        code, out = main(["invariants", "--algebra", "-"]), json.loads(capsys.readouterr().out)
+        if (found := library_triple(b)) is not None:
+            assert (code, out["error"]["message"]) == (2, PREFIX + str(found)), b
+        elif refuses(bw_class, b):
+            assert code == 2 and "error" in out, b
+        else:
+            assert (code, out["bw"]) == (0, bw_class(b)), b
+            printed += 1
+    assert printed == 12
 
 
 def associativity_calls(monkeypatch, a):

@@ -21,6 +21,7 @@ from gradedbrauer.clifford import (DiagonalForm, clifford, hyperbolic, relabel,
 from gradedbrauer.groups import AbGroup
 from gradedbrauer.invariants import bw_class
 from gradedbrauer.scalars import COMPLEX, REAL, parse_gaussian
+from associativity_oracle import unvalidated
 from centralizer_oracle import m11
 
 
@@ -181,17 +182,19 @@ def test_cli_refusal_exits_two(capsys, tmp_path, argv, doc, error):
 def unclosed_center():
     """A purely even dim-4 table whose commutant is not closed under the
     product.  It has the unit ``e_0`` and the right grading, but it is
-    not associative."""
+    not associative: the constructor refuses it, so it is built
+    unvalidated."""
     table = {(0, k): {k: 1} for k in range(4)}
     table.update({(k, 0): {k: 1} for k in range(1, 4)})
     table.update({(1, 2): {0: 2, 2: -1, 3: 1}, (1, 3): {3: -1}, (2, 1): {0: 1},
                   (2, 2): {2: 1}, (3, 1): {3: -1}, (3, 3): {1: 1}})
-    return GradedAlgebra(REAL, (0, 0, 0, 0), table, unit=(1, 0, 0, 0))
+    return unvalidated(REAL, (0, 0, 0, 0), table, unit=(1, 0, 0, 0))
 
 
 def test_centralizer_closure_refusal(capsys, tmp_path):
     """The commutant of this table is not a subalgebra, but it is refused
-    before closure matters: its center has the wrong dimension."""
+    before closure matters: its center has the wrong dimension.  Read
+    from JSON it is refused where it is built, as not associative."""
     a = unclosed_center()
     with pytest.raises(NotAzumayaError, match="graded center has dimension 4, expected 2"):
         hat_center(a)
@@ -200,8 +203,8 @@ def test_centralizer_closure_refusal(capsys, tmp_path):
         a.validate()
     code, out = run_cli(capsys, tmp_path, ["invariants", "--algebra"], a.to_json())
     assert code == 2
-    assert out["error"] == {"type": "NotAzumayaError",
-                            "message": "graded center has dimension 4, expected 2"}
+    assert out["error"] == {"type": "AlgebraError",
+                            "message": "associativity fails on basis triple (1, 1, 2)"}
 
 
 @pytest.mark.parametrize("call", [hat_center, bw_class], ids=["hat_center", "bw_class"])
@@ -209,12 +212,15 @@ def test_center_generator_square_outside_the_center(call):
     """``m11(Cl(1,0))`` with its cell ``e_1 e_1`` negated keeps its unit and
     grading and has a center of dimension 2, but the square of its
     generator ``z`` is not in ``span{1, z}``: the non-associative table
-    is refused by the one elimination of ``hat_center``."""
+    is refused by the one elimination of ``hat_center``.  The constructor
+    refuses it, so it is built unvalidated."""
     m = m11(clifford(signature_form(1, 0)))
     table = {ij: dict(cell) for ij, cell in m.table.items()}
     assert table[(1, 1)] == {0: 1}
     table[(1, 1)] = {0: -1}
-    a = GradedAlgebra(m.field, m.parity, table, m.unit)
+    with pytest.raises(AlgebraError, match="associativity fails"):
+        GradedAlgebra(m.field, m.parity, table, m.unit)
+    a = unvalidated(m.field, m.parity, table, m.unit)
     with pytest.raises(AlgebraError, match="centralizer failed to close under product"):
         call(a)
 

@@ -17,11 +17,12 @@ from fractions import Fraction
 import numpy as np
 
 from gradedbrauer import algebra, linalg
-from gradedbrauer.algebra import (AlgebraError, GradedAlgebra, NotAzumayaError,
+from gradedbrauer.algebra import (AlgebraError, NotAzumayaError,
                                   end_graded, graded_centralizer, graded_tensor,
                                   ground_algebra, hat_center, opposite, trace_gram)
 from gradedbrauer.clifford import DiagonalForm, clifford, signature_form
 from gradedbrauer.scalars import COMPLEX, REAL, GaussianRational
+from associativity_oracle import unvalidated
 from centralizer_oracle import dense_centralizer, dense_mul, m11
 from test_azumaya_oracle import (gaussian_images, known_non_azumaya, product, quadratic,
                                  seeded_algebras, suite_algebras, upper_triangular)
@@ -138,7 +139,16 @@ def unimodular_pair(m, rng):
 
 
 def transport(a, rng):
-    """``a`` on the homogeneous basis ``g_i = d_i * sum_r U[r][i] e_r``.
+    """``a`` on the homogeneous basis ``g_i = d_i * sum_r U[r][i] e_r``,
+    built through :func:`moved_table` and
+    :func:`associativity_oracle.unvalidated`: a change of basis keeps
+    associativity, and a non-associative ``a`` can be moved too."""
+    return unvalidated(a.field, a.parity, *moved_table(a, rng))
+
+
+def moved_table(a, rng):
+    """The ``(table, unit)`` of :func:`transport`, as the constructor takes
+    them.
 
     ``U`` is unimodular on each parity block and ``d`` a seeded rational
     diagonal, so every cell of the new table is dense and carries
@@ -189,7 +199,7 @@ def transport(a, rng):
                 table[(i, j)] = cell
     unit = [sum((int(u_inv[k, r]) * a.unit[r] for r in range(n)), a.field.zero())
             * F(6, d[k]) for k in range(n)]
-    return GradedAlgebra(a.field, a.parity, table, unit)
+    return table, unit
 
 
 def form(field, rng, rank):

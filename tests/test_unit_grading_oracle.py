@@ -33,12 +33,13 @@ from unit_grading_oracle import cell_loop_check
 
 
 class Unchecked(GradedAlgebra):
-    """``GradedAlgebra(...)`` without the constructor's unit and grading
-    check: the rows and the unit are stored as it stores them."""
+    """``GradedAlgebra(...)`` without the constructor's :meth:`validate`,
+    neither the unit and grading check nor Light's test: the rows and the
+    unit are stored as it stores them."""
 
     __slots__ = ()
 
-    def check_unit_and_grading(self) -> None:
+    def validate(self) -> None:
         pass
 
 
