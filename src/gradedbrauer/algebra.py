@@ -238,11 +238,12 @@ class GradedAlgebra:
     object per value (1 is the field's shared unit, by which the unit
     check does not multiply), drops zeros, refuses a table over the
     budgets, stores the rows (:attr:`rows`, read as a mapping through
-    :attr:`table`) and runs :meth:`validate`: every algebra built here is
-    associative, with a true, even unit and a graded table.  The
-    library's own constructors (:func:`gradedbrauer.clifford.clifford`,
-    :func:`end_graded`, :func:`graded_tensor`, :func:`opposite`, ...)
-    build such rows and skip this pass through :meth:`_trusted`.
+    :attr:`table`) and runs :meth:`validate`, keeping the integral image
+    it builds: every algebra built here is associative, with a true, even
+    unit and a graded table.  The library's own constructors
+    (:func:`gradedbrauer.clifford.clifford`, :func:`end_graded`,
+    :func:`graded_tensor`, :func:`opposite`, ...) build such rows and skip
+    this pass through :meth:`_trusted`.
 
     An algebra must not be mutated after construction: its classification
     (read by :mod:`gradedbrauer.invariants`) is computed at most once and
@@ -312,7 +313,8 @@ class GradedAlgebra:
         ``scalar`` and drop zeros; refuse a table over the budgets
         (:func:`_check_budget`), over :data:`MAX_WORK` as soon as the walk
         reaches it.  Store row dicts of the nonzero cells (:func:`_packed`),
-        set the unit, solved for when ``None``, and :meth:`validate`."""
+        set the unit, solved for when ``None``, and :meth:`validate`; the
+        integral image Light's test builds stays in ``_image``."""
         dim = self.dim
         rows: list[dict[int, dict[int, Scalar]]] = [{} for _ in range(dim)]
         zeros: set[tuple[int, int, int]] = set()  # for the repeat check
@@ -355,7 +357,6 @@ class GradedAlgebra:
         self.unit = tuple(map(scalar, unit))
         self._descriptor = self._ungraded = self._image = None
         self.validate()
-        self._image = None  # Light's test built it; as row dicts it is a second table
 
     @classmethod
     def _trusted(cls, field: Field, parity: tuple[int, ...], rows: list,
@@ -593,7 +594,7 @@ class GradedAlgebra:
                         if (t := targets[w][g]) >= 0 and not reached[t]:
                             reach(t)
             return generators
-        elimination = linalg.Elimination(kernel=False)
+        elimination = linalg.Elimination()
         pivots, add = elimination.pivots, elimination.add  # None: a new pivot
         add(_sparse(self.unit))
         words: list[SparseVector] = []
@@ -718,7 +719,8 @@ class GradedAlgebra:
         table), is refused before its table is built.  The parity bits and
         the entries then go through the constructor's checks
         (:meth:`_start`, :meth:`_finish`), which walk a sparse
-        ``structure`` once and end in :meth:`validate`.
+        ``structure`` once and end in :meth:`validate`, whose integral
+        image the algebra keeps.
         """
         if not isinstance(data, Mapping):
             raise AlgebraError("algebra JSON must be an object, not "
@@ -817,9 +819,10 @@ def _integral(a: GradedAlgebra) -> GradedAlgebra:
     A constant becomes ``numerator * (D // denominator)``: for monomial
     rows each of ``values`` (coefficients up to sign, so the same ``D``),
     and the image's rows share ``a``'s target and code lists; in row dicts
-    every entry.  Built on first use and kept in the ``_image`` slot of
-    ``a`` (not of the image), so it dies with ``a``; image scalars are
-    never returned to a caller.
+    every entry.  Built on first use (for ``GradedAlgebra(...)`` and
+    :meth:`GradedAlgebra.from_json`, the constructor's :meth:`validate`)
+    and kept in the ``_image`` slot of ``a`` (not of the image), so it
+    dies with ``a``; image scalars are never returned to a caller.
     """
     if a._image is None:
         rows, real = a.rows, a.field.is_real

@@ -125,9 +125,6 @@ class Elimination:
     columns before it, and the kernel vectors are the ones
     back-substitution on a row-echelon form gives, up to scale.
 
-    With ``kernel=False`` no combination is tracked (for callers that ask
-    only whether a column is a pivot), and a dependent column gives ``{}``.
-
     Only the pivots whose row occurs in the column are visited, through
     a sorted queue of positions seeded from a map of pivot rows; a pivot
     queues the pivot rows it brings in.  A pivot is zero at the rows of
@@ -135,9 +132,8 @@ class Elimination:
     the same pivots in the same order as a scan of every pivot would.
     """
 
-    def __init__(self, kernel=True):
-        # whether to track kernels; the next column's index
-        self.kernel, self.added = kernel, 0
+    def __init__(self):
+        self.added = 0  # the next column's index
         self.pivots = []  # (pivot row, primitive reduced column, combination)
         self.position = {}  # pivot row -> index in pivots
 
@@ -146,7 +142,7 @@ class Elimination:
         index, or ``None`` if it is a pivot."""
         pivots, position = self.pivots, self.position
         reduced = {r: v for r, v in column.items() if v}
-        combo = {self.added: 1} if self.kernel else {}
+        combo = {self.added: 1}
         self.added += 1
         # negated positions, ascending, so that pop() gives the earliest
         queue = [-position[r] for r in reduced if r in position] if position else None
@@ -176,8 +172,7 @@ class Elimination:
                             reduced[k] = t
                         else:
                             del reduced[k]
-                if pivot_combo:
-                    _add_scaled(combo, f, pivot_combo)
+                _add_scaled(combo, f, pivot_combo)
         if reduced:
             _primitive(reduced, combo)
             row = next(iter(reduced))

@@ -35,8 +35,8 @@ from gradedbrauer.clifford import DiagonalForm, clifford, relabel, signature_for
 from gradedbrauer.invariants import bw_class
 from gradedbrauer.scalars import COMPLEX, REAL
 from associativity_oracle import associator, dense_unit, first_failing_triple, unvalidated
-from test_azumaya_oracle import (cl, gaussian_images, known_non_azumaya, product,
-                                 seeded_algebras, suite_algebras)
+from test_azumaya_oracle import (cl, dense_gaussian_transport, dimension_64, gaussian_images,
+                                 known_non_azumaya, product, seeded_algebras, suite_algebras)
 from test_centralizer_oracle import transport
 
 F = Fraction
@@ -184,6 +184,36 @@ def test_one_perturbed_cell_after_a_dense_change_of_basis():
         cell = table.setdefault((i, j), {})
         cell[k] = cell.get(k, field.zero()) + field.coerce(F(1, 3))
         assert not assert_same_verdict(rebuilt(moved, table))
+
+
+def test_one_perturbed_cell_is_refused_where_the_table_is_built():
+    """The cell perturbed as above, in each Gaussian image, the dense
+    Gaussian transport and the dim-64 inputs of ``test_azumaya_oracle``:
+    ``GradedAlgebra(...)`` and ``from_json`` refuse the table with
+    ``validate``'s message, over C and, when every value is real, over R."""
+    rng, fields = random.Random(1964), set()
+    for a in gaussian_images() + [dense_gaussian_transport()] + dimension_64():
+        odd, even = a.degree_indices(1), a.degree_indices(0)
+        i, j, k = rng.choice(odd), rng.choice(odd), rng.choice(even)
+        table = {ij: dict(cell) for ij, cell in a.table.items()}
+        cell = table.setdefault((i, j), {})
+        cell[k] = cell.get(k, a.field.zero()) + a.field.coerce(F(1, 3))
+        perturbed = rebuilt(a, table)
+        doc = perturbed.to_json()
+        strings = {}  # the table as the JSON renders it
+        for r, c, t, v in doc["structure"]:
+            strings.setdefault((r, c), {})[t] = v
+        real = not any("i" in v for *_, v in doc["structure"])
+        for field in (REAL, COMPLEX) if real else (COMPLEX,):
+            doc["field"] = field.label
+            fields.add(field)
+            for build in (lambda: GradedAlgebra(field, doc["parity"], strings, doc["unit"]),
+                          lambda: GradedAlgebra.from_json(doc)):
+                with pytest.raises(AlgebraError, match="^" + PREFIX) as refused:
+                    build()
+                triple = str(refused.value)[len(PREFIX) + 1:-1].split(", ")
+                assert associator(perturbed, *map(int, triple))
+    assert fields == {REAL, COMPLEX}
 
 
 def sheared(a, target, source):

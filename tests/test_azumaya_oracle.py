@@ -101,6 +101,18 @@ def gaussian_images():
         + [graded_tensor(a, cl(1, 0, COMPLEX)) for a in forms]
 
 
+def dense_gaussian_transport():
+    from test_centralizer_oracle import transport  # that module imports this one
+    return transport(gaussian_images()[0], random.Random(1968))
+
+
+def dimension_64():
+    """A relabeled opposite of End(4|4) over R and a tensor over C."""
+    real = shuffled(opposite(end_graded(4, 4)), random.Random(64))
+    return [real, graded_tensor(graded_tensor(cl(1, 0, COMPLEX), end_graded(2, 2, COMPLEX)),
+                                cl(0, 1, COMPLEX))]
+
+
 def known_non_azumaya():
     rng = random.Random(7)
     out = []
@@ -168,10 +180,8 @@ def test_agrees_with_the_oracle_on_the_suite_algebras():
 
 
 def test_agrees_with_the_oracle_on_a_dense_gaussian_transport():
-    from test_centralizer_oracle import transport  # that module imports this one
-    images = gaussian_images()
-    moved = transport(images[0], random.Random(1968))
-    for a in images + [moved]:
+    moved = dense_gaussian_transport()
+    for a in gaussian_images() + [moved]:
         assert _integral(a).field is COMPLEX  # an image with Gaussian entries
     check_agreement(moved)
 
@@ -182,11 +192,7 @@ def test_agrees_with_the_oracle_on_seeded_algebras():
 
 
 def test_agrees_with_the_oracle_at_dimension_64():
-    rng = random.Random(64)
-    real = shuffled(opposite(end_graded(4, 4)), rng)
-    complex_ = graded_tensor(graded_tensor(cl(1, 0, COMPLEX), end_graded(2, 2, COMPLEX)),
-                             cl(0, 1, COMPLEX))
-    for a in (real, complex_):
+    for a in dimension_64():
         assert a.dim == 64
         assert is_azumaya(a) and sandwich_is_azumaya(a)
 

@@ -80,15 +80,26 @@ def test_the_image_is_the_table_on_the_scaled_basis():
 
 
 def test_an_image_is_built_once_per_algebra_and_never_copied_in():
-    a = transport(cl(2, 1), random.Random(3))
-    assert a._image is None
-    bw_class(a)
-    image = a._image
-    assert image is not None
-    is_azumaya(a)
-    a.validate()
-    assert a._image is image
-    assert fresh(a)._image is None
+    """A ``_trusted`` algebra builds its image on first use; one built by
+    ``GradedAlgebra(...)`` or ``from_json``, as row dicts or monomial rows,
+    keeps the image its constructor's ``validate`` built.  Either way the
+    classification and another ``validate`` use that one image."""
+    trusted = [transport(cl(2, 1), random.Random(3)), cl(2, 1)]
+    built = [GradedAlgebra(a.field, a.parity, a.table, a.unit) for a in trusted]
+    built += [GradedAlgebra.from_json(a.to_json()) for a in trusted]
+    assert [type(a.rows[0]) for a in built] == [dict, tuple] * 2
+    for a in trusted:
+        assert a._image is None
+        bw_class(a)
+    for a in trusted + built:
+        image = a._image
+        assert image is not None
+        bw_class(a)
+        is_azumaya(a)
+        graded_centralizer(a, [(a.unit, 0)])
+        a.validate()
+        assert a._image is image
+        assert fresh(a)._image is None
 
 
 # ---------------------------------------------- the same decisions as the table
