@@ -69,7 +69,9 @@ MAX_TERMS = 1 << 20
 
 # The most work (structure constants times the most in one cell) admitted
 # before Light's test: a dense change of basis of Cl(6) (dim 64) holds 4.2
-# million, validated in 3.4 s on one CPU; one of Cl(7) 67 million, 43.6 s.
+# million, validated in 0.28 s on one CPU with its integral image built
+# (2.4 s before the row dicts' cells were packed into ints); one of Cl(7)
+# 67 million, 12 s (42.6 s before), 8 s of it the generator search.
 MAX_WORK = 1 << 23
 
 
@@ -139,6 +141,47 @@ def _packed(rows: list) -> list:
         packed.append((targets, codes))
     values = list(position)
     return [(targets, codes, values) for targets, codes in packed]
+
+
+def _cell_ints(image: "GradedAlgebra") -> Optional[tuple[int, list, dict[int, int], int]]:
+    """``(w, cells, unit, den)`` for an integral image (:func:`_integral`)
+    in row dicts of ``int`` constants; ``None`` for monomial rows, for a
+    Gaussian image and for rows holding any other constant.
+    ``cells[i][j]`` packs cell ``e_i e_j = sum c_k e_k`` into the one int
+    ``sum c_k 2**(w k)``; ``den`` is the common denominator of the image's
+    unit and ``unit`` maps each nonzero ``i`` to the int ``den u_i``.
+
+    A balanced base-``2**w`` expansion is unique, so two packed sums of
+    cells are equal exactly when every slot is, once each slot of both
+    stays below ``2**(w - 1)`` in absolute value.  With ``M`` the largest
+    ``|c|`` and ``U`` the largest ``|den u_i|``, a slot of a sum of at most
+    ``dim`` products of two constants is at most ``dim M**2``, one of
+    ``sum_i den u_i e_i e_j`` at most ``dim M U``, and one of ``den e_j``
+    is ``den``: ``w`` is one bit more than the largest of the three needs.
+    """
+    rows, n = image.rows, image.dim
+    if type(rows[0]) is not dict or not image.field.is_real:
+        return None
+    den = lcm(*(u.denominator for u in image.unit if u))
+    unit = {i: int(den * u) for i, u in enumerate(image.unit) if u}
+    top = max((max(map(abs, cell.values())) for row in rows for cell in row.values()),
+              default=0)
+    cells = []
+    try:  # a constant that is no int (rows not of an integral image) raises TypeError
+        w = int.bit_length(max(n * top * top, n * top * max(map(abs, unit.values()), default=0),
+                               den)) + 1
+        shift = [w * k for k in range(n)]
+        for row in rows:
+            packed = {}
+            for j, cell in row.items():
+                p = 0
+                for k, c in cell.items():
+                    p += c << shift[k]
+                packed[j] = p
+            cells.append(packed)
+    except TypeError:
+        return None
+    return w, cells, unit, den
 
 
 def _signed_codes(candidates: list) -> tuple[list, list, list]:
@@ -444,12 +487,16 @@ class GradedAlgebra:
 
         Runs :meth:`check_unit_and_grading`, then :meth:`_check_associative`
         on the integral image (:func:`_integral`), which is associative
-        exactly when this algebra is, with the same failing triples.
+        exactly when this algebra is, with the same failing triples.  On
+        row dicts both read the image's cells packed once into ints
+        (:func:`_cell_ints`), which live for this call only.
         """
-        self.check_unit_and_grading()
-        _integral(self)._check_associative()
+        image = _integral(self)
+        ints = _cell_ints(image)
+        self.check_unit_and_grading(ints)
+        image._check_associative(ints)
 
-    def _check_associative(self) -> None:
+    def _check_associative(self, ints: Optional[tuple] = None) -> None:
         """Light's associativity test (Clifford & Preston, *The Algebraic
         Theory of Semigroups* I, AMS 1961, section 1.2).  The elements ``y``
         with ``(x y) z = x (y z)`` for all ``x, z`` form a subspace ``S``
@@ -485,9 +532,18 @@ class GradedAlgebra:
         ``2 r dim**2`` cells read: few on Clifford, graded matrix, tensor
         and opposite tables, which hold about ``dim`` distinct values or
         fewer, and within that bound after a diagonal rescaling of the
-        basis, which can leave ``dim**2 / 2``.  Row dicts, and any pair of
-        rows that differ, are compared as dicts of cells, which names the
-        first failing triple.
+        basis, which can leave ``dim**2 / 2``.  Any pair of monomial rows
+        that differ is compared as dicts of cells, which names the first
+        failing triple ``(i, j, min k)``.
+
+        Row dicts of ``int`` constants compare packed cells (``ints``,
+        :func:`_cell_ints`, packed here when not given): ``(e_i e_j) e_k =
+        sum_t b_t e_t e_k`` and ``e_i (e_j e_k) = sum_s d_ks e_i e_s`` are
+        one int each, made by one product a term, and kept for the ``k``
+        where they are nonzero.  Each slot of either is at most ``dim M**2``,
+        within the width, so two ints are equal exactly when the cells are,
+        and the least ``k`` where they differ names the same triple as the
+        dict compare.  A Gaussian image keeps the dict compare.
         """
         rows, n = self.rows, self.dim
 
@@ -508,9 +564,30 @@ class GradedAlgebra:
                 raise AlgebraError(f"associativity fails on basis triple ({i}, {j}, {min(bad)})")
 
         if type(rows[0]) is dict:
+            if (ints := ints or _cell_ints(self)) is None:  # a Gaussian image
+                for j in self._light_generators():
+                    for i in range(n):
+                        check(i, j)
+                return
+            cells = ints[1]
             for j in self._light_generators():
-                for i in range(n):
-                    check(i, j)
+                right = rows[j].items()  # e_j e_k = sum_s d_ks e_s
+                for i, row in enumerate(rows):
+                    lhs, rhs, packed = {}, {}, cells[i]
+                    for t, b in row.get(j, {}).items():  # e_i e_j = sum_t b_t e_t
+                        for k, p in cells[t].items():
+                            lhs[k] = lhs.get(k, 0) + b * p
+                    for k, cell in right:
+                        v = 0
+                        for s, d in cell.items():
+                            if (p := packed.get(s)) is not None:
+                                v += d * p
+                        if v:
+                            rhs[k] = v
+                    if lhs != rhs and (bad := [k for k in lhs.keys() | rhs.keys()
+                                               if lhs.get(k, 0) != rhs.get(k, 0)]):
+                        raise AlgebraError(
+                            f"associativity fails on basis triple ({i}, {j}, {min(bad)})")
             return
 
         def getter(indices: list[int]):  # the tuple of a row's entries at indices
@@ -617,17 +694,30 @@ class GradedAlgebra:
                     pending += [(product, h) for h in generators]
         return generators
 
-    def check_unit_and_grading(self) -> None:
-        """The cheap part of :meth:`validate`, run by the constructor: the
-        unit is even and two-sided, and every product lands in the parity
-        forced by the grading.  Raises :class:`AlgebraError`.  On monomial
-        rows a one-term unit ``u e_s`` holds when row and column ``s``
-        target ``0..dim-1`` with codes of ``1/u`` alone, and row ``i`` is
-        graded when its targets' parities are ``p_i ^ p_j`` at its nonzero
-        cells.  Other units, row dicts and failures take the cell loop:
-        ``u e_j`` and ``e_j u`` add ``e_i e_j`` and ``e_j e_i`` scaled by
-        each nonzero ``u_i`` (:func:`gradedbrauer.linalg._add_scaled`; the
-        shared 1 multiplies nothing), then each term's parity, in order."""
+    def check_unit_and_grading(self, ints: Optional[tuple] = None) -> None:
+        """The first part of :meth:`validate`: the unit is even and
+        two-sided, and every product lands in the parity forced by the
+        grading.  Raises :class:`AlgebraError` naming the first failure, as
+        the cell loop below would: an odd unit coordinate, then the first
+        ``j`` with ``u e_j != e_j`` or ``e_j u != e_j``, then the first
+        structure constant of wrong parity in ``(i, j, k)`` order.
+
+        On monomial rows a one-term unit ``u e_s`` holds when row and column
+        ``s`` target ``0..dim-1`` with codes of ``1/u`` alone, and row ``i``
+        is graded when its targets' parities are ``p_i ^ p_j`` at its
+        nonzero cells.  On row dicts whose integral image has ``int``
+        constants the unit is checked on that image, the same ``j`` failing
+        as here since the image only rescales the basis: with its cells
+        packed into ints (``ints``, :func:`_cell_ints`, packed here when not
+        given), ``sum_i den u_i e_i e_j`` and ``sum_i den u_i e_j e_i`` are
+        each one int against ``den 2**(w j)``.  Row dicts are graded when
+        the targets of each cell lie in the indices of parity ``p_i ^ p_j``,
+        one set inclusion a cell.  Any other unit (a monomial unit of several
+        terms or that fails, a Gaussian image) takes the cell loop: ``u e_j``
+        and ``e_j u`` add ``e_i e_j`` and ``e_j e_i`` scaled by each nonzero
+        ``u_i`` (:func:`gradedbrauer.linalg._add_scaled`; the shared 1
+        multiplies nothing).  A grading that fails takes the walk over each
+        term's parity, in order, which names the first failure."""
         for i, u in enumerate(self.unit):
             if u and self.parity[i] == 1:
                 raise AlgebraError("unit has a component in odd degree")
@@ -639,6 +729,14 @@ class GradedAlgebra:
             if rows[s][0] == every == [row[0][s] for row in rows] and all(
                     values[c] == inverse for c in {*rows[s][1], *(row[1][s] for row in rows)}):
                 every = []  # the unit holds: no j is left for the cell loop
+        elif not monomial and (ints := ints or _cell_ints(_integral(self))):
+            w, cells, scaled, den = ints
+            for j in every:
+                want = den << (w * j)
+                if sum(u * cells[i].get(j, 0) for i, u in scaled.items()) != want \
+                        or sum(u * cells[j].get(i, 0) for i, u in scaled.items()) != want:
+                    raise AlgebraError(f"unit fails on basis element {j}")
+            every = []
         for j in every:
             ej = {j: one}
             left: SparseVector = {}
@@ -650,14 +748,20 @@ class GradedAlgebra:
                     linalg._add_scaled(right, u, cell)
             if left != ej or right != ej:
                 raise AlgebraError(f"unit fails on basis element {j}")
+        parity = self.parity
         if monomial:  # row i's targets' parities, 2 at a zero cell's -1 and at the end
-            parity, padded = self.parity, (*self.parity, 2)
+            padded = (*parity, 2)
             grades = [(*g, 2) for g in (parity, [p ^ 1 for p in parity])]  # p_i ^ p_j, at p_i
             if all(seen == grades[p] or 1 not in map(xor, seen, grades[p])  # 1: wrong parity
                    for p, seen in zip(parity, (itemgetter(*row[0], -1)(padded) for row in rows))):
                 return
+        else:
+            of_parity = (set(self.degree_indices(0)), set(self.degree_indices(1)))
+            if all(cell.keys() <= of_parity[p ^ parity[j]]
+                   for p, row in zip(parity, rows) for j, cell in row.items()):
+                return
         for i, j, k, _ in _terms(self.rows):
-            if self.parity[k] != self.parity[i] ^ self.parity[j]:
+            if parity[k] != parity[i] ^ parity[j]:
                 raise AlgebraError(
                     f"product e_{i} e_{j} has a component of wrong parity at {k}")
 

@@ -8,7 +8,9 @@ triple, in lexicographic order.  :func:`dense_unit` solves the dense
 ``2 dim**2 x dim`` system for a two-sided unit by the dense elimination
 of ``centralizer_oracle``.  Neither shares product, generator or
 elimination code with the library, and the tests require the same
-verdict from both sides.
+verdict from both sides.  :func:`light_order_triple` takes the library's
+generators to name the triple ``validate`` names, each triple still
+decided by the associator.
 
 :func:`unvalidated` builds a table as ``GradedAlgebra(...)`` does but
 without its associativity check, so that a non-associative table reaches
@@ -54,6 +56,21 @@ def first_failing_triple(a):
     """The first basis triple on which ``a`` is not associative, or ``None``."""
     for i in range(a.dim):
         for j in range(a.dim):
+            for k in range(a.dim):
+                if associator(a, i, j, k):
+                    return i, j, k
+    return None
+
+
+def light_order_triple(a):
+    """The triple ``validate`` names on ``a``: the first ``(i, j, k)``,
+    with ``j`` running over ``a._light_generators()`` and then ``i`` and
+    ``k`` in order, on which :func:`associator` is nonzero, or ``None``.
+    Only the order is the library's; each triple's verdict is the
+    associator's.  It need not be :func:`first_failing_triple`, whose
+    middle index runs over every basis element."""
+    for j in a._light_generators():
+        for i in range(a.dim):
             for k in range(a.dim):
                 if associator(a, i, j, k):
                     return i, j, k
