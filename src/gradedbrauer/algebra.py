@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import itemgetter, xor
 from typing import Iterable, Optional, Sequence, Union
@@ -69,9 +70,8 @@ MAX_TERMS = 1 << 20
 
 # The most work (structure constants times the most in one cell) admitted
 # before Light's test: a dense change of basis of Cl(6) (dim 64) holds 4.2
-# million, validated in 0.28 s on one CPU with its integral image built
-# (2.4 s before the row dicts' cells were packed into ints); one of Cl(7)
-# 67 million, 12 s (42.6 s before), 8 s of it the generator search.
+# million, validated in 0.28 s on one CPU with its integral image built;
+# one of Cl(7) 67 million, 12 s, 8 s of it the generator search.
 MAX_WORK = 1 << 23
 
 
@@ -145,11 +145,12 @@ def _packed(rows: list) -> list:
 
 def _cell_ints(image: "GradedAlgebra") -> Optional[tuple[int, list, dict[int, int], int]]:
     """``(w, cells, unit, den)`` for an integral image (:func:`_integral`)
-    in row dicts of ``int`` constants; ``None`` for monomial rows, for a
-    Gaussian image and for rows holding any other constant.
-    ``cells[i][j]`` packs cell ``e_i e_j = sum c_k e_k`` into the one int
-    ``sum c_k 2**(w k)``; ``den`` is the common denominator of the image's
-    unit and ``unit`` maps each nonzero ``i`` to the int ``den u_i``.
+    in row dicts of ``int`` constants whose cells pack into ints of about
+    their own size; ``None`` for monomial rows, for a Gaussian image and
+    for sparse cells.  ``cells[i][j]`` packs cell ``e_i e_j = sum c_k e_k``
+    into the one int ``sum c_k 2**(w k)``; ``den`` is the common
+    denominator of the image's unit and ``unit`` maps each nonzero ``i``
+    to the int ``den u_i``.
 
     A balanced base-``2**w`` expansion is unique, so two packed sums of
     cells are equal exactly when every slot is, once each slot of both
@@ -158,29 +159,38 @@ def _cell_ints(image: "GradedAlgebra") -> Optional[tuple[int, list, dict[int, in
     ``dim`` products of two constants is at most ``dim M**2``, one of
     ``sum_i den u_i e_i e_j`` at most ``dim M U``, and one of ``den e_j``
     is ``den``: ``w`` is one bit more than the largest of the three needs.
+
+    A cell takes ``w (max k + 1)`` bits packed, whatever its terms.  The
+    cells are packed only while that sums to at most four times the bits
+    of the image's terms, each counted as its constant's bits plus 512 (an
+    entry of a cell's dict and an int's header, about 64 bytes): dense
+    cells, of any constants, and sparse cells of narrow slots.  A million
+    one-term cells at dim 1024, or a dense table with one huge constant,
+    would take gigabytes packed; those keep the dict compare.
     """
     rows, n = image.rows, image.dim
     if type(rows[0]) is not dict or not image.field.is_real:
         return None
     den = lcm(*(u.denominator for u in image.unit if u))
     unit = {i: int(den * u) for i, u in enumerate(image.unit) if u}
-    top = max((max(map(abs, cell.values())) for row in rows for cell in row.values()),
-              default=0)
+    every = [cell for row in rows for cell in row.values()]
+    constants = list(chain.from_iterable(map(dict.values, every)))
+    top = max(map(abs, constants), default=0)
+    w = int.bit_length(max(n * top * top, n * top * max(map(abs, unit.values()), default=0),
+                           den)) + 1
+    if w * (sum(map(max, every)) + len(every)) > 4 * (
+            512 * len(constants) + sum(map(int.bit_length, constants))):
+        return None  # sparse cells of wide slots
+    shift = [w * k for k in range(n)]
     cells = []
-    try:  # a constant that is no int (rows not of an integral image) raises TypeError
-        w = int.bit_length(max(n * top * top, n * top * max(map(abs, unit.values()), default=0),
-                               den)) + 1
-        shift = [w * k for k in range(n)]
-        for row in rows:
-            packed = {}
-            for j, cell in row.items():
-                p = 0
-                for k, c in cell.items():
-                    p += c << shift[k]
-                packed[j] = p
-            cells.append(packed)
-    except TypeError:
-        return None
+    for row in rows:
+        packed = {}
+        for j, cell in row.items():
+            p = 0
+            for k, c in cell.items():
+                p += c << shift[k]
+            packed[j] = p
+        cells.append(packed)
     return w, cells, unit, den
 
 
@@ -485,15 +495,20 @@ class GradedAlgebra:
     def validate(self) -> None:
         """Full structural audit; raises :class:`AlgebraError` on failure.
 
-        Runs :meth:`check_unit_and_grading`, then :meth:`_check_associative`
-        on the integral image (:func:`_integral`), which is associative
-        exactly when this algebra is, with the same failing triples.  On
-        row dicts both read the image's cells packed once into ints
-        (:func:`_cell_ints`), which live for this call only.
+        Checks what :meth:`check_unit_and_grading` checks, with the same
+        message, then runs :meth:`_check_associative` on the integral image
+        (:func:`_integral`), which is associative exactly when this algebra
+        is, with the same failing triples.  A table of the wrong grading
+        takes :meth:`check_unit_and_grading` alone, before any image is
+        built.  Otherwise, on row dicts, the unit check and Light's test
+        read the image's cells packed once into ints (:func:`_cell_ints`),
+        which live for this call only.
         """
+        if not self._graded():
+            self.check_unit_and_grading()  # raises: the unit's failure first, as always
         image = _integral(self)
         ints = _cell_ints(image)
-        self.check_unit_and_grading(ints)
+        self._check_unit(ints)
         image._check_associative(ints)
 
     def _check_associative(self, ints: Optional[tuple] = None) -> None:
@@ -536,14 +551,16 @@ class GradedAlgebra:
         that differ is compared as dicts of cells, which names the first
         failing triple ``(i, j, min k)``.
 
-        Row dicts of ``int`` constants compare packed cells (``ints``,
-        :func:`_cell_ints`, packed here when not given): ``(e_i e_j) e_k =
-        sum_t b_t e_t e_k`` and ``e_i (e_j e_k) = sum_s d_ks e_i e_s`` are
-        one int each, made by one product a term, and kept for the ``k``
-        where they are nonzero.  Each slot of either is at most ``dim M**2``,
-        within the width, so two ints are equal exactly when the cells are,
-        and the least ``k`` where they differ names the same triple as the
-        dict compare.  A Gaussian image keeps the dict compare.
+        Row dicts are compared as dicts of cells, unless :meth:`validate`
+        passes their cells packed into ints (``ints``, :func:`_cell_ints`:
+        ``int`` constants in cells dense enough to pack).  Then ``(e_i e_j)
+        e_k = sum_t b_t e_t e_k`` and ``e_i (e_j e_k) = sum_s d_ks e_i e_s``
+        are one int each, made by one product a term, and kept for the
+        ``k`` where they are nonzero.  Each slot of either is at most ``dim
+        M**2``, within the width, so two ints are equal exactly when the
+        cells are, and the least ``k`` where they differ names the same
+        triple as the dict compare.  A Gaussian image and sparse cells keep
+        the dict compare.
         """
         rows, n = self.rows, self.dim
 
@@ -564,7 +581,7 @@ class GradedAlgebra:
                 raise AlgebraError(f"associativity fails on basis triple ({i}, {j}, {min(bad)})")
 
         if type(rows[0]) is dict:
-            if (ints := ints or _cell_ints(self)) is None:  # a Gaussian image
+            if ints is None:
                 for j in self._light_generators():
                     for i in range(n):
                         check(i, j)
@@ -694,49 +711,57 @@ class GradedAlgebra:
                     pending += [(product, h) for h in generators]
         return generators
 
-    def check_unit_and_grading(self, ints: Optional[tuple] = None) -> None:
-        """The first part of :meth:`validate`: the unit is even and
-        two-sided, and every product lands in the parity forced by the
-        grading.  Raises :class:`AlgebraError` naming the first failure, as
-        the cell loop below would: an odd unit coordinate, then the first
-        ``j`` with ``u e_j != e_j`` or ``e_j u != e_j``, then the first
-        structure constant of wrong parity in ``(i, j, k)`` order.
+    def check_unit_and_grading(self) -> None:
+        """The unit is even and two-sided, and every product lands in the
+        parity forced by the grading; :meth:`validate` checks both, and
+        Light's test after them.  Raises :class:`AlgebraError` naming the
+        first failure: an odd unit coordinate, then the first ``j`` with ``u
+        e_j != e_j`` or ``e_j u != e_j`` (:meth:`_check_unit`), then the
+        first structure constant of wrong parity in ``(i, j, k)`` order,
+        found by a walk over each term that runs only when
+        :meth:`_graded` fails."""
+        self._check_unit()
+        if not self._graded():
+            for i, j, k, _ in _terms(self.rows):
+                if self.parity[k] != self.parity[i] ^ self.parity[j]:
+                    raise AlgebraError(
+                        f"product e_{i} e_{j} has a component of wrong parity at {k}")
+
+    def _check_unit(self, ints: Optional[tuple] = None) -> None:
+        """The unit is even and two-sided, or :class:`AlgebraError` names an
+        odd coordinate or the first ``j`` with ``u e_j != e_j`` or ``e_j u
+        != e_j``.
 
         On monomial rows a one-term unit ``u e_s`` holds when row and column
-        ``s`` target ``0..dim-1`` with codes of ``1/u`` alone, and row ``i``
-        is graded when its targets' parities are ``p_i ^ p_j`` at its
-        nonzero cells.  On row dicts whose integral image has ``int``
-        constants the unit is checked on that image, the same ``j`` failing
-        as here since the image only rescales the basis: with its cells
-        packed into ints (``ints``, :func:`_cell_ints`, packed here when not
-        given), ``sum_i den u_i e_i e_j`` and ``sum_i den u_i e_j e_i`` are
-        each one int against ``den 2**(w j)``.  Row dicts are graded when
-        the targets of each cell lie in the indices of parity ``p_i ^ p_j``,
-        one set inclusion a cell.  Any other unit (a monomial unit of several
-        terms or that fails, a Gaussian image) takes the cell loop: ``u e_j``
-        and ``e_j u`` add ``e_i e_j`` and ``e_j e_i`` scaled by each nonzero
-        ``u_i`` (:func:`gradedbrauer.linalg._add_scaled`; the shared 1
-        multiplies nothing).  A grading that fails takes the walk over each
-        term's parity, in order, which names the first failure."""
+        ``s`` target ``0..dim-1`` with codes of ``1/u`` alone.  With the
+        cells of the integral image packed into ints (``ints``, which
+        :meth:`validate` passes, :func:`_cell_ints`), ``sum_i den u_i e_i
+        e_j`` and ``sum_i den u_i e_j e_i`` are each one int against ``den
+        2**(w j)``, on the image: the same ``j`` fails as here, since the
+        image only rescales the basis.  Any other unit, and a one-term unit
+        that fails, takes the cell loop: ``u e_j`` and ``e_j u`` add ``e_i
+        e_j`` and ``e_j e_i`` scaled by each nonzero ``u_i``
+        (:func:`gradedbrauer.linalg._add_scaled`; the shared 1 multiplies
+        nothing)."""
         for i, u in enumerate(self.unit):
             if u and self.parity[i] == 1:
                 raise AlgebraError("unit has a component in odd degree")
         rows, unit, one = self.rows, _sparse(self.unit), self.field.one()
-        monomial, every = type(rows[0]) is tuple, list(range(self.dim))
-        if monomial and len(unit) == 1:
+        every = list(range(self.dim))
+        if type(rows[0]) is tuple and len(unit) == 1:
             (s, u), = unit.items()
             values, inverse = rows[s][2], one if u is one else _div(one, u)
             if rows[s][0] == every == [row[0][s] for row in rows] and all(
                     values[c] == inverse for c in {*rows[s][1], *(row[1][s] for row in rows)}):
-                every = []  # the unit holds: no j is left for the cell loop
-        elif not monomial and (ints := ints or _cell_ints(_integral(self))):
+                return
+        elif ints is not None:
             w, cells, scaled, den = ints
             for j in every:
                 want = den << (w * j)
                 if sum(u * cells[i].get(j, 0) for i, u in scaled.items()) != want \
                         or sum(u * cells[j].get(i, 0) for i, u in scaled.items()) != want:
                     raise AlgebraError(f"unit fails on basis element {j}")
-            every = []
+            return
         for j in every:
             ej = {j: one}
             left: SparseVector = {}
@@ -748,22 +773,23 @@ class GradedAlgebra:
                     linalg._add_scaled(right, u, cell)
             if left != ej or right != ej:
                 raise AlgebraError(f"unit fails on basis element {j}")
-        parity = self.parity
-        if monomial:  # row i's targets' parities, 2 at a zero cell's -1 and at the end
-            padded = (*parity, 2)
+
+    def _graded(self) -> bool:
+        """Whether every product lands in the parity forced by the grading,
+        without a walk over the terms: on monomial rows row ``i``'s targets'
+        parities are ``p_i ^ p_j`` at its nonzero cells, and in row dicts
+        the targets of each cell lie in the indices of parity ``p_i ^ p_j``,
+        one set inclusion a cell."""
+        rows, parity = self.rows, self.parity
+        if type(rows[0]) is tuple:
+            padded = (*parity, 2)  # row i's targets' parities: 2 at a zero cell's -1 and at the end
             grades = [(*g, 2) for g in (parity, [p ^ 1 for p in parity])]  # p_i ^ p_j, at p_i
-            if all(seen == grades[p] or 1 not in map(xor, seen, grades[p])  # 1: wrong parity
-                   for p, seen in zip(parity, (itemgetter(*row[0], -1)(padded) for row in rows))):
-                return
-        else:
-            of_parity = (set(self.degree_indices(0)), set(self.degree_indices(1)))
-            if all(cell.keys() <= of_parity[p ^ parity[j]]
-                   for p, row in zip(parity, rows) for j, cell in row.items()):
-                return
-        for i, j, k, _ in _terms(self.rows):
-            if parity[k] != parity[i] ^ parity[j]:
-                raise AlgebraError(
-                    f"product e_{i} e_{j} has a component of wrong parity at {k}")
+            seen = (itemgetter(*row[0], -1)(padded) for row in rows)
+            return all(got == grades[p] or 1 not in map(xor, got, grades[p])  # 1: wrong parity
+                       for p, got in zip(parity, seen))
+        of_parity = (set(self.degree_indices(0)), set(self.degree_indices(1)))
+        return all(cell.keys() <= of_parity[p ^ parity[j]]
+                   for p, row in zip(parity, rows) for j, cell in row.items())
 
     # ------------------------------------------------------------- subparts
 

@@ -1,10 +1,11 @@
 """The row-dict checks of ``GradedAlgebra.validate`` on cells packed into
 ints, against the cell-by-cell oracles.
 
-On an integral image whose row dicts hold ``int`` constants,
-``_cell_ints`` packs each cell ``{k: c}`` into ``sum c 2**(w k)``: the unit
-check sums ``den u_i`` times whole cells, and Light's test compares
-``(e_i e_j) e_k`` with ``e_i (e_j e_k)`` as one int for each ``k``.  On
+On an integral image whose row dicts hold ``int`` constants in cells
+dense enough to pack, ``_cell_ints`` packs each cell ``{k: c}`` into ``sum
+c 2**(w k)``: the unit check sums ``den u_i`` times whole cells, and
+Light's test compares ``(e_i e_j) e_k`` with ``e_i (e_j e_k)`` as one int
+for each ``k``.  On
 seeded tables with large and negative constants, cells that cancel to
 zero, one perturbed cell, a wrong unit and a cell of the wrong parity,
 ``validate`` must give the message of ``unit_grading_oracle.cell_loop_check``
@@ -16,7 +17,10 @@ one bit narrower carry into equal ints.
 
 On an associative table of this kind ``validate`` adds no sparse vector
 outside the generator search: no dict compare, no unit cell loop and no
-``_terms`` walk.  A Gaussian image still takes the dict compare.
+``_terms`` walk.  A Gaussian image still takes the dict compare, and so
+do sparse cells of wide slots, which would take many times the image's
+memory packed; a table of the wrong grading is refused before any image
+is built.
 """
 
 import random
@@ -64,11 +68,12 @@ def verdict(check, a):
     return None
 
 
-def assert_same(a, cubic=True):
+def assert_same(a, cubic=True, packed=True):
     """``validate`` on a fresh copy of ``a`` against the oracles; returns
     its message.  ``cubic`` asks ``first_failing_triple`` too, which takes
-    every triple on an associative table."""
-    assert type(a.rows[0]) is dict and _cell_ints(_integral(a)) is not None
+    every triple on an associative table; ``packed`` says whether the
+    image's cells are packed."""
+    assert type(a.rows[0]) is dict and (_cell_ints(_integral(a)) is not None) == packed
     want = verdict(cell_loop_check, a)
     if want is None:
         triple = light_order_triple(a)
@@ -100,12 +105,11 @@ def cancelling_cells(a):
 
 def seeded_tables():
     """Associative int row-dict tables: dense transports, a diagonal
-    rescaling by large rationals, and sheared graded matrices."""
+    rescaling by large negative ints, and sheared graded matrices."""
     rng = random.Random(2026)
-    big = [F(10 ** 12 + 7 * i + 1, 3 ** i + 2) for i in range(16)]
     return [int_rows(transport(cl(2, 1), rng)), int_rows(transport(cl(1, 3), rng)),
             int_rows(transport(end_graded(2, 1), rng)),
-            int_rows(rescaled(cl(0, 4), [-s for s in big])),
+            int_rows(rescaled(cl(0, 4), [-(2 ** 70 + 1) * (1 + i % 3) for i in range(16)])),
             int_rows(sheared(end_graded(2, 1), 0, 4)), int_rows(sheared(end_graded(3, 0), 0, 4))]
 
 
@@ -252,3 +256,47 @@ def test_a_gaussian_image_still_takes_the_dict_compare(monkeypatch):
     assert type(a.rows[0]) is dict and _cell_ints(_integral(a)) is None
     calls = validate_calls(monkeypatch, a)
     assert calls["_add_scaled"] > 0 and calls["_cell"] > 0 and calls["_terms"] == 0
+
+
+def test_sparse_cells_of_wide_slots_keep_the_dict_compare(monkeypatch):
+    """Cl(0,4) rescaled by negated ~10**12 rationals: one-term cells whose
+    image constants take about 990 bits, so each cell would pack into
+    ``w (max k + 1)``, 8.5 slots of 1,975 bits a term, eight times what the
+    image holds.  The cells stay dicts, and ``validate`` still agrees with
+    the oracles, on the table and with one constant moved."""
+    big = [F(10 ** 12 + 7 * i + 1, 3 ** i + 2) for i in range(16)]
+    a = int_rows(rescaled(cl(0, 4), [-s for s in big]))
+    assert assert_same(a, packed=False) is None
+    calls = validate_calls(monkeypatch, a)
+    assert calls["_add_scaled"] > 0 and calls["_terms"] == 0
+    rng, refused = random.Random(35), 0
+    cells = [(i, j) for i, row in enumerate(a.rows) for j in row
+             if not a.unit[i] and not a.unit[j]]
+    for i, j in rng.sample(cells, 4):
+        (k, c), = a.rows[i][j].items()
+        refused += assert_same(with_cell(a, (i, j), {k: c + 1}), cubic=False,
+                               packed=False) is not None
+    assert refused == 4
+
+
+def test_a_wrong_grading_is_refused_before_the_image_is_built(monkeypatch):
+    """A term of the wrong parity: ``validate`` gives the oracle's message,
+    the unit's failure first when both fail, and builds no image; nor does
+    ``check_unit_and_grading`` called alone on a table that passes."""
+    a = seeded_tables()[0]
+    fresh = GradedAlgebra._trusted(a.field, a.parity, a.rows, a.unit)
+    fresh.check_unit_and_grading()
+    assert fresh._image is None
+    i, j = next((i, j) for i, row in enumerate(a.rows) for j in row
+                if not a.unit[i] and not a.unit[j])
+    k = next(k for k in range(a.dim) if a.parity[k] != a.parity[i] ^ a.parity[j])
+    wrong = with_cell(a, (i, j), {**a.rows[i][j], k: 1})
+    both = GradedAlgebra._trusted(wrong.field, wrong.parity, wrong.rows,
+                                  tuple(2 * u for u in wrong.unit))
+    built = []
+    monkeypatch.setattr(algebra, "_integral", lambda b: built.append(b))
+    for b, first in ((wrong, "product"), (both, "unit")):
+        fresh = GradedAlgebra._trusted(b.field, b.parity, b.rows, b.unit)
+        message = verdict(GradedAlgebra.validate, fresh)
+        assert message == verdict(cell_loop_check, b) and message.split()[0] == first
+    assert built == []
