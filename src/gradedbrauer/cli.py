@@ -10,11 +10,18 @@ Exit codes: 0 on success, 2 on bad input (with a machine-readable
 ``{"error": ...}`` document), 1 on internal failure or selftest failure.
 A reader that closes stdout early does not change the exit code.
 
-A process imports only what its command runs: the algebra commands load
-the algebra layers alone, and ``space``, ``variety``, ``table`` and
-``selftest`` load the descriptor modules (and :mod:`dataclasses`) inside
-their handlers and parsers.  A handler reads each function from its
-module when it runs, so a function rebound there is the one called.
+A process imports only what its command runs.  ``clifford``, ``tensor``,
+``invariants``, ``azumaya`` and ``centralizer`` import the algebra layers
+(:mod:`~gradedbrauer.algebra`, :mod:`~gradedbrauer.clifford`,
+:mod:`~gradedbrauer.invariants`, :mod:`~gradedbrauer.scalars`,
+:mod:`~gradedbrauer.linalg`) in their handlers, and of those only an
+algebra read from JSON loads :mod:`gradedbrauer.verify`, the checks of an
+untrusted table.  ``space``, ``variety`` and ``table`` load the descriptor
+modules (:mod:`~gradedbrauer.spaces`, :mod:`~gradedbrauer.groups`,
+:mod:`dataclasses`) in their handlers and parsers, and no algebra layer or
+:mod:`fractions`; ``selftest`` loads both, but not
+:mod:`gradedbrauer.verify`.  A handler reads each function from its module
+when it runs, so a function rebound there is the one called.
 """
 
 from __future__ import annotations
@@ -25,16 +32,12 @@ import os
 import re
 import sys
 
-from .algebra import (MAX_TERMS, GradedAlgebra, end_graded, graded_tensor,
-                      ground_algebra, hat_center, is_azumaya, opposite)
-from .clifford import DiagonalForm, clifford
-from .invariants import bw_class, invariant_triple
-from .scalars import Field, field_from_label
 
-
-def _parse_form(text: str, field: Field) -> DiagonalForm:
+def _clifford(text: str, field):
+    """The Clifford algebra of a diagonal form given as entries, e.g. ``1,-1,2``."""
+    from .clifford import DiagonalForm, clifford
     entries = tuple(field.coerce(part.strip()) for part in text.split(",") if part.strip())
-    return DiagonalForm(entries, field)
+    return clifford(DiagonalForm(entries, field))
 
 
 # Characters of algebra JSON read per structure constant of the term budget
@@ -43,9 +46,10 @@ def _parse_form(text: str, field: Field) -> DiagonalForm:
 _JSON_CHARS_PER_TERM = 128
 
 
-def _load_algebra(source: str, field: Field) -> GradedAlgebra:
+def _load_algebra(source: str, field):
+    from .algebra import MAX_TERMS, GradedAlgebra, end_graded, ground_algebra
     if source.startswith("form:"):
-        return clifford(_parse_form(source[5:], field))
+        return _clifford(source[5:], field)
     if source.startswith("end:"):
         even, _, odd = source[4:].partition(",")
         return end_graded(int(even), int(odd or 0), field)
@@ -68,12 +72,13 @@ def _load_algebra(source: str, field: Field) -> GradedAlgebra:
     return GradedAlgebra.from_json(data)
 
 
-def _algebra_from_args(args) -> GradedAlgebra:
+def _algebra_from_args(args):
+    from .scalars import field_from_label
     field = field_from_label(args.field)
     if args.form is not None:
         if args.algebra is not None:
             raise ValueError("pass --form or --algebra, not both")
-        return clifford(_parse_form(args.form, field))
+        return _clifford(args.form, field)
     if args.algebra is not None:
         return _load_algebra(args.algebra, field)
     raise ValueError("pass --form or --algebra")
@@ -82,11 +87,13 @@ def _algebra_from_args(args) -> GradedAlgebra:
 # ---------------------------------------------------------------- handlers
 
 def _cmd_clifford(args):
-    field = field_from_label(args.field)
-    return clifford(_parse_form(args.form, field)).to_json(), 0
+    from .scalars import field_from_label
+    return _clifford(args.form, field_from_label(args.field)).to_json(), 0
 
 
 def _cmd_tensor(args):
+    from .algebra import graded_tensor
+    from .scalars import field_from_label
     field = field_from_label(args.field)
     left = _load_algebra(args.left, field)
     right = _load_algebra(args.right, field)
@@ -94,6 +101,8 @@ def _cmd_tensor(args):
 
 
 def _cmd_invariants(args):
+    from .algebra import opposite
+    from .invariants import bw_class, invariant_triple
     a = _algebra_from_args(args)
     if args.opposite:
         a = opposite(a)
@@ -103,10 +112,12 @@ def _cmd_invariants(args):
 
 
 def _cmd_azumaya(args):
+    from .algebra import is_azumaya
     return {"azumaya": is_azumaya(_algebra_from_args(args))}, 0
 
 
 def _cmd_centralizer(args):
+    from .algebra import hat_center
     return hat_center(_algebra_from_args(args)).to_json(), 0
 
 

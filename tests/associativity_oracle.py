@@ -18,6 +18,7 @@ without its associativity check, so that a non-associative table reaches
 """
 
 from gradedbrauer.algebra import GradedAlgebra
+from gradedbrauer.verify import _light_generators
 from centralizer_oracle import dense_solve
 
 
@@ -64,12 +65,12 @@ def first_failing_triple(a):
 
 def light_order_triple(a):
     """The triple ``validate`` names on ``a``: the first ``(i, j, k)``,
-    with ``j`` running over ``a._light_generators()`` and then ``i`` and
+    with ``j`` running over ``_light_generators(a)`` and then ``i`` and
     ``k`` in order, on which :func:`associator` is nonzero, or ``None``.
     Only the order is the library's; each triple's verdict is the
     associator's.  It need not be :func:`first_failing_triple`, whose
     middle index runs over every basis element."""
-    for j in a._light_generators():
+    for j in _light_generators(a):
         for i in range(a.dim):
             for k in range(a.dim):
                 if associator(a, i, j, k):

@@ -27,13 +27,14 @@ from fractions import Fraction
 
 import pytest
 
-from gradedbrauer import algebra, linalg
+from gradedbrauer import linalg, verify
 from gradedbrauer.algebra import (AlgebraError, GradedAlgebra, _cell, _integral, _packed,
                                   end_graded, graded_tensor, hat_center, is_azumaya, opposite)
 from gradedbrauer.cli import main
 from gradedbrauer.clifford import DiagonalForm, clifford, relabel, signature_form
 from gradedbrauer.invariants import bw_class
 from gradedbrauer.scalars import COMPLEX, REAL
+from gradedbrauer.verify import _check_associative, _light_generators
 from associativity_oracle import associator, dense_unit, first_failing_triple, unvalidated
 from test_azumaya_oracle import (cl, dense_gaussian_transport, dimension_64, gaussian_images,
                                  known_non_azumaya, product, seeded_algebras, suite_algebras)
@@ -83,10 +84,10 @@ def test_generator_counts():
     """``r`` is the rank for Clifford algebras and ``2n - 1`` for graded
     ``n x n`` matrices."""
     for p, q in ((0, 0), (1, 0), (2, 1), (0, 4), (3, 3)):
-        assert clifford(signature_form(p, q))._light_generators() \
+        assert _light_generators(clifford(signature_form(p, q))) \
             == [1 << b for b in range(p + q)]
     for ev, od in ((1, 1), (2, 1), (3, 2), (8, 8)):
-        assert len(end_graded(ev, od)._light_generators()) == 2 * (ev + od) - 1
+        assert len(_light_generators(end_graded(ev, od))) == 2 * (ev + od) - 1
 
 
 def as_row_dicts(a):
@@ -111,7 +112,7 @@ def test_monomial_generators_match_the_elimination():
     assert len(monomial) > 120
     assert sum(1 for a in monomial if sum(map(bool, a.unit)) > 1) > 40
     for a in monomial:
-        assert a._light_generators() == as_row_dicts(a)._light_generators(), a
+        assert _light_generators(a) == _light_generators(as_row_dicts(a)), a
 
 
 @pytest.mark.parametrize("base, generators, products", [
@@ -125,14 +126,14 @@ def test_row_dict_generators_take_no_product_of_the_unit(monkeypatch, base, gene
     a = transport(base, random.Random(3))
     assert type(a.rows[0]) is dict
     calls = Counter()
-    mul_into = algebra._mul_into
+    mul_into = verify._mul_into
 
     def counted(*args):
         calls["_mul_into"] += 1
         return mul_into(*args)
 
-    monkeypatch.setattr(algebra, "_mul_into", counted)
-    assert a._light_generators() == generators
+    monkeypatch.setattr(verify, "_mul_into", counted)
+    assert _light_generators(a) == generators
     assert calls["_mul_into"] == products
 
 
@@ -377,10 +378,10 @@ def associativity_calls(monkeypatch, a):
             return function(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(algebra, "_cell", counted("_cell", algebra._cell))
-    monkeypatch.setattr(algebra, "_mul_into", counted("_mul_into", algebra._mul_into))
+    monkeypatch.setattr(verify, "_cell", counted("_cell", verify._cell))
+    monkeypatch.setattr(verify, "_mul_into", counted("_mul_into", verify._mul_into))
     monkeypatch.setattr(linalg.Elimination, "add", counted("add", linalg.Elimination.add))
-    image._check_associative()
+    _check_associative(image)
     monkeypatch.undo()
     return calls
 
@@ -413,15 +414,15 @@ def rescaled(a, scales):
 def filled_products(monkeypatch, image):
     """The products of two values that ``_check_associative`` of ``image``
     multiplies and codes: the entries filled in every ``_Times``."""
-    made, init = [], algebra._Times.__init__
+    made, init = [], verify._Times.__init__
 
     def recorded(self, *args):
         init(self, *args)
         made.append(self)
 
-    monkeypatch.setattr(algebra._Times, "__init__", recorded)
+    monkeypatch.setattr(verify._Times, "__init__", recorded)
     try:
-        image._check_associative()
+        _check_associative(image)
     finally:
         monkeypatch.undo()
     return sum(len(times) - 1 for times in made)  # -1 -> -1 is there from the start
@@ -439,7 +440,7 @@ def test_many_valued_monomial_rows_take_only_the_products_read(monkeypatch, p):
     image = _integral(a)
     assert type(image.rows[0]) is tuple and len(image.rows[0][2]) > a.dim ** 2 // 4
     a.validate()
-    r = len(image._light_generators())
+    r = len(_light_generators(image))
     assert r == p and filled_products(monkeypatch, image) <= 2 * r * a.dim ** 2
     (mutant,) = one_sign_flips(a, random.Random(p), 1)
     found = library_triple(mutant)

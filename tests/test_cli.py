@@ -8,7 +8,11 @@ from pathlib import Path
 import pytest
 
 from gradedbrauer import cli
+from gradedbrauer.algebra import GradedAlgebra
 from gradedbrauer.cli import main
+from gradedbrauer.scalars import REAL
+from associativity_oracle import unvalidated
+from test_trace_group_law import flipped_cl02
 
 
 def run(capsys, *argv):
@@ -223,7 +227,7 @@ def test_recursion_error_past_the_json_parser_exits_one(capsys, monkeypatch):
     def broken(data):
         raise RecursionError("deep")
 
-    monkeypatch.setattr(cli.GradedAlgebra, "from_json", broken)
+    monkeypatch.setattr(GradedAlgebra, "from_json", broken)
     monkeypatch.setattr(sys, "stdin", io.StringIO("{}"))
     code, doc = run(capsys, "invariants", "--algebra", "-")
     assert code == 1
@@ -244,27 +248,100 @@ def test_import_loads_no_numpy():
     assert out.stdout.strip() == "False"
 
 
-def test_an_algebra_command_imports_no_descriptor_module():
-    """Start-up cost: ``invariants`` and ``azumaya`` load the algebra
-    layers alone, not the descriptor and table modules or dataclasses."""
+# Run the CLI on the interpreter's argv, keeping its exit code in ``code``.
+RUN_CLI = ("import runpy\n"
+           "try:\n"
+           "    runpy.run_module('gradedbrauer.cli', run_name='__main__')\n"
+           "except SystemExit as exc:\n"
+           "    code = exc.code\n")
+ALGEBRA_STACK = ("gradedbrauer.algebra", "gradedbrauer.clifford", "gradedbrauer.invariants",
+                 "gradedbrauer.scalars", "gradedbrauer.linalg", "fractions")
+DESCRIPTOR_MODULES = ("gradedbrauer.spaces", "gradedbrauer.groups", "gradedbrauer.selftest",
+                      "dataclasses")
+VERIFY = ("gradedbrauer.verify",)
+
+
+def fresh_process(script, *argv, stdin=""):
+    """Exit code, stdout, and the modules of the three lists above that
+    ``script`` has loaded, in a fresh interpreter on ``argv``."""
     import gradedbrauer
     src = str(Path(gradedbrauer.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    code = ("import runpy, sys\n"
-            "try:\n"
-            "    runpy.run_module('gradedbrauer.cli', run_name='__main__')\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code\n"
-            "print([m for m in ('gradedbrauer.spaces', 'gradedbrauer.groups',\n"
-            "                   'gradedbrauer.selftest', 'dataclasses')\n"
-            "       if m in sys.modules], file=sys.stderr)\n")
+    report = ("import json, sys\n"
+              f"names = {ALGEBRA_STACK + DESCRIPTOR_MODULES + VERIFY!r}\n"
+              "print(json.dumps([code, [m for m in names if m in sys.modules]]), file=sys.stderr)\n")
+    out = subprocess.run([sys.executable, "-c", "code = 0\n" + script + report, *argv], env=env,
+                         input=stdin, capture_output=True, text=True, check=True, timeout=60)
+    code, loaded = json.loads(out.stderr.strip().splitlines()[-1])
+    return code, out.stdout, loaded
+
+
+def test_an_algebra_command_imports_no_descriptor_module():
+    """Start-up cost: ``invariants`` and ``azumaya`` load the algebra
+    layers alone, not the descriptor and table modules or dataclasses."""
     for argv in (["invariants", "--form", "1,-1"], ["azumaya", "--form", "1"]):
-        out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                             capture_output=True, text=True, check=True, timeout=60)
-        assert json.loads(out.stdout) in ({"parity": 0, "q2": 0, "ungraded": 0, "bw": 0},
-                                          {"azumaya": True})
-        assert out.stderr.strip() == "[]"
+        code, out, loaded = fresh_process(RUN_CLI, *argv)
+        assert code == 0
+        assert json.loads(out) in ({"parity": 0, "q2": 0, "ungraded": 0, "bw": 0},
+                                   {"azumaya": True})
+        assert not set(loaded) & set(DESCRIPTOR_MODULES)
+
+
+@pytest.mark.parametrize("argv", [
+    ["space", "surface", "--genus", "2", "--nu", "1"],
+    ["variety", "complex-projective", "--rho", "1", "--h1", "2"],
+    ["table", "circles"],
+], ids=["space", "variety", "table"])
+def test_a_descriptor_command_imports_no_algebra_module(capsys, argv):
+    """Start-up cost: ``space``, ``variety`` and ``table`` load neither
+    the algebra layers nor :mod:`fractions`, and print what the CLI
+    prints in this process."""
+    code, out, loaded = fresh_process(RUN_CLI, *argv)
+    assert (code, json.loads(out)) == run(capsys, *argv)
+    assert code == 0 and not set(loaded) & set(ALGEBRA_STACK + VERIFY)
+
+
+@pytest.mark.parametrize("script, argv, want", [
+    (RUN_CLI, ["invariants", "--form", "1,1"], {"parity": 0, "q2": 2, "ungraded": 0, "bw": 2}),
+    (RUN_CLI, ["azumaya", "--form", "-1", "--field", "C"], {"azumaya": True}),
+    (RUN_CLI, ["selftest"], None),
+    ("import gradedbrauer as g\n"  # the benchmark's setup child
+     "g.bw_class(g.ground_algebra(g.REAL))\n"
+     "g.bw_class(g.ground_algebra(g.COMPLEX))\n", [], None),
+], ids=["invariants", "azumaya", "selftest", "setup"])
+def test_a_library_algebra_loads_no_validation_module(script, argv, want):
+    """Algebras built from a form, ``end:`` or ``ground``, and the
+    calibration powers, are trusted: the construction checks and
+    ``validate`` are never loaded."""
+    code, out, loaded = fresh_process(script, *argv)
+    assert code == 0 and (want is None or json.loads(out) == want)
+    assert "gradedbrauer.verify" not in loaded
+
+
+def test_an_untrusted_table_loads_the_validation_module_and_is_refused(tmp_path):
+    """``invariants --algebra FILE`` and ``GradedAlgebra(...)`` load
+    :mod:`gradedbrauer.verify`, and refuse the flipped Cl(0,2) with the
+    message of ``validate``."""
+    message = "associativity fails on basis triple (1, 1, 2)"
+    path = tmp_path / "flipped.json"
+    path.write_text(json.dumps(unvalidated(REAL, *flipped_cl02(REAL)).to_json()))
+    code, out, loaded = fresh_process(RUN_CLI, "invariants", "--algebra", str(path))
+    assert (code, json.loads(out)["error"]["message"]) == (2, message)
+    assert "gradedbrauer.verify" in loaded
+    script = ("import json, sys\n"
+              "from gradedbrauer import REAL, AlgebraError, GradedAlgebra\n"
+              "doc = json.load(sys.stdin)\n"
+              "table = {}\n"
+              "for i, j, k, v in doc['structure']:\n"
+              "    table.setdefault((i, j), {})[k] = v\n"
+              "try:\n"
+              "    GradedAlgebra(REAL, doc['parity'], table, doc['unit'])\n"
+              "except AlgebraError as exc:\n"
+              "    print(exc)\n")
+    code, out, loaded = fresh_process(script, stdin=path.read_text())
+    assert (code, out.strip()) == (0, message)
+    assert "gradedbrauer.verify" in loaded
 
 
 def test_the_parser_for_an_algebra_command_has_no_descriptor_kinds():

@@ -16,6 +16,7 @@ MODULE_NAMES = (
     "gradedbrauer.linalg",
     "gradedbrauer.groups",
     "gradedbrauer.algebra",
+    "gradedbrauer.verify",
     "gradedbrauer.clifford",
     "gradedbrauer.invariants",
     "gradedbrauer.spaces",

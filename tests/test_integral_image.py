@@ -27,7 +27,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings
 
-from gradedbrauer import algebra, invariants
+from gradedbrauer import algebra, invariants, verify
 from gradedbrauer.algebra import (AlgebraError, GradedAlgebra, _integral, _terms,
                                   end_graded, graded_centralizer, hat_center,
                                   is_azumaya, trace_gram)
@@ -130,9 +130,9 @@ def test_the_image_decides_as_the_table_does(monkeypatch):
     inputs = decision_inputs()
     with_image = [outcome(a) for a in inputs]
     assert any(isinstance(o[2], tuple) for o in with_image)  # associativity failures
-    for module in (algebra, invariants):
+    for module in (algebra, invariants, verify):
         monkeypatch.setattr(module, "_integral", lambda a: a)
-    monkeypatch.setattr(algebra, "_cell_ints", lambda a: None)  # cells of fractions: dicts
+    monkeypatch.setattr(verify, "_cell_ints", lambda a: None)  # cells of fractions: dicts
     assert [outcome(a) for a in inputs] == with_image
 
 

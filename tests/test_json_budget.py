@@ -14,7 +14,7 @@ import json
 import sys
 import tracemalloc
 
-from gradedbrauer import cli
+from gradedbrauer import algebra, cli
 from gradedbrauer.algebra import GradedAlgebra, _terms
 from gradedbrauer.clifford import clifford, signature_form
 from gradedbrauer.cli import main
@@ -60,7 +60,7 @@ def test_from_json_walks_a_sparse_structure_once():
 
 def small_budget(monkeypatch):
     """Shrink the term budget, so that the CLI reads at most 512 characters."""
-    monkeypatch.setattr(cli, "MAX_TERMS", 4)
+    monkeypatch.setattr(algebra, "MAX_TERMS", 4)
     return cli._JSON_CHARS_PER_TERM * 4
 
 
@@ -113,4 +113,4 @@ def test_the_largest_document_the_cli_writes_fits_the_budget():
     small = clifford(signature_form(2, 1))
     assert indented_length(small) == len(json.dumps(small.to_json(), indent=2))
     largest = clifford(signature_form(10, 0))  # rank 10: MAX_TERMS triples
-    assert indented_length(largest) <= cli._JSON_CHARS_PER_TERM * cli.MAX_TERMS / 2
+    assert indented_length(largest) <= cli._JSON_CHARS_PER_TERM * algebra.MAX_TERMS / 2

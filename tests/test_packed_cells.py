@@ -29,9 +29,9 @@ from fractions import Fraction
 
 import pytest
 
-from gradedbrauer import algebra, linalg
-from gradedbrauer.algebra import (AlgebraError, GradedAlgebra, _cell, _cell_ints, _integral,
-                                  end_graded)
+from gradedbrauer import linalg, verify
+from gradedbrauer.algebra import AlgebraError, GradedAlgebra, _cell, _integral, end_graded
+from gradedbrauer.verify import _cell_ints, _light_generators
 from gradedbrauer.scalars import REAL
 from associativity_oracle import first_failing_triple, light_order_triple, unvalidated
 from test_associativity_oracle import rescaled, sheared
@@ -89,7 +89,7 @@ def cancelling_cells(a):
     """The ``(i, j, k)`` of Light's compare whose ``(e_i e_j) e_k`` sums
     nonzero products of a cell of two terms or more to zero."""
     table, found = a.table, []
-    for j in a._light_generators():
+    for j in _light_generators(a):
         for i in range(a.dim):
             cell = table.get((i, j), {})
             for k in range(a.dim) if len(cell) > 1 else ():
@@ -216,7 +216,7 @@ def validate_calls(monkeypatch, a):
     """Calls made by ``validate`` on a fresh copy of ``a``: ``_add_scaled``
     and ``_cell`` outside ``_light_generators``, and ``_terms``."""
     calls, depth = Counter(), [0]
-    generators = GradedAlgebra._light_generators
+    generators = verify._light_generators
 
     def searched(self):
         depth[0] += 1
@@ -232,10 +232,10 @@ def validate_calls(monkeypatch, a):
             return function(*args)
         return call
 
-    monkeypatch.setattr(GradedAlgebra, "_light_generators", searched)
+    monkeypatch.setattr(verify, "_light_generators", searched)
     monkeypatch.setattr(linalg, "_add_scaled", counted("_add_scaled", linalg._add_scaled))
-    monkeypatch.setattr(algebra, "_cell", counted("_cell", algebra._cell))
-    monkeypatch.setattr(algebra, "_terms", counted("_terms", algebra._terms))
+    monkeypatch.setattr(verify, "_cell", counted("_cell", verify._cell))
+    monkeypatch.setattr(verify, "_terms", counted("_terms", verify._terms))
     GradedAlgebra._trusted(a.field, a.parity, a.rows, a.unit).validate()
     monkeypatch.undo()
     return calls
@@ -294,7 +294,7 @@ def test_a_wrong_grading_is_refused_before_the_image_is_built(monkeypatch):
     both = GradedAlgebra._trusted(wrong.field, wrong.parity, wrong.rows,
                                   tuple(2 * u for u in wrong.unit))
     built = []
-    monkeypatch.setattr(algebra, "_integral", lambda b: built.append(b))
+    monkeypatch.setattr(verify, "_integral", lambda b: built.append(b))
     for b, first in ((wrong, "product"), (both, "unit")):
         fresh = GradedAlgebra._trusted(b.field, b.parity, b.rows, b.unit)
         message = verdict(GradedAlgebra.validate, fresh)

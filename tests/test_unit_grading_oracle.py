@@ -21,7 +21,7 @@ from collections import Counter
 
 import pytest
 
-from gradedbrauer import algebra
+from gradedbrauer import verify
 from gradedbrauer.algebra import (AlgebraError, GradedAlgebra, end_graded, graded_tensor,
                                   opposite)
 from gradedbrauer.scalars import COMPLEX, REAL
@@ -177,8 +177,8 @@ def test_clifford_checks_make_no_cell_no_walk_and_no_product(monkeypatch, field)
             return function(*args)
         return call
 
-    monkeypatch.setattr(algebra, "_cell", counted("_cell", algebra._cell))
-    monkeypatch.setattr(algebra, "_terms", counted("_terms", algebra._terms))
+    monkeypatch.setattr(verify, "_cell", counted("_cell", verify._cell))
+    monkeypatch.setattr(verify, "_terms", counted("_terms", verify._terms))
     products = scalar_products(monkeypatch)
     for a in algebras:
         a.check_unit_and_grading()
